@@ -20,8 +20,6 @@ from repro.experiments import BenchScale
 from repro.experiments import hotpath
 
 #: Committed hot-path performance baseline (see docs/performance.md).
-#: PR7 and later payloads carry both backends' end-to-end points
-#: (``end_to_end`` = event engine, ``end_to_end_batch`` = batch engine).
 BENCH_BASELINE = Path(__file__).resolve().parent.parent / "BENCH_PR7.json"
 
 #: The scale every benchmark runs at.  8 cores with 1 scaled channel carry

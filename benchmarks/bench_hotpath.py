@@ -6,10 +6,10 @@ time the simulator itself and maintain the repo's performance baseline,
 
 * on a checkout without the baseline (or with ``REPRO_BENCH_WRITE=1``)
   the suite writes a fresh one, ready to be reviewed and committed;
-* otherwise the end-to-end points of *both* simulation backends (event
-  and batch) are compared against the committed numbers and the suite
-  fails on a regression past ``REPRO_BENCH_TOLERANCE`` (default 25%) --
-  the CI perf-smoke job runs exactly this.
+* otherwise the end-to-end point is compared against the committed
+  number and the suite fails on a regression past
+  ``REPRO_BENCH_TOLERANCE`` (default 25%) -- the CI perf-smoke job runs
+  exactly this.
 
 ``repro bench`` is the CLI face of the same suite
 (:mod:`repro.experiments.hotpath`).
@@ -41,15 +41,6 @@ def test_end_to_end_point(benchmark):
     result = run_once(benchmark, bench_end_to_end)
     assert result["instructions"] == 40_000
     assert result["total_cycles"] > 0
-
-
-def test_end_to_end_point_batch(benchmark):
-    """The batch backend runs the same point and lands on the same
-    cycle count (full bit-identity is pinned by the equivalence suite)."""
-    event = bench_end_to_end(repeats=1)
-    result = run_once(benchmark, bench_end_to_end, backend="batch")
-    assert result["instructions"] == 40_000
-    assert result["total_cycles"] == event["total_cycles"]
 
 
 def test_against_committed_baseline(benchmark):

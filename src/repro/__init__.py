@@ -13,9 +13,7 @@ The documented public surface is :mod:`repro.api` (see ``docs/api.md``):
 >>> result.total_instructions
 8000
 
-``api.sweep`` runs scheme/workload/channel grids with disk caching, and
-both entrypoints accept ``backend="batch"`` for the fast simulation
-engine (bit-identical results; see ``docs/performance.md``).
+``api.sweep`` runs scheme/workload/channel grids with disk caching.
 
 See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 paper-vs-measured record of every table and figure.

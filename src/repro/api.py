@@ -26,21 +26,16 @@ operating points under a fixed package power budget.
 
 Everything else under ``repro.*`` is implementation: importable and
 stable within a release, but the facade is what README, ``examples/``
-and ``docs/api.md`` teach, and what deprecation policy covers.  The
-``backend`` argument (or the ``REPRO_BACKEND`` environment variable)
-selects the simulation engine -- ``"event"`` (reference) or ``"batch"``
-(fast path); the two are bit-identical on results, so the choice never
-affects science, only wall-clock.
+and ``docs/api.md`` teach, and what deprecation policy covers.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import (Callable, Dict, Iterable, Iterator, List, Mapping,
                     Optional, Sequence, Tuple, Union)
 
-from repro.config import (BACKENDS, SystemConfig, resolve_backend,
-                          scaled_config)
+from repro.config import SystemConfig, scaled_config
 from repro.energy import dynamic_energy, package_power_w
 from repro.experiments.sweep import (ResultStore, RunSpec, Scheme, Sweep,
                                      run_sweep)
@@ -50,7 +45,7 @@ from repro.sim.system import run_system
 __all__ = [
     "simulate", "sweep", "power_budget", "SweepResult", "Scheme",
     "RunSpec", "SystemConfig", "scaled_config", "SimulationResult",
-    "weighted_speedup", "dynamic_energy", "package_power_w", "BACKENDS",
+    "weighted_speedup", "dynamic_energy", "package_power_w",
 ]
 
 #: A scheme argument: a typed :class:`Scheme` or a legacy-style name
@@ -62,17 +57,12 @@ WorkloadsLike = Union[Sequence[str], Sequence[Sequence[str]]]
 
 
 def simulate(config: SystemConfig, workloads: Sequence[str],
-             label: str = "", *,
-             backend: Optional[str] = None) -> SimulationResult:
+             label: str = "") -> SimulationResult:
     """Run one simulation and return its :class:`SimulationResult`.
 
     ``workloads`` names one trace per core (see
     :func:`repro.trace.homogeneous_mix` for the common N-copies case).
-    ``backend`` overrides ``config.backend`` for this call; the
-    ``REPRO_BACKEND`` environment variable overrides both.
     """
-    if backend is not None:
-        config = replace(config, backend=backend)
     return run_system(config, list(workloads), label=label)
 
 
@@ -90,8 +80,6 @@ class SweepResult:
     simulated: int
     #: Points served from the on-disk cache.
     cache_hits: int
-    #: Resolved backend name the fresh points ran under.
-    backend: str
     #: Per-point producer: ``"cache"``, ``"local"``, or the distributed
     #: worker id that simulated the point (``executor="distributed"``).
     provenance: Mapping[RunSpec, str] = field(default_factory=dict)
@@ -159,7 +147,6 @@ def sweep(schemes: Union[SchemeLike, Iterable[SchemeLike]],
           num_cores: int = 8,
           sim_instructions: int = 10_000,
           baselines: bool = False,
-          backend: Optional[str] = None,
           jobs: int = 1,
           cache: Union[bool, str, ResultStore] = True,
           executor: str = "local",
@@ -174,8 +161,7 @@ def sweep(schemes: Union[SchemeLike, Iterable[SchemeLike]],
     :func:`weighted_speedup` denominators).  Completed points are served
     from the on-disk cache (``cache`` may be ``False``, a directory, or
     a :class:`ResultStore`); fresh points fan out across ``jobs``
-    processes and run on ``backend`` ("event"/"batch" -- bit-identical
-    results, so cache entries are shared across backends).
+    processes.
 
     ``executor="distributed"`` fans the misses out through the
     :mod:`repro.serve` coordinator/worker service instead of a local
@@ -199,12 +185,11 @@ def sweep(schemes: Union[SchemeLike, Iterable[SchemeLike]],
         store = ResultStore(cache)
     else:
         store = None
-    outcome = run_sweep(grid, jobs=jobs, store=store, backend=backend,
-                        executor=executor, on_result=on_result)
+    outcome = run_sweep(grid, jobs=jobs, store=store, executor=executor,
+                        on_result=on_result)
     return SweepResult(specs=tuple(grid), results=outcome.results,
                        simulated=outcome.simulated,
                        cache_hits=outcome.cache_hits,
-                       backend=resolve_backend(backend or "event"),
                        provenance=dict(outcome.provenance))
 
 
@@ -214,7 +199,6 @@ def power_budget(budget_w: Optional[float] = None, *,
                  sample: int = 3,
                  jobs: int = 1,
                  cache: Union[bool, str, ResultStore] = True,
-                 backend: Optional[str] = None,
                  quiet: bool = True) -> Dict:
     """Best Berti+CLIP operating point under a package power budget.
 
@@ -224,7 +208,7 @@ def power_budget(budget_w: Optional[float] = None, *,
     at the base clock, and reports the fastest point whose mean package
     power (:func:`repro.energy.package_power_w`) fits under ``budget_w``.
     Returns the grid plus the winner; ``quiet=False`` also prints the
-    figure.  Caching/backend semantics match :func:`sweep`.
+    figure.  Caching semantics match :func:`sweep`.
     """
     from repro.experiments.power_budget import (DEFAULT_BUDGET_W,
                                                 power_budget_study)
@@ -240,7 +224,7 @@ def power_budget(budget_w: Optional[float] = None, *,
     runner = ExperimentRunner(
         BenchScale(num_cores=num_cores,
                    sim_instructions=sim_instructions),
-        store=store, jobs=jobs, backend=backend)
+        store=store, jobs=jobs)
     return power_budget_study(
         runner,
         budget_w=DEFAULT_BUDGET_W if budget_w is None else budget_w,

@@ -68,10 +68,6 @@ def _add_grid_arguments(parser: argparse.ArgumentParser) -> None:
                              ".repro-cache/, or $REPRO_CACHE_DIR)")
     parser.add_argument("--no-cache", action="store_true",
                         help="do not read or write the on-disk cache")
-    parser.add_argument("--backend", choices=["event", "batch"],
-                        default=None,
-                        help="simulation engine (bit-identical "
-                             "results; also: REPRO_BACKEND)")
 
 
 def _build_grid(args: argparse.Namespace):
@@ -151,10 +147,6 @@ def build_parser() -> argparse.ArgumentParser:
     figure.add_argument("--cache", action="store_true",
                         help="persist/reuse results in the on-disk cache "
                              "(.repro-cache/)")
-    figure.add_argument("--backend", choices=["event", "batch"],
-                        default=None,
-                        help="simulation engine (bit-identical results; "
-                             "also: REPRO_BACKEND)")
 
     sweep = sub.add_parser(
         "sweep", help="run a (scheme x workload x channel) grid, "
@@ -204,10 +196,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "http://127.0.0.1:8377")
     worker.add_argument("--id", default=None,
                         help="worker id (default: <hostname>-<pid>)")
-    worker.add_argument("--backend", choices=["event", "batch"],
-                        default=None,
-                        help="simulation engine override (default: the "
-                             "coordinator's choice)")
     worker.add_argument("--max-jobs", type=int, default=None,
                         help="exit after completing this many jobs")
     worker.add_argument("--verbose", action="store_true",
@@ -247,10 +235,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--tolerance", type=float, default=0.25,
                        help="allowed end-to-end slowdown vs the baseline "
                             "(default 0.25 = 25%%)")
-    bench.add_argument("--backend", choices=["event", "batch", "both"],
-                       default="both",
-                       help="which engine(s) to bench end-to-end "
-                            "(default: both)")
     return parser
 
 
@@ -329,8 +313,7 @@ def _cmd_figure(args: argparse.Namespace) -> int:
     scale = dataclasses.replace(experiments.BenchScale(), **scale_fields)
     store = experiments.ResultStore() if args.cache else None
     runner = experiments.ExperimentRunner(scale, store=store,
-                                          jobs=args.jobs,
-                                          backend=args.backend)
+                                          jobs=args.jobs)
     FIGURES[args.name](runner)
     # Cache accounting in the same shape `repro sweep` prints, so CI can
     # assert a warm rerun simulated nothing.
@@ -347,7 +330,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     workloads = args.workloads or [mix[0] for mix in mixes]
     store = None if args.no_cache else ResultStore(args.cache_dir)
     outcome = run_sweep(sweep, jobs=args.jobs, store=store,
-                        backend=args.backend, executor=args.executor)
+                        executor=args.executor)
 
     def speedup(scheme, mix, ch) -> float:
         spec = experiments.RunSpec(scheme=scheme, mix=tuple(mix),
@@ -394,14 +377,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.serve.queue import QueuePolicy
 
     quarantined = {}
-    backend = args.backend
     if args.resume:
         if not args.manifest:
             print("--resume requires --manifest PATH")
             return 2
         state = load_manifest(args.manifest)
         specs = state["specs"]
-        backend = backend or state["backend"]
         quarantined = state["quarantined"]
     else:
         specs = list(_build_grid(args)[3])
@@ -410,8 +391,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         host=args.host, port=args.port,
         policy=QueuePolicy(lease_timeout=args.lease_timeout,
                            max_attempts=args.max_attempts))
-    coordinator = Coordinator(specs, store=store, backend=backend,
-                              settings=settings,
+    coordinator = Coordinator(specs, store=store, settings=settings,
                               manifest_path=args.manifest,
                               quarantined=quarantined,
                               progress=print)
@@ -454,8 +434,7 @@ async def _serve_campaign(coordinator, local_workers: int) -> bool:
           f"{coordinator.cache_hits} already cached)")
     # Durable from the start, so a kill at any point is resumable.
     coordinator.write_manifest()
-    workers = [spawn_worker(coordinator.url, f"local-{index}",
-                            coordinator.backend)
+    workers = [spawn_worker(coordinator.url, f"local-{index}")
                for index in range(local_workers)]
     interrupted = False
     try:
@@ -485,8 +464,7 @@ async def _serve_campaign(coordinator, local_workers: int) -> bool:
 
 def _cmd_worker(args: argparse.Namespace) -> int:
     from repro.serve.worker import worker_loop
-    return worker_loop(args.url, worker_id=args.id,
-                       backend=args.backend, max_jobs=args.max_jobs,
+    return worker_loop(args.url, worker_id=args.id, max_jobs=args.max_jobs,
                        progress=print if args.verbose else None)
 
 
@@ -495,9 +473,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
     from repro.experiments import hotpath
 
-    backends = (("event", "batch") if args.backend == "both"
-                else (args.backend,))
-    payload = hotpath.run_suite(repeats=args.repeats, backends=backends)
+    payload = hotpath.run_suite(repeats=args.repeats)
     if args.output:
         hotpath.write_payload(payload, Path(args.output))
         print(f"wrote {args.output}")

@@ -16,31 +16,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import os
 from dataclasses import dataclass, field
-
-#: Simulation backends selectable through :attr:`SystemConfig.backend`.
-#: ``event`` is the pure-Python event/callback engine (the oracle);
-#: ``batch`` is the batch-stepped struct-of-arrays backend
-#: (:mod:`repro.sim.batch`), required to be bit-identical on
-#: ``SimulationResult.to_dict()``.
-BACKENDS = ("event", "batch")
-
-
-def resolve_backend(configured: str) -> str:
-    """The backend a run should use: ``REPRO_BACKEND`` wins over config.
-
-    The environment override lets sweeps, benchmarks, and CI select the
-    backend without editing configs; it is consulted once per system
-    construction.  Raises ``ValueError`` on unknown values either way.
-    """
-    name = os.environ.get("REPRO_BACKEND") or configured
-    if name not in BACKENDS:
-        raise ValueError(
-            f"unknown simulation backend {name!r}: expected one of "
-            f"{', '.join(BACKENDS)} (set via SystemConfig.backend or the "
-            f"REPRO_BACKEND environment variable)")
-    return name
 
 
 @dataclass
@@ -332,7 +308,7 @@ class LearnedConfig:
 
     Learner state is explicit integers and the only randomness is the
     per-core xorshift stream derived from :attr:`seed`, so seeded runs
-    are bit-identical across repeats, process pools, and backends.
+    are bit-identical across repeats and process pools.
     """
 
     #: One of "none", "bandit", "perceptron".
@@ -363,6 +339,21 @@ class LearnedConfig:
     probe_interval: int = 8
     #: Bound on in-flight admissions awaiting fate feedback.
     pending_entries: int = 512
+
+
+def _validate_core(prefix: str, core: CoreConfig) -> None:
+    """``SystemConfig.validate`` for one core (base or override);
+    ``prefix`` names the core in messages."""
+    if core.issue_width < 1 or core.retire_width < 1:
+        raise ValueError(f"{prefix}issue and retire widths must be "
+                         f"positive")
+    if core.retire_width > core.issue_width:
+        raise ValueError(f"{prefix}retire width wider than issue width")
+    if core.rob_entries < 1:
+        raise ValueError(f"{prefix}rob_entries must be positive")
+    if core.alu_latency < 0 or core.mispredict_penalty < 0:
+        raise ValueError(f"{prefix}alu_latency and mispredict_penalty "
+                         f"must not be negative")
 
 
 @dataclass
@@ -403,10 +394,6 @@ class SystemConfig:
     sanitize: bool = False
     #: Instructions simulated per core with statistics on.
     sim_instructions: int = 20_000
-    #: Simulation backend: ``"event"`` (pure-Python event engine, the
-    #: oracle) or ``"batch"`` (batch-stepped struct-of-arrays fast path,
-    #: bit-identical results).  ``REPRO_BACKEND`` overrides at run time.
-    backend: str = "event"
 
     @property
     def mesh_dim(self) -> int:
@@ -422,20 +409,35 @@ class SystemConfig:
         return self.core_overrides.get(core_id, self.core)
 
     def validate(self) -> None:
+        """Reject configurations the simulator cannot run as asked.
+
+        Everything that would otherwise hang (zero retire width), stall
+        into a deadlock (an empty ROB), crash deep in a component (an
+        empty or zero-width branch table) or silently simulate something
+        else (negative warm-up or latencies) raises ``ValueError`` here.
+        """
         if self.num_cores < 1:
             raise ValueError("num_cores must be positive")
         if self.dram.channels < 1:
             raise ValueError("at least one DRAM channel is required")
-        if self.core.retire_width > self.core.issue_width:
-            raise ValueError("retire width wider than issue width")
+        if self.sim_instructions < 1:
+            raise ValueError("sim_instructions must be positive")
+        if self.warmup_instructions < 0:
+            raise ValueError("warmup_instructions must not be negative")
+        branch = self.branch
+        if branch.table_entries < 1 or branch.num_tables < 1:
+            raise ValueError("branch predictor needs at least one table "
+                             "with at least one entry")
+        if branch.weight_bits < 1 or branch.history_bits < 0:
+            raise ValueError("branch weight_bits must be positive and "
+                             "history_bits not negative")
+        _validate_core("", self.core)
         for core_id, override in self.core_overrides.items():
             if not 0 <= core_id < self.num_cores:
                 raise ValueError(
                     f"core override for core {core_id} outside "
                     f"[0, {self.num_cores})")
-            if override.retire_width > override.issue_width:
-                raise ValueError(
-                    f"core {core_id}: retire width wider than issue width")
+            _validate_core(f"core {core_id}: ", override)
             if override.frequency_ghz != self.core.frequency_ghz:
                 # Uncore latencies are expressed in core cycles, so the
                 # model supports one clock domain for all cores.
@@ -443,10 +445,6 @@ class SystemConfig:
                     f"core {core_id}: per-core frequencies must match the "
                     f"base core ({override.frequency_ghz} != "
                     f"{self.core.frequency_ghz})")
-        if self.backend not in BACKENDS:
-            raise ValueError(
-                f"unknown simulation backend {self.backend!r}: expected "
-                f"one of {', '.join(BACKENDS)}")
         learned = self.learned
         if learned.policy not in ("none", "bandit", "perceptron"):
             raise ValueError(

@@ -10,13 +10,19 @@ The simulator is trace-driven (outcomes come from the trace), so the
 predictor's only architectural effect is whether a mispredict bubble is
 charged -- but its accuracy still shapes which loads become critical, which
 is exactly the dynamic the paper's ``hotcold`` loads exercise.
+
+Because nothing about memory timing feeds back into the predictor, its
+whole right/wrong sequence is a function of (trace, config):
+:func:`outcome_stream` computes it once, and the core model reads it
+instead of predicting each branch again on every run of the trace.
 """
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Sequence
 
 from repro.config import BranchPredictorConfig
+from repro.trace.record import Op, TraceRecord
 
 
 class HashedPerceptronPredictor:
@@ -113,3 +119,23 @@ class HashedPerceptronPredictor:
         if not self.predictions:
             return 1.0
         return 1.0 - self.mispredictions / self.predictions
+
+
+def outcome_stream(trace: Sequence[TraceRecord],
+                   config: BranchPredictorConfig) -> bytes:
+    """One flag per record of ``trace``: 0 where a fresh predictor,
+    trained on the trace's branches in program order, mispredicts that
+    branch; 1 everywhere else (every non-branch is 1).
+
+    The core dispatches branches in exactly this order and trains on
+    the trace's outcomes, so the stream equals what a live
+    :meth:`HashedPerceptronPredictor.predict_and_train` walk returns.
+    """
+    predict_and_train = HashedPerceptronPredictor(config).predict_and_train
+    branch = Op.BRANCH
+    flags = bytearray(b"\x01") * len(trace)
+    for index, record in enumerate(trace):
+        if record.op == branch and not predict_and_train(record.ip,
+                                                         record.taken):
+            flags[index] = 0
+    return bytes(flags)

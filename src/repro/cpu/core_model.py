@@ -11,7 +11,9 @@ The model keeps the microarchitectural state the paper's mechanisms read:
   branches resolve late;
 * per-entry *miss-level* flags (paper section 4.1): the level of the memory
   hierarchy that serviced each load;
-* branch mispredict bubbles using the hashed perceptron predictor.
+* branch mispredict bubbles using the hashed perceptron predictor, read
+  from the trace's precomputed outcome stream
+  (:func:`repro.cpu.branch.outcome_stream`).
 
 Timing is driven by a cooperative engine: ``tick(cycle)`` performs retire
 and dispatch for one cycle and publishes ``next_wake`` so the engine can
@@ -26,7 +28,7 @@ from functools import partial
 from typing import Callable, Deque, Dict, List, Optional, Sequence
 
 from repro.config import CoreConfig
-from repro.cpu.branch import HashedPerceptronPredictor
+from repro.cpu.branch import HashedPerceptronPredictor, outcome_stream
 from repro.trace.record import Op, TraceRecord
 
 INFINITY = float("inf")
@@ -48,11 +50,21 @@ class ServiceLevel(IntEnum):
     DRAM = 4
 
 
+_LEVEL_UNKNOWN = ServiceLevel.UNKNOWN
 _LEVEL_L2 = ServiceLevel.L2
 
 
 class RobEntry:
-    """One in-flight instruction."""
+    """One in-flight instruction.
+
+    Built field by field in :meth:`Core._dispatch`, the only place
+    entries are created (a constructor call per dispatched instruction
+    costs more than the slot stores themselves).  ``dependents`` stays
+    ``None`` until the first consumer registers, so the (majority)
+    producer-less entries never allocate a list; ``history_snapshot``
+    holds the (branch history, criticality history) CLIP captures at
+    dispatch, so predictor training sees the trigger-time context.
+    """
 
     __slots__ = ("seq", "ip", "op", "address", "dst", "deps", "ready_at",
                  "done_at", "dependents", "became_head_at", "service_level",
@@ -60,30 +72,25 @@ class RobEntry:
                  "is_mispredict", "taken", "consumer_count",
                  "history_snapshot")
 
-    def __init__(self, seq: int, record: TraceRecord, cycle: int) -> None:
-        self.seq = seq
-        self.ip = record.ip
-        self.op = record.op
-        self.address = record.address
-        self.dst = record.dst
-        self.taken = record.taken
-        self.deps = 0
-        self.ready_at = cycle
-        self.done_at: Optional[int] = None
-        #: Waiting consumers; ``None`` until the first one registers, so
-        #: the (majority) producer-less entries never allocate a list.
-        self.dependents: Optional[List["RobEntry"]] = None
-        self.became_head_at: Optional[int] = None
-        self.service_level = ServiceLevel.UNKNOWN
-        self.issued_at: Optional[int] = None
-        self.dispatched_at = cycle
-        self.mlp_at_issue = 0
-        self.producers: tuple = ()
-        self.is_mispredict = False
-        self.consumer_count = 0
-        #: (branch history, criticality history) captured at dispatch by
-        #: CLIP so predictor training sees the trigger-time context.
-        self.history_snapshot = None
+    seq: int
+    ip: int
+    op: Op
+    address: int
+    dst: int
+    taken: bool
+    deps: int
+    ready_at: int
+    done_at: Optional[int]
+    dependents: Optional[List["RobEntry"]]
+    became_head_at: Optional[int]
+    service_level: ServiceLevel
+    issued_at: Optional[int]
+    dispatched_at: int
+    mlp_at_issue: int
+    producers: tuple
+    is_mispredict: bool
+    consumer_count: int
+    history_snapshot: Optional[tuple]
 
 
 class CoreStats:
@@ -110,12 +117,20 @@ class CoreStats:
 
 
 class Core:
-    """A single out-of-order core consuming one trace."""
+    """A single out-of-order core consuming one trace.
+
+    Branch outcomes come from ``branch_outcomes``, the trace's
+    :func:`~repro.cpu.branch.outcome_stream` under the predictor's
+    config (computed here when not supplied).  The predictor itself only
+    counts: ``predictions``/``mispredictions`` advance per dispatched
+    branch, so they read exactly as a live predictor's would.
+    """
 
     def __init__(self, core_id: int, config: CoreConfig,
                  trace: Sequence[TraceRecord], memory, engine,
                  branch_predictor: Optional[HashedPerceptronPredictor] = None,
-                 warmup_instructions: int = 0) -> None:
+                 warmup_instructions: int = 0,
+                 branch_outcomes: Optional[bytes] = None) -> None:
         self.core_id = core_id
         self.config = config
         self.trace = trace
@@ -125,7 +140,17 @@ class Core:
         #: Instructions retired before statistics start counting.
         self.warmup_instructions = warmup_instructions
         self._warmup_cycle = 0
-        self.branch_predictor = branch_predictor or HashedPerceptronPredictor()
+        predictor = branch_predictor or HashedPerceptronPredictor()
+        if predictor.predictions:
+            # The outcome stream replays a *fresh* predictor; a trained
+            # one would have predicted differently.
+            raise ValueError(
+                f"core {core_id}: branch predictor has already made "
+                f"{predictor.predictions} prediction(s); pass a fresh one")
+        if branch_outcomes is None:
+            branch_outcomes = outcome_stream(trace, predictor.config)
+        self.branch_predictor = predictor
+        self.branch_outcomes = branch_outcomes
         self.rob: Deque[RobEntry] = deque()
         self.reg_producer: Dict[int, RobEntry] = {}
         self.pc = 0
@@ -227,12 +252,14 @@ class Core:
         issue_width = config.issue_width
         rob_entries = config.rob_entries
         trace = self.trace
-        trace_len = len(trace)
+        trace_len = self._trace_len
         rob = self.rob
         reg_producer = self.reg_producer
         dispatch_hooks = self.dispatch_hooks
         branch_hooks = self.branch_hooks
-        predict_and_train = self.branch_predictor.predict_and_train
+        predictor = self.branch_predictor
+        outcomes = self.branch_outcomes
+        new_entry = RobEntry.__new__
         pc = self.pc
         seq = self.seq
         next_cycle = cycle + 1
@@ -242,28 +269,46 @@ class Core:
             record = trace[pc]
             pc += 1
             dispatched += 1
-            entry = RobEntry(seq, record, cycle)
+            entry = new_entry(RobEntry)
+            entry.seq = seq
+            entry.ip = record.ip
+            entry.op = op = record.op
+            entry.address = record.address
+            entry.dst = dst = record.dst
+            entry.taken = record.taken
+            entry.deps = 0
+            entry.ready_at = cycle
+            entry.done_at = None
+            entry.dependents = None
+            entry.became_head_at = None if rob else cycle
+            entry.service_level = _LEVEL_UNKNOWN
+            entry.issued_at = None
+            entry.dispatched_at = cycle
+            entry.mlp_at_issue = 0
+            entry.producers = ()
+            entry.is_mispredict = False
+            entry.consumer_count = 0
+            entry.history_snapshot = None
             seq += 1
-            if not rob:
-                entry.became_head_at = cycle
             rob.append(entry)
             if record.srcs:
                 self._wire_dependencies(entry, record, cycle)
-            op = record.op
             if op == _OP_LOAD:
                 for hook in dispatch_hooks:
                     hook(self, entry, cycle)
-            if record.dst >= 0:
-                reg_producer[record.dst] = entry
+            if dst >= 0:
+                reg_producer[dst] = entry
             stop_fetch = False
             if op == _OP_BRANCH:
-                correct = predict_and_train(record.ip, record.taken)
-                if not correct:
+                predictor.predictions += 1
+                mispredicted = not outcomes[pc - 1]  # this record's flag
+                if mispredicted:
+                    predictor.mispredictions += 1
                     self.stats.mispredicts += 1
                     entry.is_mispredict = True
                     stop_fetch = True
                 for hook in branch_hooks:
-                    hook(self, record.ip, record.taken, not correct, cycle)
+                    hook(self, record.ip, record.taken, mispredicted, cycle)
             if entry.deps == 0:
                 ready_at = entry.ready_at
                 self._begin_execution(

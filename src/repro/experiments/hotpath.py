@@ -8,10 +8,8 @@ Three benchmarks pin the simulator's performance baseline:
 * ``cache_access`` -- the per-set tag->way fast path of
   :class:`repro.cache.cache.Cache` under a mixed hit/miss stream;
 * ``end_to_end`` -- one full simulated point (heterogeneous 4-core mix,
-  Berti + CLIP, 10k instructions/core at 2 scaled channels), benched on
-  *both* simulation backends (``end_to_end`` = event engine,
-  ``end_to_end_batch`` = batch engine); these are the numbers the
-  perf-smoke CI job guards against regression.
+  Berti + CLIP, 10k instructions/core at 2 scaled channels); this is the
+  number the perf-smoke CI job guards against regression.
 
 The committed baseline lives in ``BENCH_PR7.json`` at the repo root.
 Regenerate it with ``repro bench -o BENCH_PR7.json`` on an otherwise
@@ -95,14 +93,13 @@ def bench_cache_access(accesses: int = 200_000) -> Dict:
             "hit_rate": cache.stats.hits / cache.stats.accesses}
 
 
-def bench_end_to_end(repeats: int = 3, backend: str = "event") -> Dict:
+def bench_end_to_end(repeats: int = 3) -> Dict:
     """Best-of-``repeats`` wall clock for the reference simulated point."""
     config = scaled_config(num_cores=4, channels=2,
                            sim_instructions=10_000)
     config.l1_prefetcher = dataclasses.replace(config.l1_prefetcher,
                                                name="berti")
     config.clip.enabled = True
-    config.backend = backend
     result = run_system(config, END_TO_END_MIX)  # warm-up run
     best = float("inf")
     for _ in range(max(1, repeats)):
@@ -114,17 +111,10 @@ def bench_end_to_end(repeats: int = 3, backend: str = "event") -> Dict:
             "instructions": instructions,
             "total_cycles": result.total_cycles,
             "instructions_per_sec": instructions / best,
-            "scheme": "berti+clip", "num_cores": 4, "channels": 2,
-            "backend": backend}
+            "scheme": "berti+clip", "num_cores": 4, "channels": 2}
 
 
-#: end_to_end payload key per backend; the bare "end_to_end" key stays
-#: the event engine so old baselines keep comparing.
-END_TO_END_KEYS = {"event": "end_to_end", "batch": "end_to_end_batch"}
-
-
-def run_suite(repeats: int = 3, quiet: bool = False,
-              backends: tuple = ("event", "batch")) -> Dict:
+def run_suite(repeats: int = 3, quiet: bool = False) -> Dict:
     """Run all benchmarks; returns the ``BENCH_PR7.json`` payload."""
     payload: Dict = {
         "bench": "hotpath",
@@ -135,36 +125,26 @@ def run_suite(repeats: int = 3, quiet: bool = False,
         payload[name] = bench()
         if not quiet:
             print(f"{name:>14}: {payload[name]['seconds']:.3f}s")
-    for backend in backends:
-        key = END_TO_END_KEYS[backend]
-        payload[key] = bench_end_to_end(repeats, backend=backend)
-        if not quiet:
-            end = payload[key]
-            print(f"{key:>14}: {end['seconds_best']:.3f}s best of "
-                  f"{end['repeats']} ({end['instructions_per_sec']:,.0f} "
-                  f"instructions/s)")
+    end = payload["end_to_end"] = bench_end_to_end(repeats)
+    if not quiet:
+        print(f"{'end_to_end':>14}: {end['seconds_best']:.3f}s best of "
+              f"{end['repeats']} ({end['instructions_per_sec']:,.0f} "
+              f"instructions/s)")
     return payload
 
 
 def compare_to_baseline(payload: Dict, baseline: Dict,
                         tolerance: float = 0.25) -> List[str]:
-    """Regression check: neither backend's end-to-end point may be more
-    than ``tolerance`` slower than the baseline.  The microbenchmarks are
-    informational only (they are too machine-sensitive to gate on); an
-    end-to-end key absent from either payload is skipped, so old
-    single-backend baselines remain comparable."""
-    failures: List[str] = []
-    for key in END_TO_END_KEYS.values():
-        if key not in payload or key not in baseline:
-            continue
-        current = payload[key]["seconds_best"]
-        base = baseline[key]["seconds_best"]
-        limit = base * (1.0 + tolerance)
-        if current > limit:
-            failures.append(
-                f"{key} regressed: {current:.3f}s vs baseline "
-                f"{base:.3f}s (limit {limit:.3f}s at +{tolerance:.0%})")
-    return failures
+    """Regression check: the end-to-end point may be at most
+    ``tolerance`` slower than the baseline.  The microbenchmarks are
+    informational only (they are too machine-sensitive to gate on)."""
+    current = payload["end_to_end"]["seconds_best"]
+    base = baseline["end_to_end"]["seconds_best"]
+    limit = base * (1.0 + tolerance)
+    if current > limit:
+        return [f"end_to_end regressed: {current:.3f}s vs baseline "
+                f"{base:.3f}s (limit {limit:.3f}s at +{tolerance:.0%})"]
+    return []
 
 
 def load_baseline(path: Path) -> Optional[Dict]:

@@ -85,15 +85,10 @@ class ExperimentRunner:
 
     def __init__(self, scale: Optional[BenchScale] = None,
                  store: Optional[ResultStore] = None,
-                 jobs: int = 1, backend: Optional[str] = None) -> None:
+                 jobs: int = 1) -> None:
         self.scale = scale or BenchScale()
         self.store = store
         self.jobs = jobs
-        #: Simulation backend fresh points run under ("event"/"batch";
-        #: ``None`` defers to config default + ``REPRO_BACKEND``).
-        #: Results are bit-identical either way, so memo/disk caches are
-        #: shared across backends.
-        self.backend = backend
         self._memo: Dict[RunSpec, SimulationResult] = {}
         #: Number of simulations actually executed (memo and disk-cache
         #: hits do not count).
@@ -153,7 +148,7 @@ class ExperimentRunner:
         disk store and fans true misses across ``self.jobs`` processes.
         """
         outcome = run_sweep(sweep, jobs=self.jobs, store=self.store,
-                            known=self._memo, backend=self.backend)
+                            known=self._memo)
         self._memo.update(outcome.results)
         self.runs += outcome.simulated
         return outcome.results

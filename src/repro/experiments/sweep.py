@@ -35,13 +35,11 @@ import tempfile
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from functools import partial
 from pathlib import Path
 from typing import (Callable, Dict, Iterable, Iterator, List, Mapping,
                     Optional, Sequence, Tuple, Union)
 
-from repro.config import (SystemConfig, big_little_overrides,
-                          resolve_backend, scaled_config)
+from repro.config import SystemConfig, big_little_overrides, scaled_config
 from repro.sim.stats import SimulationResult
 from repro.sim.system import run_system
 
@@ -321,15 +319,10 @@ class RunSpec:
         scheme's surface syntax), the workload mix, and
         :data:`CACHE_SCHEMA_VERSION`; two specs that simulate the same
         system on the same mix share one key however they were written.
-        The simulation backend is deliberately *excluded*: backends are
-        bit-identical on results, so a point cached under one backend is
-        valid under the other.
         """
-        config = dataclasses.asdict(self.config())
-        config.pop("backend", None)
         payload = {
             "schema": CACHE_SCHEMA_VERSION,
-            "config": config,
+            "config": dataclasses.asdict(self.config()),
             "mix": list(self.mix),
         }
         blob = json.dumps(payload, sort_keys=True, separators=(",", ":"),
@@ -425,6 +418,12 @@ class ResultStore:
         return self.root / key[:2] / f"{key}.json"
 
     def load(self, key: str) -> Optional[SimulationResult]:
+        """The stored result for ``key``, or ``None`` on a miss.
+
+        Reads only ``schema`` and ``result``: other fields are
+        provenance, and entries written by older releases may carry
+        more of it (e.g. the removed simulation-backend name).
+        """
         path = self.path_for(key)
         try:
             payload = json.loads(path.read_text())
@@ -437,8 +436,8 @@ class ResultStore:
         except (KeyError, TypeError):
             return None
 
-    def save(self, key: str, spec: RunSpec, result: SimulationResult,
-             backend: Optional[str] = None) -> None:
+    def save(self, key: str, spec: RunSpec,
+             result: SimulationResult) -> None:
         path = self.path_for(key)
         path.parent.mkdir(parents=True, exist_ok=True)
         payload = {
@@ -446,10 +445,6 @@ class ResultStore:
             "label": spec.scheme.label,
             "mix": list(spec.mix),
             "channels": spec.channels,
-            # Provenance only: backends are bit-identical, so the entry
-            # is valid whichever backend reads it (and the cache key
-            # ignores the field).
-            "backend": resolve_backend(backend or "event"),
             "result": result.to_dict(),
         }
         # A mkstemp-unique temp file per call: a pid-suffixed name is
@@ -480,18 +475,15 @@ class ResultStore:
 # Execution
 # ---------------------------------------------------------------------------
 
-def execute_spec(spec: RunSpec, backend: Optional[str] = None) -> Dict:
+def execute_spec(spec: RunSpec) -> Dict:
     """Simulate one point and return the result as a plain dict.
 
     Module-level (picklable) so ``ProcessPoolExecutor`` workers can run
     it; the dict form crosses the process boundary and round-trips back
-    through ``SimulationResult.from_dict`` in the parent.  ``backend``
-    selects the simulation engine; results are bit-identical either way.
+    through ``SimulationResult.from_dict`` in the parent.
     """
-    config = spec.config()
-    if backend is not None:
-        config.backend = backend
-    result = run_system(config, list(spec.mix), label=spec.scheme.label)
+    result = run_system(spec.config(), list(spec.mix),
+                        label=spec.scheme.label)
     return result.to_dict()
 
 
@@ -525,7 +517,6 @@ def run_sweep(sweep: Iterable[RunSpec], *, jobs: int = 1,
               known: Optional[Mapping[RunSpec, SimulationResult]] = None,
               on_result: Optional[Callable[[RunSpec, SimulationResult],
                                            None]] = None,
-              backend: Optional[str] = None,
               executor: str = "local") -> SweepOutcome:
     """Execute every point of ``sweep``, in parallel when ``jobs > 1``.
 
@@ -536,8 +527,6 @@ def run_sweep(sweep: Iterable[RunSpec], *, jobs: int = 1,
     results through ``to_dict``/``from_dict``, so the executed results
     are identical regardless of ``jobs``.  Fresh results are written back
     to ``store`` and reported through ``on_result`` as they arrive.
-    ``backend`` picks the simulation engine ("event"/"batch"); cached
-    points are shared across backends because results are bit-identical.
 
     ``executor="distributed"`` runs the misses through a localhost
     coordinator + ``jobs`` worker subprocesses speaking the
@@ -572,27 +561,24 @@ def run_sweep(sweep: Iterable[RunSpec], *, jobs: int = 1,
 
     if executor == "distributed" and pending:
         pending = _run_distributed_pending(pending, outcome, jobs=jobs,
-                                           store=store, backend=backend,
-                                           on_result=on_result)
+                                           store=store, on_result=on_result)
 
     def record(spec: RunSpec, result: SimulationResult) -> None:
         outcome.results[spec] = result
         outcome.simulated += 1
         outcome.provenance[spec] = LOCAL_PRODUCER
         if store is not None:
-            store.save(spec.cache_key(), spec, result, backend=backend)
+            store.save(spec.cache_key(), spec, result)
         if on_result is not None:
             on_result(spec, result)
 
     if jobs <= 1 or len(pending) <= 1:
         for spec in pending:
-            record(spec, SimulationResult.from_dict(
-                execute_spec(spec, backend)))
+            record(spec, SimulationResult.from_dict(execute_spec(spec)))
     else:
         workers = min(jobs, len(pending))
-        execute = partial(execute_spec, backend=backend)
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for spec, data in zip(pending, pool.map(execute, pending)):
+            for spec, data in zip(pending, pool.map(execute_spec, pending)):
                 record(spec, SimulationResult.from_dict(data))
     return outcome
 
@@ -600,7 +586,6 @@ def run_sweep(sweep: Iterable[RunSpec], *, jobs: int = 1,
 def _run_distributed_pending(pending: List[RunSpec],
                              outcome: SweepOutcome, *, jobs: int,
                              store: Optional[ResultStore],
-                             backend: Optional[str],
                              on_result) -> List[RunSpec]:
     """Run the cache misses through :func:`repro.serve.run_distributed`.
 
@@ -611,8 +596,7 @@ def _run_distributed_pending(pending: List[RunSpec],
     from repro.serve.executor import (DistributedUnavailable,
                                       run_distributed)
     try:
-        dist = run_distributed(pending, jobs=jobs, store=store,
-                               backend=backend)
+        dist = run_distributed(pending, jobs=jobs, store=store)
     except DistributedUnavailable as exc:
         warnings.warn(
             f"distributed sweep executor unavailable ({exc}); falling "

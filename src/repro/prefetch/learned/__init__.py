@@ -15,9 +15,8 @@ filters.PrefetchFilterChain`.  Two concrete learners ship:
 
 Everything here is reproducibility-first: explicit integer state, a
 seeded xorshift stream instead of ``random``, and no float
-accumulation, so a seeded run is bit-identical across repeats, process
-pools, and the event/batch backends (both share the same policy
-instance by construction).
+accumulation, so a seeded run is bit-identical across repeats and
+process pools.
 """
 
 from __future__ import annotations

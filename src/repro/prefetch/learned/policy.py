@@ -31,8 +31,7 @@ Policies must keep *all* learning state as explicit integers, derive
 any randomness from the seeded :class:`XorShift` stream (the SIM010
 lint bans ``random`` outside trace generation), and never accumulate
 floats -- that contract is what lets a seeded learner stay bit-identical
-across repeated runs, ``--jobs N`` process pools, and the event/batch
-backends.
+across repeated runs and ``--jobs N`` process pools.
 """
 
 from __future__ import annotations
@@ -63,7 +62,7 @@ class XorShift:
 
     The whole generator is one 64-bit integer; copying that integer
     copies the stream, so policy state snapshots stay trivially
-    serialisable and bit-identical across backends.
+    serialisable and bit-identical across processes.
     """
 
     __slots__ = ("state",)
@@ -98,8 +97,7 @@ class PolicyFeatures(NamedTuple):
     Counter fields are *cumulative* (policies diff consecutive
     snapshots); the ``*_permille`` fields are instantaneous gauges in
     [0, 1000].  Everything comes from the same per-component counters
-    the PR 8 registry snapshots, so features are backend-identical by
-    construction.
+    :class:`repro.sim.counters.CounterRegistry` snapshots.
     """
 
     #: Engine cycle of the epoch boundary.

@@ -7,7 +7,7 @@ mutations happen on the event loop, so the state machine needs no
 locks.  Protocol (all bodies JSON, ``Connection: close``):
 
 ``POST /claim``      ``{"worker": id}`` ->
-    ``{"job": {"key", "spec", "attempt", "lease_s", "backend"}}`` or
+    ``{"job": {"key", "spec", "attempt", "lease_s"}}`` or
     ``{"job": null, "done": bool, "retry_in": seconds}``
 ``POST /complete``   ``{"worker", "key", "result": <to_dict>}`` ->
     ``{"accepted": bool, "done": bool}`` -- ``accepted`` is false when
@@ -77,7 +77,6 @@ class Coordinator:
 
     def __init__(self, specs: Iterable[RunSpec], *,
                  store: Optional[ResultStore] = None,
-                 backend: Optional[str] = None,
                  settings: Optional[ServeSettings] = None,
                  manifest_path: Union[str, None] = None,
                  quarantined: Optional[Dict[str, Dict]] = None,
@@ -86,7 +85,6 @@ class Coordinator:
                                               None]] = None) -> None:
         self.settings = settings or ServeSettings()
         self.store = store
-        self.backend = backend
         self.manifest_path = manifest_path
         self.queue = JobQueue(self.settings.policy)
         self.specs_by_key: Dict[str, RunSpec] = {}
@@ -194,7 +192,7 @@ class Coordinator:
     def write_manifest(self) -> None:
         if self.manifest_path:
             manifest_mod.write_manifest(self.manifest_path, self.queue,
-                                        self.specs_by_key, self.backend)
+                                        self.specs_by_key)
 
     async def _watch(self) -> None:
         """Periodic lease reaping + progress streaming."""
@@ -302,7 +300,6 @@ class Coordinator:
             "spec": job.payload,
             "attempt": job.attempts,
             "lease_s": self.settings.policy.lease_timeout,
-            "backend": self.backend,
         }}
 
     def _handle_complete(self, body: Dict) -> Dict:
@@ -317,7 +314,7 @@ class Coordinator:
             self.provenance[spec] = worker
             self.simulated += 1
             if self.store is not None:
-                self.store.save(key, spec, result, backend=self.backend)
+                self.store.save(key, spec, result)
             if self._on_result is not None:
                 self._on_result(spec, result)
             self._check_finished()
@@ -362,7 +359,6 @@ class Coordinator:
             "cache_hit_ratio": (self.cache_hits / total) if total else 0.0,
             "finished": self.queue.finished,
             "stopping": self._stopping,
-            "backend": self.backend,
             "workers": dict(self._workers),
             "quarantine": quarantined,
         }

@@ -102,27 +102,21 @@ class _CoordinatorThread(threading.Thread):
         self._stop_requested.set()
 
 
-def spawn_worker(url: str, worker_id: str,
-                 backend: Optional[str] = None) -> subprocess.Popen:
+def spawn_worker(url: str, worker_id: str) -> subprocess.Popen:
     """Start one ``repro worker`` subprocess pointed at ``url``."""
-    command = [sys.executable, "-m", "repro", "worker",
-               "--url", url, "--id", worker_id]
-    if backend is not None:
-        command += ["--backend", backend]
-    return subprocess.Popen(command)
+    return subprocess.Popen([sys.executable, "-m", "repro", "worker",
+                             "--url", url, "--id", worker_id])
 
 
 def run_distributed(specs: Iterable[RunSpec], *, jobs: int,
                     store: Optional[ResultStore] = None,
-                    backend: Optional[str] = None,
                     settings: Optional[ServeSettings] = None,
                     manifest_path: Optional[str] = None,
                     progress=None) -> DistributedOutcome:
     """Run ``specs`` through a localhost coordinator + ``jobs`` worker
     subprocesses; see the module docstring for the failure contract."""
     spec_list = list(specs)
-    coordinator = Coordinator(spec_list, store=store, backend=backend,
-                              settings=settings,
+    coordinator = Coordinator(spec_list, store=store, settings=settings,
                               manifest_path=manifest_path,
                               progress=progress)
     thread = _CoordinatorThread(coordinator)
@@ -137,8 +131,7 @@ def run_distributed(specs: Iterable[RunSpec], *, jobs: int,
             for index in range(max(1, jobs)):
                 try:
                     workers.append(spawn_worker(coordinator.url,
-                                                f"local-{index}",
-                                                backend))
+                                                f"local-{index}"))
                 except OSError as exc:
                     if not workers:
                         raise DistributedUnavailable(

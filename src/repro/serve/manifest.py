@@ -6,7 +6,6 @@ spec list plus enough job state to restart without losing work::
     {
       "version": 1,
       "schema": <CACHE_SCHEMA_VERSION>,
-      "backend": "event" | "batch" | null,
       "jobs": [
         {"spec": {<wire form>}, "state": "pending" | "done" |
          "quarantined", "attempts": N, "error": null | "...",
@@ -25,7 +24,9 @@ job is not retried forever across restarts).  ``leased`` jobs are
 demoted to ``pending``: their workers are gone.
 
 Writes are atomic (unique temp file + ``os.replace``) so a crash while
-persisting never leaves a truncated manifest behind.
+persisting never leaves a truncated manifest behind.  Manifests written
+by older releases may also carry a ``"backend"`` field naming a removed
+simulation backend; loading ignores it.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ import json
 import os
 import tempfile
 from pathlib import Path
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Union
 
 from repro.experiments.sweep import CACHE_SCHEMA_VERSION, RunSpec
 from repro.serve.queue import DONE, QUARANTINED, JobQueue
@@ -44,8 +45,7 @@ MANIFEST_VERSION = 1
 
 
 def write_manifest(path: Union[str, Path], queue: JobQueue,
-                   specs_by_key: Dict[str, RunSpec],
-                   backend: Optional[str]) -> None:
+                   specs_by_key: Dict[str, RunSpec]) -> None:
     """Atomically persist the campaign state for a later resume."""
     path = Path(path)
     jobs: List[Dict] = []
@@ -63,7 +63,6 @@ def write_manifest(path: Union[str, Path], queue: JobQueue,
     payload = {
         "version": MANIFEST_VERSION,
         "schema": CACHE_SCHEMA_VERSION,
-        "backend": backend,
         "jobs": jobs,
     }
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -84,7 +83,7 @@ def write_manifest(path: Union[str, Path], queue: JobQueue,
 def load_manifest(path: Union[str, Path]) -> Dict:
     """Parse a manifest into resumable campaign state.
 
-    Returns ``{"specs": [RunSpec, ...], "backend": ...,
+    Returns ``{"specs": [RunSpec, ...],
     "quarantined": {key: {"attempts": N, "error": ...}}}``.  A manifest
     written under a different :data:`CACHE_SCHEMA_VERSION` still
     resumes -- its specs re-key under the current schema and previously
@@ -105,8 +104,4 @@ def load_manifest(path: Union[str, Path]) -> Dict:
                 "attempts": record.get("attempts", 0),
                 "error": record.get("error"),
             }
-    return {
-        "specs": specs,
-        "backend": payload.get("backend"),
-        "quarantined": quarantined,
-    }
+    return {"specs": specs, "quarantined": quarantined}

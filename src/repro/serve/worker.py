@@ -64,11 +64,10 @@ def fetch_status(url: str, timeout: float = 10.0) -> Dict:
         return json.loads(response.read())
 
 
-def default_executor(spec_payload: Dict,
-                     backend: Optional[str]) -> Dict:
+def default_executor(spec_payload: Dict) -> Dict:
     """Simulate one wire-form spec; returns the result dict."""
     from repro.experiments.sweep import execute_spec
-    return execute_spec(spec_from_dict(spec_payload), backend)
+    return execute_spec(spec_from_dict(spec_payload))
 
 
 class _Heartbeat(threading.Thread):
@@ -102,14 +101,12 @@ class _Heartbeat(threading.Thread):
 
 def worker_loop(url: str, *,
                 worker_id: Optional[str] = None,
-                backend: Optional[str] = None,
-                executor: Optional[Callable[[Dict, Optional[str]],
-                                            Dict]] = None,
+                executor: Optional[Callable[[Dict], Dict]] = None,
                 max_jobs: Optional[int] = None,
                 progress: Optional[Callable[[str], None]] = None) -> int:
     """Pull and run jobs from ``url`` until the campaign is done.
 
-    ``executor`` maps ``(spec wire dict, backend)`` to a result dict;
+    ``executor`` maps a spec wire dict to a result dict;
     the default simulates via :func:`execute_spec`.  ``max_jobs`` caps
     how many jobs this worker runs (for tests).  Returns a process exit
     code: 0 when the campaign finished or the worker drained cleanly,
@@ -139,13 +136,11 @@ def worker_loop(url: str, *,
             continue
         key = job["key"]
         lease_s = float(job.get("lease_s", 30.0))
-        job_backend = backend if backend is not None \
-            else job.get("backend")
         heartbeat = _Heartbeat(url, worker_id, key,
                                interval=max(MIN_POLL, lease_s / 3.0))
         heartbeat.start()
         try:
-            result = executor(job["spec"], job_backend)
+            result = executor(job["spec"])
         except Exception:
             heartbeat.stop()
             try:

@@ -11,10 +11,6 @@ and bit-identical on timing, while making per-structure access counts --
 the inputs the paper feeds to CACTI-P and the Micron DRAM power
 calculator -- first-class outputs on ``SimulationResult.counters``.
 
-Both simulation backends share the same hierarchy component instances,
-so the snapshot is identical across backends by construction; the
-cross-backend equivalence suite asserts it anyway.
-
 Group naming convention (stable; the energy model keys off the suffix):
 
 * ``core{N}.l1d`` / ``core{N}.l2``  -- private cache levels of core N;

@@ -68,9 +68,7 @@ class Hierarchy:
         #: Typed per-component counter layer: one registered
         #: :class:`~repro.sim.counters.CounterGroup` per component,
         #: snapshotted into ``SimulationResult.counters`` at collection
-        #: time (pull model -- zero hot-path cost).  Both backends share
-        #: these component instances, so the snapshot is backend-
-        #: independent by construction.
+        #: time (pull model -- zero hot-path cost).
         self.counters = CounterRegistry()
         self._register_counters()
 

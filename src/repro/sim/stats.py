@@ -192,8 +192,7 @@ class SimulationResult:
     #: Per-component counter snapshot (``repro.sim.counters``):
     #: ``{group: {counter: value}}``, one group per hierarchy component
     #: (``core{N}.l1d``, ``core{N}.l2``, ``core{N}.chain``,
-    #: ``llc.slice{N}``, ``noc``, ``dram.ch{N}``).  Identical across
-    #: simulation backends.
+    #: ``llc.slice{N}``, ``noc``, ``dram.ch{N}``).
     counters: Dict[str, Dict[str, int]] = field(default_factory=dict)
     #: Counter-driven dynamic energy (``repro.energy``): total, by
     #: component, and the energy-delay product at the configured core

@@ -21,12 +21,11 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.analysis.invariants import check
 from repro.analysis.sanitizer import install_sanitizer, sanitize_enabled
-from repro.config import SystemConfig, resolve_backend
-from repro.cpu.branch import HashedPerceptronPredictor
+from repro.config import BranchPredictorConfig, SystemConfig
+from repro.cpu.branch import HashedPerceptronPredictor, outcome_stream
 from repro.cpu.core_model import Core, ServiceLevel
 from repro.dram.controller import DramSystem
 from repro.noc.mesh import MeshNoc
-from repro.sim.batch import BatchCore, BatchEngine, trace_soa
 from repro.sim.engine import Engine
 from repro.sim.hierarchy import CoreNode, Hierarchy
 from repro.sim.tracing import RequestTrace
@@ -37,29 +36,41 @@ from repro.trace.record import TraceRecord
 from repro.trace.synthetic import SyntheticWorkload
 from repro.trace.workloads import get_workload
 
-#: Generated synthetic traces, shared across runs.  Generation is
-#: deterministic in (spec content, core_id, length) and the simulator
-#: never mutates records, so a sweep running the same mix under many
-#: schemes pays trace generation once instead of once per scheme.  The
+#: Generated synthetic traces, shared across runs, each with its branch
+#: outcome streams (``repr(BranchPredictorConfig)`` -> bytes, see
+#: :func:`repro.cpu.branch.outcome_stream`).  Generation is deterministic
+#: in (spec content, core_id, length), the predictor's right/wrong
+#: sequence in (trace, branch config), and the simulator never mutates
+#: either, so a sweep running the same mix under many schemes pays trace
+#: generation and branch replay once instead of once per scheme.  The
 #: spec ``repr`` keys by content, not identity: ad-hoc specs reusing a
 #: registered name cannot collide.  A small LRU bounds memory.
-_TRACE_CACHE: "OrderedDict[Tuple, List[TraceRecord]]" = OrderedDict()
+_CachedTrace = Tuple[List[TraceRecord], Dict[str, bytes]]
+_TRACE_CACHE: "OrderedDict[Tuple, _CachedTrace]" = OrderedDict()
 _TRACE_CACHE_ENTRIES = 128
 
 
-def _workload_trace(name: str, length: int,
-                    core_id: int) -> List[TraceRecord]:
+def _workload_trace(name: str, length: int, core_id: int,
+                    branch: BranchPredictorConfig,
+                    ) -> Tuple[List[TraceRecord], bytes]:
+    """The (cached) trace and its outcome stream under ``branch``."""
     spec = get_workload(name)
     key = (name, repr(spec), core_id, length)
-    trace = _TRACE_CACHE.get(key)
-    if trace is None:
-        trace = SyntheticWorkload(spec).generate(length, core_id=core_id)
-        _TRACE_CACHE[key] = trace
+    entry = _TRACE_CACHE.get(key)
+    if entry is None:
+        entry = (SyntheticWorkload(spec).generate(length, core_id=core_id),
+                 {})
+        _TRACE_CACHE[key] = entry
         if len(_TRACE_CACHE) > _TRACE_CACHE_ENTRIES:
             _TRACE_CACHE.popitem(last=False)
     else:
         _TRACE_CACHE.move_to_end(key)
-    return trace
+    trace, streams = entry
+    branch_key = repr(branch)
+    outcomes = streams.get(branch_key)
+    if outcomes is None:
+        outcomes = streams[branch_key] = outcome_stream(trace, branch)
+    return trace, outcomes
 
 
 class MulticoreSystem:
@@ -74,10 +85,7 @@ class MulticoreSystem:
         self.config = config
         self.workload_names = list(workloads)
         self.label = label or self._default_label()
-        #: Resolved at build time so REPRO_BACKEND is read exactly once
-        #: per simulation, not per component.
-        self.backend = resolve_backend(config.backend)
-        self.engine = BatchEngine() if self.backend == "batch" else Engine()
+        self.engine = Engine()
         self.noc = MeshNoc(config.mesh_dim, config.noc)
         self.dram = DramSystem(config.dram, self.engine,
                                config.l1d.line_size)
@@ -138,24 +146,15 @@ class MulticoreSystem:
     def _build_cores(self) -> None:
         config = self.config
         length = config.warmup_instructions + config.sim_instructions
-        batch = self.backend == "batch"
         for core_id, name in enumerate(self.workload_names):
-            trace = _workload_trace(name, length, core_id)
-            core_config = config.core_for(core_id)
-            if batch:
-                core: Core = BatchCore(
-                    core_id, core_config, trace,
-                    trace_soa(trace, config.branch),
-                    memory=self.hierarchy, engine=self.engine,
-                    branch_predictor=HashedPerceptronPredictor(
-                        config.branch),
-                    warmup_instructions=config.warmup_instructions)
-            else:
-                core = Core(core_id, core_config, trace,
-                            memory=self.hierarchy, engine=self.engine,
-                            branch_predictor=HashedPerceptronPredictor(
-                                config.branch),
-                            warmup_instructions=config.warmup_instructions)
+            trace, outcomes = _workload_trace(name, length, core_id,
+                                              config.branch)
+            core = Core(core_id, config.core_for(core_id), trace,
+                        memory=self.hierarchy, engine=self.engine,
+                        branch_predictor=HashedPerceptronPredictor(
+                            config.branch),
+                        warmup_instructions=config.warmup_instructions,
+                        branch_outcomes=outcomes)
             node = self.hierarchy.nodes[core_id]
             if node.clip is not None:
                 node.clip.attach(core)

@@ -1,0 +1,87 @@
+"""``SystemConfig.validate`` rejects configs the simulator cannot run.
+
+Each invalid case below used to get past ``validate()`` on a 1-core,
+500-instruction point and then hang (zero retire width), deadlock the
+engine (empty ROB), crash deep in the branch predictor (empty or
+zero-width tables), fail in trace generation (no instructions), or run
+and silently retire the wrong number of instructions (negative
+warm-up).  Negative latencies and penalties were accepted as given.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+
+import pytest
+
+from repro.config import BranchPredictorConfig, scaled_config
+from repro.sim.system import run_system
+
+
+def _point():
+    return scaled_config(num_cores=1, channels=1, sim_instructions=500)
+
+
+def _core(**fields):
+    def apply(config):
+        config.core = dataclasses.replace(config.core, **fields)
+    return apply
+
+
+def _override(**fields):
+    def apply(config):
+        config.num_cores = 2
+        config.core_overrides = {
+            1: dataclasses.replace(config.core, **fields)}
+    return apply
+
+
+def _branch(**fields):
+    def apply(config):
+        config.branch = dataclasses.replace(config.branch, **fields)
+    return apply
+
+
+def _system(**fields):
+    def apply(config):
+        for name, value in fields.items():
+            setattr(config, name, value)
+    return apply
+
+
+INVALID = {
+    "retire_width=0": _core(retire_width=0),
+    "retire_width=0,issue_width=0": _core(retire_width=0, issue_width=0),
+    "rob_entries=0": _core(rob_entries=0),
+    "alu_latency<0": _core(alu_latency=-1),
+    "mispredict_penalty<0": _core(mispredict_penalty=-2),
+    "override retire_width=0": _override(retire_width=0),
+    "override rob_entries=0": _override(rob_entries=0),
+    "override alu_latency<0": _override(alu_latency=-1),
+    "branch.table_entries=0": _branch(table_entries=0),
+    "branch.weight_bits=0": _branch(weight_bits=0),
+    "sim_instructions=0": _system(sim_instructions=0),
+    "warmup_instructions<0": _system(warmup_instructions=-3),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INVALID))
+def test_validate_rejects(case):
+    config = _point()
+    INVALID[case](config)
+    with pytest.raises(ValueError):
+        config.validate()
+
+
+def test_smallest_valid_config_finishes():
+    """The boundary of every rule above is accepted and simulates."""
+    config = scaled_config(num_cores=2, channels=1, sim_instructions=500)
+    config.core = dataclasses.replace(
+        config.core, issue_width=1, retire_width=1, rob_entries=1,
+        alu_latency=0, mispredict_penalty=0)
+    config.branch = BranchPredictorConfig(
+        history_bits=0, num_tables=1, table_entries=1, weight_bits=1,
+        threshold=0)
+    config.validate()
+    result = run_system(config, ["605.mcf_s-1536B"] * 2)
+    assert result.total_instructions == 2 * 500

@@ -8,9 +8,6 @@ bit-identical across
 
 * repeated runs in one process (no hidden global state),
 * serial vs ``jobs=N`` ProcessPool sweeps (no cross-process drift),
-* the event and batch backends (exercised per-point in
-  ``test_backend_equivalence.py``; asserted here end-to-end through the
-  sweep layer, which is how users reach the backends),
 * different seeds actually changing behaviour (the seed is real, not
   decorative).
 """
@@ -62,16 +59,6 @@ def test_learned_sweep_parallel_matches_serial():
     assert set(serial) == set(parallel)
     for spec in specs:
         assert serial[spec].to_dict() == parallel[spec].to_dict()
-
-
-@pytest.mark.parametrize("scheme", _LEARNED)
-def test_learned_backends_identical_through_sweep_layer(scheme):
-    spec = RunSpec(scheme=Scheme.parse(scheme),
-                   mix=("605.mcf_s-1536B", "605.mcf_s-1536B"),
-                   channels=1, num_cores=2, sim_instructions=1_500)
-    event = run_sweep([spec], backend="event").results[spec]
-    batch = run_sweep([spec], backend="batch").results[spec]
-    assert event.to_dict() == batch.to_dict()
 
 
 def test_bandit_seed_actually_steers_the_policy():

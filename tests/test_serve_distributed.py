@@ -96,7 +96,7 @@ class TestDistributedRunSweep:
     def test_fallback_to_local_when_workers_cannot_spawn(
             self, tmp_path, monkeypatch):
         """No worker can start -> RuntimeWarning + local completion."""
-        def refuse(url, worker_id, backend=None):
+        def refuse(url, worker_id):
             raise OSError("spawn refused for test")
         monkeypatch.setattr(serve_executor, "spawn_worker", refuse)
         grid = small_grid()[:2]

@@ -88,7 +88,7 @@ def write_worker_script(tmp_path, name, executor_body):
         sys.path.insert(0, {SRC!r})
         from repro.serve.worker import worker_loop
 
-        def executor(spec_payload, backend):
+        def executor(spec_payload):
         {textwrap.indent(executor_body, '    ')}
 
         sys.exit(worker_loop(sys.argv[1], worker_id={name!r},
@@ -182,7 +182,7 @@ class TestPoisonJob:
         poison = write_worker_script(
             tmp_path, "poison2", 'raise RuntimeError("injected-failure")\n')
 
-        def spawn_poison(url, worker_id, backend=None):
+        def spawn_poison(url, worker_id):
             return subprocess.Popen(
                 [sys.executable, str(poison), url])
 
