@@ -337,7 +337,13 @@ class Sanitizer:
             check(not mshr_file.pending,
                   "LLC slice %d MSHR left %d queued misses", slice_id,
                   len(mshr_file.pending))
-        errors = system.prefetch_stats.consistency_errors()
+        # Deferred import: repro.sim.stats resolves through repro.sim's
+        # package __init__, which imports this module.
+        from repro.sim.stats import derive_views
+        prefetch = derive_views(system.hierarchy.counters.snapshot(),
+                                system.engine.now,
+                                system.config.criticality.name)["prefetch"]
+        errors = prefetch.consistency_errors()
         self._count("final", 1)
         check(not errors, "prefetch statistics inconsistent: %s",
               "; ".join(errors))

@@ -66,6 +66,18 @@ class CacheStats:
             return 0.0
         return self.useful_prefetches / self.prefetch_fills
 
+    def counters(self) -> Dict[str, int]:
+        """The activity counters every cache's counter group reports."""
+        return {
+            "demand_accesses": self.demand_accesses,
+            "demand_hits": self.demand_hits,
+            "demand_misses": self.demand_misses,
+            "prefetch_fills": self.prefetch_fills,
+            "useful_prefetches": self.useful_prefetches,
+            "useless_evictions": self.useless_evictions,
+            "writebacks": self.writebacks,
+        }
+
 
 class Cache:
     """One cache level (or one LLC slice)."""

@@ -53,24 +53,6 @@ class ClipStats:
         self.predictor_accesses = 0
         self.utility_cam_accesses = 0
 
-    @property
-    def prediction_accuracy(self) -> float:
-        if not self.predicted_critical:
-            return 0.0
-        return self.predicted_critical_correct / self.predicted_critical
-
-    @property
-    def prediction_coverage(self) -> float:
-        if not self.actual_critical:
-            return 0.0
-        return self.covered_critical / self.actual_critical
-
-    @property
-    def drop_rate(self) -> float:
-        if not self.prefetches_seen:
-            return 0.0
-        return 1.0 - self.prefetches_allowed / self.prefetches_seen
-
 
 class Clip:
     """Per-core CLIP instance."""
@@ -320,6 +302,30 @@ class Clip:
         self.filter.note_issue(key)
 
     # ------------------------------------------------------------------
+
+    def counters(self) -> Dict[str, int]:
+        """CLIP's ``clip_*`` counters in its core's ``core{N}.chain``
+        group: filtering, prediction quality on L1-miss loads (Figs.
+        13-14), exploration windows and phase changes, the Fig. 15
+        critical-IP census, and structure accesses (energy inputs)."""
+        stats = self.stats
+        static, dynamic = self.critical_ip_census()
+        return {
+            "clip_prefetches_seen": stats.prefetches_seen,
+            "clip_prefetches_allowed": stats.prefetches_allowed,
+            "clip_predicted_critical": stats.predicted_critical,
+            "clip_predicted_critical_correct":
+                stats.predicted_critical_correct,
+            "clip_actual_critical": stats.actual_critical,
+            "clip_covered_critical": stats.covered_critical,
+            "clip_windows": stats.windows,
+            "clip_phase_changes": stats.phase_changes,
+            "clip_static_critical_ips": static,
+            "clip_dynamic_critical_ips": dynamic,
+            "clip_filter_accesses": stats.filter_accesses,
+            "clip_predictor_accesses": stats.predictor_accesses,
+            "clip_utility_cam_accesses": stats.utility_cam_accesses,
+        }
 
     def critical_ip_census(self) -> Tuple[int, int]:
         """(static-critical, dynamic-critical) IP counts (Fig. 15).

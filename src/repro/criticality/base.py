@@ -10,6 +10,8 @@ predictors lose (Fig. 4, Table 1).
 
 from __future__ import annotations
 
+from typing import Dict
+
 from repro.cpu.core_model import Core, RobEntry, ServiceLevel
 
 
@@ -80,6 +82,17 @@ class BaselineCriticalityPredictor:
     def predicts_critical_ip(self, ip: int) -> bool:
         """Prefetch gating interface (Fig. 5): is this IP critical?"""
         raise NotImplementedError
+
+    def counters(self) -> Dict[str, int]:
+        """The measurement's ``crit_*`` counters in its core's
+        ``core{N}.chain`` group (Fig. 4 accuracy and coverage)."""
+        measurement = self.measurement
+        return {
+            "crit_predicted": measurement.predicted,
+            "crit_predicted_correct": measurement.predicted_correct,
+            "crit_actual": measurement.actual,
+            "crit_covered": measurement.covered,
+        }
 
     # -- plumbing --------------------------------------------------------
 

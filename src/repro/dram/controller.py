@@ -61,20 +61,13 @@ class DramChannelStats:
         self.reads = 0
         self.writes = 0
         self.row_hits = 0
-        self.row_misses = 0
         self.busy_cycles = 0
         self.total_read_latency = 0
         self.prefetch_reads = 0
-        #: ACT commands per bank (a row miss opens a row exactly once,
-        #: so the list sums to ``row_misses``) -- the per-bank activate
-        #: counts the DRAM power model consumes.
+        #: ACT commands per bank -- a row miss opens a row exactly once,
+        #: so the list's sum is the row-miss count.  The DRAM power
+        #: model consumes the per-bank counts.
         self.bank_activates = [0] * banks
-
-    @property
-    def average_read_latency(self) -> float:
-        if not self.reads:
-            return 0.0
-        return self.total_read_latency / self.reads
 
     def utilization(self, elapsed_cycles: int) -> float:
         if elapsed_cycles <= 0:
@@ -225,14 +218,12 @@ class DramChannel:
         elif bank.open_row is None:
             array_latency = config.trcd_cycles + config.cas_cycles
             bank_busy = config.trcd_cycles + config.burst_cycles
-            self.stats.row_misses += 1
             self.stats.bank_activates[request.bank] += 1
         else:
             array_latency = (config.trp_cycles + config.trcd_cycles
                              + config.cas_cycles)
             bank_busy = (config.trp_cycles + config.trcd_cycles
                          + config.burst_cycles)
-            self.stats.row_misses += 1
             self.stats.bank_activates[request.bank] += 1
         data_ready = start + array_latency
         bus_start = max(data_ready, self.bus_busy_until)

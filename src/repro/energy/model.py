@@ -7,20 +7,16 @@ per-structure access counts.  We embed CACTI-class per-access energies
 the simulation's access counts.  CLIP's own structures are charged too, as
 the paper notes its energy accounting includes them.
 
-Since the per-component counter layer (``repro.sim.counters``) landed,
-the model is *counter-driven*: exact flit-hop counts (real XY route
+The model is *counter-driven*: exact flit-hop counts (real XY route
 lengths), per-channel activates, and CLIP filter/predictor/utility-CAM
-accesses come straight off ``SimulationResult.counters``.  Results that
-predate the counter layer (hand-built results in tests, old cache
-entries) fall back to the previous level-stats approximation, including
-its ``mean hops = 3.0`` NoC estimate.
+accesses come straight off ``SimulationResult.counters``, the
+per-component snapshot (``repro.sim.counters``).
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.sim.stats import SimulationResult
 
@@ -42,9 +38,6 @@ ENERGY_PJ = {
     "policy_table": 0.9,
 }
 
-#: NoC hop estimate used only by the legacy (counter-less) fallback.
-LEGACY_MEAN_HOPS = 3.0
-
 
 @dataclass
 class EnergyBreakdown:
@@ -57,27 +50,9 @@ class EnergyBreakdown:
         return sum(self.components_mj.values())
 
 
-def dynamic_energy(result: SimulationResult,
-                   clip_events: Optional[int] = None) -> EnergyBreakdown:
-    """Aggregate dynamic energy from a simulation result.
-
-    Counter-driven when ``result.counters`` is populated (every fresh
-    simulation); otherwise the legacy level-stats approximation.
-
-    ``clip_events`` is deprecated and ignored: CLIP structure activity
-    is derived from the simulation's own filter/predictor/utility-CAM
-    access counters instead of a caller-supplied guess.
-    """
-    if clip_events is not None:
-        warnings.warn(
-            "dynamic_energy(clip_events=...) is deprecated and ignored: "
-            "CLIP structure activity now comes from "
-            "SimulationResult.counters (the per-component counter layer)",
-            DeprecationWarning, stacklevel=2)
-    if result.counters:
-        picojoules = _counter_picojoules(result.counters)
-    else:
-        picojoules = _legacy_picojoules(result)
+def dynamic_energy(result: SimulationResult) -> EnergyBreakdown:
+    """Aggregate dynamic energy from a result's counter snapshot."""
+    picojoules = _counter_picojoules(result.counters)
     breakdown = EnergyBreakdown()
     breakdown.components_mj = {
         name: pj / 1e9 for name, pj in picojoules.items()
@@ -125,38 +100,3 @@ def _counter_picojoules(
             if policy_pj:
                 charge("Policy", policy_pj)
     return pj
-
-
-def _legacy_picojoules(result: SimulationResult) -> Dict[str, float]:
-    """Level-stats approximation for results without counters."""
-    levels = result.levels
-    picojoules: Dict[str, float] = {}
-    l1 = levels.get("L1D")
-    if l1 is not None:
-        accesses = l1.demand_accesses + l1.prefetch_fills
-        picojoules["L1D"] = accesses * ENERGY_PJ["l1d_access"]
-    l2 = levels.get("L2")
-    if l2 is not None:
-        accesses = l2.demand_accesses + l2.prefetch_fills
-        picojoules["L2"] = accesses * ENERGY_PJ["l2_access"]
-    llc = levels.get("LLC")
-    if llc is not None:
-        accesses = llc.demand_accesses + llc.prefetch_fills
-        picojoules["LLC"] = accesses * ENERGY_PJ["llc_access"]
-    # Flit-hops approximated as flits x mean hop count (mesh diameter / 3
-    # when packet-level hop data is unavailable).
-    picojoules["NoC"] = (result.noc.flits * LEGACY_MEAN_HOPS
-                         * ENERGY_PJ["noc_flit_hop"])
-    picojoules["DRAM"] = (
-        result.dram.reads * ENERGY_PJ["dram_read"]
-        + result.dram.writes * ENERGY_PJ["dram_write"]
-        + result.dram.row_misses * ENERGY_PJ["dram_activate"])
-    if result.clip is not None:
-        clip_pj = (
-            result.clip.filter_accesses * ENERGY_PJ["clip_filter"]
-            + result.clip.predictor_accesses * ENERGY_PJ["clip_predictor"]
-            + result.clip.utility_cam_accesses
-            * ENERGY_PJ["clip_utility_cam"])
-        if clip_pj:
-            picojoules["CLIP"] = clip_pj
-    return picojoules

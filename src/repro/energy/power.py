@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 
 from repro.config import CoreConfig, SystemConfig
-from repro.energy.model import dynamic_energy
 from repro.sim.stats import SimulationResult
 
 #: The Table-3 reference core (6-wide, 512-entry ROB) at 4 GHz.
@@ -67,14 +66,12 @@ def package_power_w(result: SimulationResult,
                     config: SystemConfig) -> float:
     """Mean package power over the run: cores + uncore dynamic + static.
 
-    Uncore dynamic power is the counter-driven memory-hierarchy energy
-    spread over the run's wall-clock time; when the result carries no
-    precomputed ``energy_mj`` (legacy results), the energy model's
-    fallback path supplies it.
+    Uncore dynamic power is the result's counter-driven memory-hierarchy
+    energy (``energy_mj``) spread over the run's wall-clock time.
     """
     seconds = execution_seconds(result, config)
-    energy_mj = result.energy_mj or dynamic_energy(result).total_mj
-    uncore_dynamic = (energy_mj / 1e3) / seconds if seconds > 0 else 0.0
+    uncore_dynamic = ((result.energy_mj / 1e3) / seconds if seconds > 0
+                      else 0.0)
     return cores_power_w(config) + uncore_dynamic + uncore_static_w(config)
 
 

@@ -59,27 +59,6 @@ class BenchScale:
         return SPEC_HOMOGENEOUS_MIXES[::step][:self.homogeneous_sample]
 
 
-#: Legacy scheme-name -> recipe mapping, kept importable for callers that
-#: enumerate the comparison space.  New code should construct
-#: :class:`~repro.experiments.sweep.Scheme` values (or ``Scheme.parse``
-#: these names) instead.
-SCHEMES = {
-    "none": {},
-    "berti": {"l1": "berti"},
-    "ipcp": {"l1": "ipcp"},
-    "bingo": {"l2": "bingo"},
-    "spp_ppf": {"l2": "spp_ppf"},
-    "stride": {"l1": "stride"},
-    "streamer": {"l1": "streamer"},
-    "berti+clip": {"l1": "berti", "clip": True},
-    "ipcp+clip": {"l1": "ipcp", "clip": True},
-    "bingo+clip": {"l2": "bingo", "clip": True},
-    "spp_ppf+clip": {"l2": "spp_ppf", "clip": True},
-    "berti+hermes": {"l1": "berti", "hermes": True},
-    "berti+dspatch": {"l1": "berti", "dspatch": True},
-}
-
-
 class ExperimentRunner:
     """Canonicalises experiment requests into specs and caches results."""
 
@@ -202,5 +181,5 @@ class ExperimentRunner:
         return CLOUDSUITE_WORKLOADS + CVP_WORKLOADS
 
 
-__all__ = ["BenchScale", "ExperimentRunner", "SCHEMES", "Scheme",
-           "RunSpec", "Sweep", "ResultStore"]
+__all__ = ["BenchScale", "ExperimentRunner", "Scheme", "RunSpec", "Sweep",
+           "ResultStore"]

@@ -6,8 +6,8 @@ This module gives that grid a first-class representation:
 
 * :class:`Scheme`   -- frozen, typed description of one prefetching
   configuration (which prefetcher at which level, CLIP on/off, Hermes /
-  DSPatch comparators, structural knobs).  Replaces the stringly-typed
-  ``SCHEMES`` recipe dicts and ``**overrides`` kwargs.
+  DSPatch comparators, structural knobs), parsed from names like
+  ``"berti+clip"`` by :meth:`Scheme.parse`.
 * :class:`RunSpec`  -- frozen, hashable description of one simulation
   point: a scheme, a workload mix, and a channel count.  Two specs that
   build the same :class:`~repro.config.SystemConfig` for the same mix
@@ -47,7 +47,7 @@ from repro.sim.system import run_system
 #: any change that alters simulation outcomes or the ``to_dict`` layout;
 #: every existing cache entry becomes unreachable (keys embed the version)
 #: and is re-simulated on demand.
-CACHE_SCHEMA_VERSION = 3
+CACHE_SCHEMA_VERSION = 4
 
 #: Default location of the persistent result store, relative to the
 #: working directory; override with the ``REPRO_CACHE_DIR`` environment
@@ -68,11 +68,9 @@ L2_PREFETCHERS = ("bingo", "spp_ppf")
 class Scheme:
     """Typed description of one prefetching configuration.
 
-    All knobs the legacy ``SCHEMES`` recipe dicts and ``**overrides``
-    kwargs could express are explicit fields, so a scheme is hashable,
+    Every knob is an explicit field, so a scheme is hashable,
     comparable, and canonical: two schemes built from the same knobs are
-    equal regardless of construction order (the old ``repr``-based cache
-    key missed on dict insertion order).
+    equal regardless of construction order.
     """
 
     #: L1D prefetcher name ("none", "berti", "ipcp", "stride", "streamer").
@@ -170,23 +168,6 @@ class Scheme:
                                  f"in {name!r}")
         parsed.update(fields)
         return cls(**parsed)
-
-    @classmethod
-    def from_legacy(cls, scheme: str,
-                    overrides: Optional[Mapping] = None) -> "Scheme":
-        """Round-trip the deprecated (scheme string, ``**overrides``)
-        calling convention of ``ExperimentRunner`` into a typed scheme.
-
-        Raises ``ValueError`` on unknown scheme names or override keys,
-        matching the legacy error messages.
-        """
-        spec = cls.parse(scheme)
-        extra = dict(overrides or {})
-        fields = {f.name for f in dataclasses.fields(cls)}
-        unknown = sorted(set(extra) - fields)
-        if unknown:
-            raise ValueError(f"unused overrides: {unknown}")
-        return dataclasses.replace(spec, **extra)
 
     # -- derived views -------------------------------------------------
 

@@ -1,26 +1,35 @@
-"""Typed per-component counter layer.
+"""Typed per-component counter layer: the single source of results.
 
 Every hierarchy component (L1 node, L2 node, prefetch filter chain, LLC
 slice, NoC link, DRAM port) exposes its activity counters through a
 ``counters()`` method returning a flat ``{name: int}`` mapping -- one
 :class:`CounterGroup` per component instance.  The groups are *pulled*,
 not pushed: components keep plain integer attributes on their hot paths
-(exactly as before this layer existed) and the registry reads them once,
-at result-collection time.  That keeps the refactor free on the hot path
-and bit-identical on timing, while making per-structure access counts --
-the inputs the paper feeds to CACTI-P and the Micron DRAM power
-calculator -- first-class outputs on ``SimulationResult.counters``.
+and the registry reads them once, at result-collection time, so the
+layer costs nothing on the hot path.  The snapshot lands on
+``SimulationResult.counters`` and is the only record of a run's
+activity: :func:`repro.sim.stats.derive_views` computes every typed
+result view (levels, prefetch, DRAM, NoC, CLIP, criticality) from it,
+and the energy model prices it -- the per-structure access counts the
+paper feeds to CACTI-P and the Micron DRAM power calculator.  Ratios
+are never counters: a component reports the integer sum and count, and
+the view divides.
 
-Group naming convention (stable; the energy model keys off the suffix):
+Group naming convention (stable; the views and the energy model key off
+it -- ``docs/energy.md`` lists every counter and the field it feeds):
 
-* ``core{N}.l1d`` / ``core{N}.l2``  -- private cache levels of core N;
-* ``core{N}.chain``                 -- prefetch filter chain (drop
-  accounting plus CLIP filter/predictor/utility-CAM accesses);
+* ``core{N}.l1d`` / ``core{N}.l2``  -- private cache levels of core N,
+  with each MSHR's late prefetch merges; the L1D group also carries the
+  core's demand-load latency sums and counts by miss level;
+* ``core{N}.chain``                 -- prefetch filter chain (candidate,
+  issue, drop and use accounting, plus the ``clip_*``, ``crit_*`` and
+  ``policy_*`` counters of whatever is attached);
 * ``llc.slice{N}``                  -- one shared-LLC bank;
 * ``noc``                           -- mesh totals including exact
-  flit-hops (real XY route lengths);
+  flit-hops (real XY route lengths) and summed packet latency;
 * ``dram.ch{N}``                    -- one DRAM channel, including
-  per-bank activate counts (``bank{J}_activates``).
+  per-bank activate counts (``bank{J}_activates``), busy cycles and
+  summed read latency.
 """
 
 from __future__ import annotations

@@ -29,8 +29,9 @@ class DramPort:
 
         Includes the per-bank activate counts (``bank{J}_activates``)
         the Micron-style DRAM power model consumes; ``activates`` is
-        their sum (and equals ``row_misses``: every row miss issues
-        exactly one ACT).
+        their sum (and the row-miss count: every row miss issues
+        exactly one ACT).  ``total_read_latency`` sums each read's
+        enqueue-to-data cycles.
         """
         stats = self.dram.channels[channel].stats
         values = {
@@ -40,6 +41,7 @@ class DramPort:
             "row_hits": stats.row_hits,
             "activates": sum(stats.bank_activates),
             "busy_cycles": stats.busy_cycles,
+            "total_read_latency": stats.total_read_latency,
         }
         for bank, activates in enumerate(stats.bank_activates):
             values[f"bank{bank}_activates"] = activates

@@ -32,7 +32,6 @@ from typing import Callable, Dict, List, TYPE_CHECKING
 from repro.prefetch.base import PrefetchRequest
 from repro.prefetch.learned.policy import PolicyFeatures
 from repro.sim.hierarchy.messages import privatize
-from repro.sim.stats import PrefetchStats
 from repro.throttle.base import ThrottleSnapshot
 
 if TYPE_CHECKING:
@@ -49,12 +48,11 @@ class PrefetchFilterChain:
     """The CLIP / criticality-gate / DSPatch / throttle hook stack."""
 
     __slots__ = ("node", "clip", "crit_gate", "gate_enabled", "dspatch",
-                 "throttler", "stats", "dram", "channel_utilization",
+                 "throttler", "dram", "channel_utilization",
                  "issue", "policy", "policy_target", "policy_epoch",
                  "noc_flits")
 
-    def __init__(self, node: "CoreNode", stats: PrefetchStats,
-                 dram: "DramPort",
+    def __init__(self, node: "CoreNode", dram: "DramPort",
                  channel_utilization: Callable[[int], float],
                  gate_enabled: bool) -> None:
         self.node = node
@@ -65,7 +63,6 @@ class PrefetchFilterChain:
         self.gate_enabled = gate_enabled
         self.dspatch = None
         self.throttler = None
-        self.stats = stats
         self.dram = dram
         self.channel_utilization = channel_utilization
         #: Issuing-layer hook, wired to ``L1Node.issue_prefetch``.
@@ -83,27 +80,22 @@ class PrefetchFilterChain:
     def counters(self) -> Dict[str, int]:
         """This chain's counter group (``core{N}.chain``).
 
-        Per-core prefetch issue/drop accounting, plus CLIP's structure
-        accesses (filter, predictor, utility-buffer CAM) when CLIP is
-        attached -- the per-structure activity the paper's energy
-        accounting charges.
+        Per-core prefetch candidate/issue/drop/use accounting, plus the
+        ``clip_*`` counters of an attached CLIP, the ``crit_*`` ones of
+        a baseline criticality predictor, and a learned policy's.
         """
         node = self.node
         values = {
+            "pf_candidates": node.pf_candidates,
             "pf_issued": node.pf_issued,
             "pf_dropped_filter": node.pf_dropped_filter,
             "pf_dropped_duplicate": node.pf_dropped_duplicate,
             "pf_dropped_mshr": node.pf_dropped_mshr,
             "pf_useful": node.pf_useful,
         }
-        if self.clip is not None:
-            stats = self.clip.stats
-            values["clip_filter_accesses"] = stats.filter_accesses
-            values["clip_predictor_accesses"] = stats.predictor_accesses
-            values["clip_utility_cam_accesses"] = \
-                stats.utility_cam_accesses
-        if self.policy is not None:
-            values.update(self.policy.counters())
+        for source in (self.clip, self.crit_gate, self.policy):
+            if source is not None:
+                values.update(source.counters())
         return values
 
     # ------------------------------------------------------------------
@@ -113,26 +105,23 @@ class PrefetchFilterChain:
     def handle(self, candidates: List[PrefetchRequest], cycle: int,
                dspatch_generated: bool = False) -> None:
         """Filter ``candidates`` and hand survivors to the issuing layer."""
-        stats = self.stats
         node = self.node
         if self.dspatch is not None and not dspatch_generated:
             candidates = self.dspatch.filter_candidates(
                 candidates, self.channel_utilization)
         for request in candidates:
-            stats.candidates += 1
+            node.pf_candidates += 1
             crit = False
             if self.clip is not None:
                 allowed, crit = self.clip.filter_request(
                     request.trigger_ip, request.address, cycle)
                 if not allowed:
                     node.pf_dropped_filter += 1
-                    stats.dropped_filter += 1
                     continue
             elif self.crit_gate is not None and self.gate_enabled:
                 if not self.crit_gate.predicts_critical_ip(
                         request.trigger_ip):
                     node.pf_dropped_filter += 1
-                    stats.dropped_filter += 1
                     continue
             if self.policy is not None:
                 # Documented ``decide`` point: once per candidate that
@@ -142,7 +131,6 @@ class PrefetchFilterChain:
                         request.trigger_ip,
                         privatize(node.core_id, request.address), cycle):
                     node.pf_dropped_filter += 1
-                    stats.dropped_filter += 1
                     continue
             self.issue(request, cycle, crit)
 
@@ -213,7 +201,7 @@ class PrefetchFilterChain:
             pf_issued=node.pf_issued,
             pf_useful=node.pf_useful,
             pf_dropped=node.pf_dropped_filter,
-            demand_misses=node.demand_l1_misses,
+            demand_misses=l1.cache.stats.demand_misses,
             useless_evictions=(l1.cache.stats.useless_evictions
                                + l2.cache.stats.useless_evictions),
             dram_busy_permille=int(self.dram.utilization(cycle) * 1000),

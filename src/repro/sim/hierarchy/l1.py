@@ -18,7 +18,6 @@ from repro.cpu.core_model import ServiceLevel
 from repro.prefetch.base import PrefetchRequest
 from repro.sim.hierarchy.messages import MemoryRequest, privatize
 from repro.sim.hierarchy.port import Port
-from repro.sim.stats import PrefetchStats
 from repro.sim.tracing import RequestRecord, RequestTrace
 
 if TYPE_CHECKING:
@@ -32,16 +31,20 @@ if TYPE_CHECKING:
 _LEVEL_L1 = ServiceLevel.L1
 _LEVEL_DRAM = ServiceLevel.DRAM
 
+#: Demand-latency counter prefix per level a load can miss at.
+_MISS_LATENCY_LEVELS = (("l1d", ServiceLevel.L1), ("l2", ServiceLevel.L2),
+                        ("llc", ServiceLevel.LLC))
+
 
 class L1Node:
     """Private L1D: cache + MSHR port + prefetcher + issue mechanisms."""
 
     __slots__ = ("node", "core_id", "cache", "port", "prefetcher",
                  "latency", "mmu", "clip", "hermes", "hermes_pending",
-                 "stats", "trace", "downstream", "offchip", "slices")
+                 "trace", "downstream", "offchip", "slices")
 
     def __init__(self, node: "CoreNode", cache: Cache, port: Port,
-                 prefetcher, latency: int, stats: PrefetchStats,
+                 prefetcher, latency: int,
                  trace: Optional[RequestTrace], mmu=None, clip=None,
                  hermes=None) -> None:
         self.node = node
@@ -50,7 +53,6 @@ class L1Node:
         self.port = port
         self.prefetcher = prefetcher
         self.latency = latency
-        self.stats = stats
         self.trace = trace
         self.mmu = mmu
         self.clip = clip
@@ -63,17 +65,17 @@ class L1Node:
         self.slices: List["LlcSlice"]
 
     def counters(self) -> Dict[str, int]:
-        """This L1D's counter group (``core{N}.l1d``): cache activity."""
-        stats = self.cache.stats
-        return {
-            "demand_accesses": stats.demand_accesses,
-            "demand_hits": stats.demand_hits,
-            "demand_misses": stats.demand_misses,
-            "prefetch_fills": stats.prefetch_fills,
-            "useful_prefetches": stats.useful_prefetches,
-            "useless_evictions": stats.useless_evictions,
-            "writebacks": stats.writebacks,
-        }
+        """This L1D's counter group (``core{N}.l1d``): cache activity,
+        late prefetch merges in its MSHR, and the core's demand-load
+        latency sum and count by the level each load missed at
+        (``{l1d,l2,llc}_miss_latency_{sum,count}``)."""
+        node = self.node
+        values = self.cache.stats.counters()
+        values["late_prefetch_merges"] = self.port.mshr.late_prefetch_merges
+        for prefix, level in _MISS_LATENCY_LEVELS:
+            values[f"{prefix}_miss_latency_sum"] = node.lat_sum[level]
+            values[f"{prefix}_miss_latency_count"] = node.lat_count[level]
+        return values
 
     # ------------------------------------------------------------------
     # Core-facing interface
@@ -126,7 +128,6 @@ class L1Node:
                     False))
             self.port.schedule(done, callback, done, _LEVEL_L1)
             return
-        node.demand_l1_misses += 1
         if clip is not None:
             clip.on_l1d_miss(cycle)
         if self.hermes is not None and self.hermes.predict_offchip(ip,
@@ -159,7 +160,6 @@ class L1Node:
         hit = self.cache.access(line, ip, cycle, is_write=True)
         if hit:
             return
-        node.demand_l1_misses += 1
         if self.clip is not None:
             self.clip.on_l1d_miss(cycle)
         # Write-allocate: fetch the line (RFO) and fill it dirty.
@@ -201,7 +201,6 @@ class L1Node:
     def issue_prefetch(self, request: PrefetchRequest, cycle: int,
                        crit: bool) -> None:
         node = self.node
-        stats = self.stats
         line = privatize(self.core_id, request.address)
         # CLIP-selected prefetches from an L1 prefetcher always fill to L1
         # (section 4.2: the requests are known critical and accurate);
@@ -215,7 +214,6 @@ class L1Node:
                 or l2.port.lookup(line) is not None
                 or self.port.lookup(line) is not None):
             node.pf_dropped_duplicate += 1
-            stats.dropped_duplicate += 1
             return
         if fill_level == 1 and self.port.full:
             # Demote to an L2 fill (Berti orchestrates fills across L1..L3;
@@ -224,10 +222,8 @@ class L1Node:
             fill_level = 2
         if fill_level != 1 and l2.port.full:
             node.pf_dropped_mshr += 1
-            stats.dropped_mshr += 1
             return
         node.pf_issued += 1
-        stats.issued += 1
         if self.clip is not None:
             self.clip.on_prefetch_issued(line, request.trigger_ip)
         req = MemoryRequest(line=line, address=request.address,
@@ -250,7 +246,6 @@ class L1Node:
         if req.is_prefetch and self.cache.probe(line):
             # A demand fetched the line while this prefetch queued.
             node.pf_dropped_duplicate += 1
-            self.stats.dropped_duplicate += 1
             return
         mshr = self.port.lookup(line)
         if mshr is not None:
@@ -258,9 +253,8 @@ class L1Node:
             was_late = mshr.is_prefetch and not mshr.demand_merged
             self.port.merge(mshr, waiter, req.is_prefetch)
             if was_late and not req.is_prefetch:
-                # Late but useful: the paper counts these as accurate.
-                self.stats.late += 1
-                self.stats.useful += 1
+                # Late but useful: the paper counts these as accurate
+                # (the MSHR counts them as late_prefetch_merges).
                 node.pf_useful += 1
             if req.is_store:
                 mshr.dirty = True

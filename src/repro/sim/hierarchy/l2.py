@@ -16,7 +16,6 @@ from repro.cpu.core_model import ServiceLevel
 from repro.sim.hierarchy.messages import MemoryRequest, MemoryResponse
 from repro.sim.hierarchy.noc_link import NocLink
 from repro.sim.hierarchy.port import Port
-from repro.sim.stats import PrefetchStats
 
 if TYPE_CHECKING:
     from repro.sim.hierarchy.llc import LlcSlice
@@ -32,33 +31,26 @@ class L2Node:
     """Per-core private L2 between the L1 node and the shared LLC."""
 
     __slots__ = ("node", "cache", "port", "prefetcher", "latency",
-                 "stats", "link", "slices", "slice_of")
+                 "link", "slices", "slice_of")
 
     def __init__(self, node: "CoreNode", cache: Cache, port: Port,
-                 prefetcher, latency: int, stats: PrefetchStats) -> None:
+                 prefetcher, latency: int) -> None:
         self.node = node
         self.cache = cache
         self.port = port
         self.prefetcher = prefetcher
         self.latency = latency
-        self.stats = stats
         # Wired after construction.
         self.link: NocLink
         self.slices: List["LlcSlice"]
         self.slice_of: Callable[[int], int]
 
     def counters(self) -> Dict[str, int]:
-        """This L2's counter group (``core{N}.l2``): cache activity."""
-        stats = self.cache.stats
-        return {
-            "demand_accesses": stats.demand_accesses,
-            "demand_hits": stats.demand_hits,
-            "demand_misses": stats.demand_misses,
-            "prefetch_fills": stats.prefetch_fills,
-            "useful_prefetches": stats.useful_prefetches,
-            "useless_evictions": stats.useless_evictions,
-            "writebacks": stats.writebacks,
-        }
+        """This L2's counter group (``core{N}.l2``): cache activity and
+        late prefetch merges in its MSHR."""
+        values = self.cache.stats.counters()
+        values["late_prefetch_merges"] = self.port.mshr.late_prefetch_merges
+        return values
 
     def request(self, req: MemoryRequest, cycle: int,
                 respond: Optional[Respond]) -> None:
@@ -84,9 +76,8 @@ class L2Node:
             was_late = mshr.is_prefetch and not mshr.demand_merged
             self.port.merge(mshr, waiter, req.is_prefetch)
             if was_late and not req.is_prefetch:
-                # Late but useful: the paper counts these as accurate.
-                self.stats.late += 1
-                self.stats.useful += 1
+                # Late but useful: the paper counts these as accurate
+                # (the MSHR counts them as late_prefetch_merges).
                 node.pf_useful += 1
             return
         if self.port.full:
@@ -95,10 +86,8 @@ class L2Node:
             # demand, or the L1 entry would leak and deadlock its waiters.
             if req.is_prefetch and respond is None:
                 node.pf_dropped_mshr += 1
-                self.stats.dropped_mshr += 1
                 # Un-count it: it never entered the hierarchy.
                 node.pf_issued -= 1
-                self.stats.issued -= 1
                 return
             self.port.defer(
                 lambda: self.request(req, self.port.now, respond))

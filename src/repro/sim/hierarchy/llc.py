@@ -44,16 +44,7 @@ class LlcSlice:
 
     def counters(self) -> Dict[str, int]:
         """This slice's counter group (``llc.slice{N}``): bank activity."""
-        stats = self.cache.stats
-        return {
-            "demand_accesses": stats.demand_accesses,
-            "demand_hits": stats.demand_hits,
-            "demand_misses": stats.demand_misses,
-            "prefetch_fills": stats.prefetch_fills,
-            "useful_prefetches": stats.useful_prefetches,
-            "useless_evictions": stats.useless_evictions,
-            "writebacks": stats.writebacks,
-        }
+        return self.cache.stats.counters()
 
     def _local(self, line: int) -> int:
         """Slice-local line address: the slice-selection bits are stripped

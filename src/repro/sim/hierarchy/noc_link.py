@@ -26,7 +26,8 @@ class NocLink:
 
     def counters(self) -> Dict[str, int]:
         """The mesh's counter group (``noc``), including exact flit-hops
-        (each packet's flits x its real XY route length)."""
+        (each packet's flits x its real XY route length) and the summed
+        packet latency (``total_latency``)."""
         stats = self.noc.stats
         return {
             "packets": stats.packets,
@@ -34,6 +35,7 @@ class NocLink:
             "total_hops": stats.total_hops,
             "flit_hops": stats.flit_hops,
             "high_priority_packets": stats.high_priority_packets,
+            "total_latency": stats.total_latency,
         }
 
     def request(self, src: int, dst: int, now: int, high_priority: bool,

@@ -1,13 +1,17 @@
 """Per-core vertical slice of the hierarchy: L1 + L2 + filter chain.
 
 :class:`CoreNode` aggregates the two private levels of one core and the
-per-core accounting both levels update (prefetch issue/drop counters,
-demand-latency sums indexed by service level, throttling-epoch state).
+per-core accounting both levels update (prefetch candidate/issue/drop/
+use counters, demand-latency sums indexed by service level, throttling-
+epoch state).  These plain ints are the only copy of each count: the
+chain's and the L1D's counter groups report them (``core{N}.chain``
+``pf_*``, ``core{N}.l1d`` ``*_miss_latency_*``) and every result view
+is derived from that snapshot (:func:`repro.sim.stats.derive_views`).
 The flow logic lives in the layer components (:class:`~repro.sim.
 hierarchy.l1.L1Node`, :class:`~repro.sim.hierarchy.l2.L2Node`); the
 node exposes flat views (``l1d``, ``l1_mshr``, ``hermes``, ...) so
-result collection, the sanitizer, and tests address per-core state
-without caring which layer owns it.
+the sanitizer and tests address per-core state without caring which
+layer owns it.
 """
 
 from __future__ import annotations
@@ -23,11 +27,10 @@ if TYPE_CHECKING:
 class CoreNode:
     """One core's private memory-side state and counters."""
 
-    __slots__ = ("core_id", "l1", "l2", "chain", "pf_issued",
-                 "pf_dropped_filter", "pf_dropped_duplicate",
+    __slots__ = ("core_id", "l1", "l2", "chain", "pf_candidates",
+                 "pf_issued", "pf_dropped_filter", "pf_dropped_duplicate",
                  "pf_dropped_mshr", "pf_useful", "lat_sum", "lat_count",
-                 "epoch_accesses", "epoch_base", "demand_l1_misses",
-                 "policy_accesses")
+                 "epoch_accesses", "epoch_base", "policy_accesses")
 
     def __init__(self, core_id: int) -> None:
         self.core_id = core_id
@@ -37,6 +40,8 @@ class CoreNode:
         self.l1: "L1Node"
         self.l2: "L2Node"
         self.chain: "PrefetchFilterChain"
+        #: Every prefetch candidate that reached the filter chain.
+        self.pf_candidates = 0
         self.pf_issued = 0
         self.pf_dropped_filter = 0
         self.pf_dropped_duplicate = 0
@@ -48,7 +53,6 @@ class CoreNode:
         self.epoch_accesses = 0
         #: Snapshot of (issued, useful, late, pollution) at last epoch end.
         self.epoch_base = (0, 0, 0, 0)
-        self.demand_l1_misses = 0
         #: Demand accesses into the current learned-policy epoch.
         self.policy_accesses = 0
 

@@ -37,7 +37,6 @@ from repro.sim.hierarchy.messages import LINE_SHIFT, privatize
 from repro.sim.hierarchy.noc_link import NocLink
 from repro.sim.hierarchy.node import CoreNode
 from repro.sim.hierarchy.port import Port
-from repro.sim.stats import PrefetchStats
 from repro.sim.tracing import RequestTrace
 from repro.throttle import make_throttler
 
@@ -46,12 +45,10 @@ class Hierarchy:
     """The wired memory system below the cores."""
 
     def __init__(self, config: SystemConfig, engine: Engine, noc: MeshNoc,
-                 dram: DramSystem, stats: PrefetchStats,
-                 trace: Optional[RequestTrace]) -> None:
+                 dram: DramSystem, trace: Optional[RequestTrace]) -> None:
         self.config = config
         self.engine = engine
         self.num_slices = config.num_cores
-        self.stats = stats
         self.dram_port = DramPort(dram, engine)
         #: Shared NoC adapter; its port carries no MSHR (links do not
         #: back-pressure in this model), only delivery scheduling.
@@ -68,7 +65,8 @@ class Hierarchy:
         #: Typed per-component counter layer: one registered
         #: :class:`~repro.sim.counters.CounterGroup` per component,
         #: snapshotted into ``SimulationResult.counters`` at collection
-        #: time (pull model -- zero hot-path cost).
+        #: time (pull model -- zero hot-path cost); every result view
+        #: derives from that snapshot.
         self.counters = CounterRegistry()
         self._register_counters()
 
@@ -142,7 +140,7 @@ class Hierarchy:
                 page_shift=config.tlb.page_shift)
         hermes = HermesPredictor() if config.related.hermes else None
         chain = PrefetchFilterChain(
-            node, self.stats, self.dram_port,
+            node, self.dram_port,
             lambda a: self.dram_port.channel_utilization(
                 privatize(core_id, a)),
             gate_enabled=config.criticality.gate)
@@ -163,11 +161,11 @@ class Hierarchy:
         node.chain = chain
         node.l1 = L1Node(node, Cache(config.l1d),
                          Port(self.engine, MshrFile(config.l1d.mshr_entries)),
-                         l1_pf, config.l1d.latency, self.stats, trace,
+                         l1_pf, config.l1d.latency, trace,
                          mmu=mmu, clip=clip, hermes=hermes)
         node.l2 = L2Node(node, Cache(config.l2),
                          Port(self.engine, MshrFile(config.l2.mshr_entries)),
-                         l2_pf, config.l2.latency, self.stats)
+                         l2_pf, config.l2.latency)
         # Inter-layer wiring.
         node.l1.downstream = node.l2
         node.l1.offchip = self.dram_port
@@ -184,16 +182,13 @@ class Hierarchy:
         return self.link.noc.stats.flit_hops
 
     def _wire_feedback(self, node: CoreNode) -> None:
-        stats = self.stats
         policy = node.chain.policy
 
         def l1_use(line: int, trigger_ip: int) -> None:
             node.pf_useful += 1
-            stats.useful += 1
 
         def l2_use(line: int, trigger_ip: int) -> None:
             node.pf_useful += 1
-            stats.useful += 1
             if node.l2.prefetcher is not None:
                 node.l2.prefetcher.on_prefetch_feedback(
                     line << LINE_SHIFT, True)

@@ -4,13 +4,18 @@ Weighted speedup (section 5, citing Snavely & Tullsen): the sum over cores
 of IPC under the evaluated scheme divided by IPC under the reference
 scheme, here always no-prefetching with the same DRAM channel count --
 "system throughput", in the paper's words.
+
+The per-component counter snapshot (:mod:`repro.sim.counters`) is the
+only source of a result's numbers: :func:`derive_views` computes the
+typed ``levels`` / ``prefetch`` / ``dram`` / ``noc`` / ``clip`` /
+``criticality`` views from it.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 
 @dataclass
@@ -70,7 +75,7 @@ class LevelStats:
 
 @dataclass
 class PrefetchStats:
-    """System-wide prefetch accounting."""
+    """System-wide prefetch accounting (summed over cores)."""
 
     candidates: int = 0
     issued: int = 0
@@ -192,7 +197,8 @@ class SimulationResult:
     #: Per-component counter snapshot (``repro.sim.counters``):
     #: ``{group: {counter: value}}``, one group per hierarchy component
     #: (``core{N}.l1d``, ``core{N}.l2``, ``core{N}.chain``,
-    #: ``llc.slice{N}``, ``noc``, ``dram.ch{N}``).
+    #: ``llc.slice{N}``, ``noc``, ``dram.ch{N}``).  The views above are
+    #: :func:`derive_views` of it.
     counters: Dict[str, Dict[str, int]] = field(default_factory=dict)
     #: Counter-driven dynamic energy (``repro.energy``): total, by
     #: component, and the energy-delay product at the configured core
@@ -268,6 +274,109 @@ class SimulationResult:
             edp_mj_s=data.get("edp_mj_s", 0.0),
             energy_breakdown_mj=dict(data.get("energy_breakdown_mj", {})),
         )
+
+
+#: Cache-activity counters every cache group reports under the
+#: :class:`LevelStats` field of the same name.
+_LEVEL_COUNTERS = ("demand_accesses", "demand_hits", "demand_misses",
+                   "prefetch_fills", "useful_prefetches",
+                   "useless_evictions")
+
+#: :class:`ClipResult` integer fields; each is the sum of the chain
+#: groups' ``clip_<field>`` counter.
+_CLIP_COUNTERS = ("prefetches_seen", "prefetches_allowed",
+                  "static_critical_ips", "dynamic_critical_ips", "windows",
+                  "phase_changes", "filter_accesses", "predictor_accesses",
+                  "utility_cam_accesses")
+
+
+def _ratio(numerator: int, denominator: int) -> float:
+    return numerator / denominator if denominator else 0.0
+
+
+def derive_views(counters: Dict[str, Dict[str, int]], total_cycles: int,
+                 criticality: str) -> Dict[str, Any]:
+    """The typed result views, computed from a counter snapshot alone.
+
+    Returns :class:`SimulationResult`'s ``levels``, ``prefetch``,
+    ``dram``, ``noc``, ``clip`` and ``criticality`` fields, keyed by
+    field name.  ``total_cycles`` scales DRAM utilization and
+    ``criticality`` names the configured baseline predictor (``"none"``:
+    no criticality view); the CLIP view exists exactly when the chain
+    groups carry CLIP's counters.
+    """
+    # Sum every counter over the groups of one kind: per-core groups
+    # (``core{N}.l1d`` / ``.l2`` / ``.chain``) by suffix, shared ones
+    # (``llc.slice{N}``, ``noc``, ``dram.ch{N}``) by prefix.
+    totals: Dict[str, Dict[str, int]] = {}
+    busy: List[Tuple[int, int]] = []
+    for group, values in counters.items():
+        head, _, tail = group.partition(".")
+        kind = tail if head.startswith("core") else head
+        bucket = totals.setdefault(kind, {})
+        for key, value in values.items():
+            bucket[key] = bucket.get(key, 0) + value
+        if kind == "dram":
+            busy.append((int(tail[len("ch"):]), values["busy_cycles"]))
+    l1, l2, chain = totals["l1d"], totals["l2"], totals["chain"]
+    levels = {}
+    for name, group, prefix in (("L1D", l1, "l1d"), ("L2", l2, "l2"),
+                                ("LLC", totals["llc"], "llc")):
+        # Demand-load latencies are accounted per core at the L1D, by
+        # the level the load missed at.
+        levels[name] = LevelStats(
+            name, **{key: group[key] for key in _LEVEL_COUNTERS},
+            miss_latency_sum=l1[f"{prefix}_miss_latency_sum"],
+            miss_latency_count=l1[f"{prefix}_miss_latency_count"])
+    prefetch = PrefetchStats(
+        candidates=chain["pf_candidates"], issued=chain["pf_issued"],
+        dropped_filter=chain["pf_dropped_filter"],
+        dropped_duplicate=chain["pf_dropped_duplicate"],
+        dropped_mshr=chain["pf_dropped_mshr"], useful=chain["pf_useful"],
+        # A demand merging into a prefetch's MSHR entry: late but useful.
+        late=l1["late_prefetch_merges"] + l2["late_prefetch_merges"])
+    dram = totals["dram"]
+    # Per-channel utilization, summed in channel order (float sums
+    # depend on their order).
+    elapsed = max(1, total_cycles)
+    utilization = sum(min(1.0, cycles / elapsed)
+                      for _, cycles in sorted(busy)) / len(busy)
+    noc = totals["noc"]
+    clip = None
+    if "clip_prefetches_seen" in chain:
+        clip = ClipResult(
+            prediction_accuracy=_ratio(
+                chain["clip_predicted_critical_correct"],
+                chain["clip_predicted_critical"]),
+            prediction_coverage=_ratio(chain["clip_covered_critical"],
+                                       chain["clip_actual_critical"]),
+            **{key: chain[f"clip_{key}"] for key in _CLIP_COUNTERS})
+    measured = None
+    if criticality != "none":
+        measured = CriticalityResult(
+            name=criticality,
+            accuracy=_ratio(chain["crit_predicted_correct"],
+                            chain["crit_predicted"]),
+            coverage=_ratio(chain["crit_covered"], chain["crit_actual"]))
+    return {
+        "levels": levels,
+        "prefetch": prefetch,
+        "dram": DramResult(
+            reads=dram["reads"], writes=dram["writes"],
+            prefetch_reads=dram["prefetch_reads"],
+            row_hits=dram["row_hits"],
+            # Open page: every row miss opens its row with one ACT.
+            row_misses=dram["activates"],
+            average_read_latency=_ratio(dram["total_read_latency"],
+                                        dram["reads"]),
+            utilization=utilization),
+        "noc": NocResult(
+            packets=noc["packets"], flits=noc["flits"],
+            average_latency=_ratio(noc["total_latency"], noc["packets"]),
+            total_hops=noc["total_hops"], flit_hops=noc["flit_hops"]),
+        "clip": clip,
+        "criticality": measured,
+    }
 
 
 def weighted_speedup(result: SimulationResult,

@@ -11,7 +11,9 @@ Memory request flow (demand load):
 
 The request-flow logic lives in the hierarchy components; this module
 only owns configuration-driven wiring (cores attached to the hierarchy,
-CLIP/criticality predictors attached to cores) and result collection.
+CLIP/criticality predictors attached to cores) and result collection:
+the hierarchy's counter snapshot, the views derived from it
+(:func:`repro.sim.stats.derive_views`), and per-core retirement stats.
 """
 
 from __future__ import annotations
@@ -19,19 +21,16 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Dict, List, Optional, Tuple
 
-from repro.analysis.invariants import check
 from repro.analysis.sanitizer import install_sanitizer, sanitize_enabled
 from repro.config import BranchPredictorConfig, SystemConfig
 from repro.cpu.branch import HashedPerceptronPredictor, outcome_stream
-from repro.cpu.core_model import Core, ServiceLevel
+from repro.cpu.core_model import Core
 from repro.dram.controller import DramSystem
 from repro.noc.mesh import MeshNoc
 from repro.sim.engine import Engine
 from repro.sim.hierarchy import CoreNode, Hierarchy
 from repro.sim.tracing import RequestTrace
-from repro.sim.stats import (ClipResult, CoreResult, CriticalityResult,
-                             DramResult, LevelStats, NocResult,
-                             PrefetchStats, SimulationResult)
+from repro.sim.stats import CoreResult, SimulationResult, derive_views
 from repro.trace.record import TraceRecord
 from repro.trace.synthetic import SyntheticWorkload
 from repro.trace.workloads import get_workload
@@ -89,13 +88,11 @@ class MulticoreSystem:
         self.noc = MeshNoc(config.mesh_dim, config.noc)
         self.dram = DramSystem(config.dram, self.engine,
                                config.l1d.line_size)
-        self.prefetch_stats = PrefetchStats()
         self.request_trace: Optional[RequestTrace] = (
             RequestTrace(config.capture_request_trace)
             if config.capture_request_trace else None)
         self.hierarchy = Hierarchy(config, self.engine, self.noc,
-                                   self.dram, self.prefetch_stats,
-                                   self.request_trace)
+                                   self.dram, self.request_trace)
         self.cores: List[Core] = []
         self._build_cores()
         # Opt-in runtime invariant sanitizer: the guard is evaluated once
@@ -173,8 +170,12 @@ class MulticoreSystem:
         return self._collect(final_cycle)
 
     def _collect(self, final_cycle: int) -> SimulationResult:
-        result = SimulationResult(config_label=self.label)
-        result.total_cycles = final_cycle
+        counters = self.hierarchy.counters.snapshot()
+        result = SimulationResult(
+            config_label=self.label, total_cycles=final_cycle,
+            counters=counters,
+            **derive_views(counters, final_cycle,
+                           self.config.criticality.name))
         for core, name in zip(self.cores, self.workload_names):
             s = core.stats
             result.cores.append(CoreResult(
@@ -191,19 +192,6 @@ class MulticoreSystem:
                           for c in self.cores)
         result.branch_accuracy = (1.0 - mispredicts / predictions
                                   if predictions else 1.0)
-        result.levels = self._collect_levels()
-        result.prefetch = self.prefetch_stats
-        result.dram = self._collect_dram(final_cycle)
-        result.noc = NocResult(
-            packets=self.noc.stats.packets, flits=self.noc.stats.flits,
-            average_latency=self.noc.stats.average_latency,
-            total_hops=self.noc.stats.total_hops,
-            flit_hops=self.noc.stats.flit_hops)
-        if self.config.clip.enabled:
-            result.clip = self._collect_clip()
-        if self.config.criticality.name != "none":
-            result.criticality = self._collect_criticality()
-        result.counters = self.hierarchy.counters.snapshot()
         self._attach_energy(result)
         return result
 
@@ -219,95 +207,6 @@ class MulticoreSystem:
         delay_s = result.total_cycles / (self.config.core.frequency_ghz
                                          * 1e9)
         result.edp_mj_s = result.energy_mj * delay_s
-
-    def _collect_levels(self) -> Dict[str, LevelStats]:
-        levels = {
-            "L1D": LevelStats("L1D"),
-            "L2": LevelStats("L2"),
-            "LLC": LevelStats("LLC"),
-        }
-        for node in self.nodes:
-            for name, cache in (("L1D", node.l1d), ("L2", node.l2_cache)):
-                level = levels[name]
-                level.demand_accesses += cache.stats.demand_accesses
-                level.demand_hits += cache.stats.demand_hits
-                level.demand_misses += cache.stats.demand_misses
-                level.prefetch_fills += cache.stats.prefetch_fills
-                level.useful_prefetches += cache.stats.useful_prefetches
-                level.useless_evictions += cache.stats.useless_evictions
-            for idx, lvl_name in ((ServiceLevel.L1, "L1D"),
-                                  (ServiceLevel.L2, "L2"),
-                                  (ServiceLevel.LLC, "LLC")):
-                levels[lvl_name].miss_latency_sum += node.lat_sum[idx]
-                levels[lvl_name].miss_latency_count += node.lat_count[idx]
-        llc_level = levels["LLC"]
-        for slice_cache in self.llc:
-            llc_level.demand_accesses += slice_cache.stats.demand_accesses
-            llc_level.demand_hits += slice_cache.stats.demand_hits
-            llc_level.demand_misses += slice_cache.stats.demand_misses
-            llc_level.prefetch_fills += slice_cache.stats.prefetch_fills
-            llc_level.useful_prefetches += \
-                slice_cache.stats.useful_prefetches
-            llc_level.useless_evictions += \
-                slice_cache.stats.useless_evictions
-        return levels
-
-    def _collect_dram(self, final_cycle: int) -> DramResult:
-        dram = DramResult()
-        for channel in self.dram.channels:
-            dram.reads += channel.stats.reads
-            dram.writes += channel.stats.writes
-            dram.prefetch_reads += channel.stats.prefetch_reads
-            dram.row_hits += channel.stats.row_hits
-            dram.row_misses += channel.stats.row_misses
-        dram.average_read_latency = self.dram.average_read_latency()
-        dram.utilization = self.dram.utilization(max(1, final_cycle))
-        return dram
-
-    def _collect_clip(self) -> ClipResult:
-        clip_result = ClipResult()
-        predicted = correct = actual = covered = 0
-        for node in self.nodes:
-            clip = node.clip
-            check(clip is not None, "CLIP enabled but core %d has no "
-                  "Clip instance", node.core_id)
-            predicted += clip.stats.predicted_critical
-            correct += clip.stats.predicted_critical_correct
-            actual += clip.stats.actual_critical
-            covered += clip.stats.covered_critical
-            clip_result.prefetches_seen += clip.stats.prefetches_seen
-            clip_result.prefetches_allowed += clip.stats.prefetches_allowed
-            static, dynamic = clip.critical_ip_census()
-            clip_result.static_critical_ips += static
-            clip_result.dynamic_critical_ips += dynamic
-            clip_result.windows += clip.stats.windows
-            clip_result.phase_changes += clip.stats.phase_changes
-            clip_result.filter_accesses += clip.stats.filter_accesses
-            clip_result.predictor_accesses += clip.stats.predictor_accesses
-            clip_result.utility_cam_accesses += \
-                clip.stats.utility_cam_accesses
-        clip_result.prediction_accuracy = (correct / predicted
-                                           if predicted else 0.0)
-        clip_result.prediction_coverage = (covered / actual
-                                           if actual else 0.0)
-        return clip_result
-
-    def _collect_criticality(self) -> CriticalityResult:
-        predicted = correct = actual = covered = 0
-        name = self.config.criticality.name
-        for node in self.nodes:
-            gate = node.crit_gate
-            check(gate is not None, "criticality predictor %r enabled "
-                  "but core %d has no gate", name, node.core_id)
-            measurement = gate.measurement
-            predicted += measurement.predicted
-            correct += measurement.predicted_correct
-            actual += measurement.actual
-            covered += measurement.covered
-        return CriticalityResult(
-            name=name,
-            accuracy=correct / predicted if predicted else 0.0,
-            coverage=covered / actual if actual else 0.0)
 
 
 def run_system(config: SystemConfig, workloads: List[str],

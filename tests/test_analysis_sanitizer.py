@@ -277,8 +277,10 @@ class TestFinalCheck:
     def test_inconsistent_prefetch_stats_caught(self):
         system = tiny_system(sanitize=True)
         system.run()
-        stats = system.prefetch_stats
-        stats.dropped_filter = stats.candidates + 1
+        # More drops than candidates, summed over the per-core counters.
+        node = system.nodes[0]
+        node.pf_dropped_filter = sum(n.pf_candidates
+                                     for n in system.nodes) + 1
         with pytest.raises(SimulationInvariantError, match="statistics"):
             system.sanitizer.final_check(system)
 

@@ -114,7 +114,8 @@ class TestDramScheduling:
         for line in range(16):
             system.read(line, now=0, callback=lambda t: None)
         _drain(engine)
-        assert channel.stats.row_hits > channel.stats.row_misses
+        # Every row miss opens its row with exactly one ACT.
+        assert channel.stats.row_hits > sum(channel.stats.bank_activates)
 
     def test_average_latency_grows_under_load(self):
         engine_light, system_light, _ = self._channel()

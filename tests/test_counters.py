@@ -4,18 +4,26 @@ Unit coverage for the registry itself, plus system-level invariants tying
 the counter snapshot to the aggregate result fields it must explain:
 per-channel DRAM reads sum to the DRAM total, per-bank activates sum to
 the row-miss count, flit-hops are bounded by the mesh diameter, and CLIP
-structure-access counters appear exactly when CLIP is attached.
+structure-access counters appear exactly when CLIP is attached.  Every
+golden's typed views must rebuild exactly from its stored snapshot.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import json
 
 import pytest
 
+from equivalence_points import GOLDEN_DIR, POINTS
+
 from repro.config import scaled_config
 from repro.sim.counters import CounterGroup, CounterRegistry
+from repro.sim.stats import SimulationResult, derive_views
 from repro.sim.system import run_system
+
+#: The result fields :func:`derive_views` produces.
+VIEWS = ("levels", "prefetch", "dram", "noc", "clip", "criticality")
 
 MIX = ["605.mcf_s-1536B", "bfs-14", "619.lbm_s-2676B", "cloud9"]
 
@@ -143,3 +151,19 @@ class TestSystemCounters:
         assert rebuilt.energy_mj == result.energy_mj
         assert rebuilt.edp_mj_s == result.edp_mj_s
         assert rebuilt.energy_breakdown_mj == result.energy_breakdown_mj
+
+
+@pytest.mark.parametrize("point", sorted(POINTS))
+def test_golden_views_derive_from_counter_snapshot(point):
+    """The views are a pure function of (counters, total_cycles,
+    criticality predictor name): rebuilt from a golden's stored
+    snapshot, they equal its stored views leaf for leaf."""
+    tree = json.loads((GOLDEN_DIR / f"{point}.json").read_text())["result"]
+    config, _ = POINTS[point]()
+    views = derive_views(tree["counters"], tree["total_cycles"],
+                         config.criticality.name)
+    assert set(views) == set(VIEWS)
+    rebuilt = SimulationResult(config_label=tree["config_label"],
+                               **views).to_dict()
+    for name in VIEWS:
+        assert rebuilt[name] == tree[name], name

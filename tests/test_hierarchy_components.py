@@ -22,7 +22,6 @@ from repro.prefetch.base import PrefetchRequest
 from repro.sim.engine import Engine
 from repro.sim.hierarchy import (Hierarchy, MemoryRequest, MemoryResponse,
                                  NocLink, Port, privatize)
-from repro.sim.stats import PrefetchStats
 
 
 def _config(cores=2, **kw):
@@ -40,8 +39,7 @@ def _hierarchy(cores=2, **kw):
     engine = Engine()
     noc = MeshNoc(config.mesh_dim, config.noc)
     dram = DramSystem(config.dram, engine, config.l1d.line_size)
-    hierarchy = Hierarchy(config, engine, noc, dram, PrefetchStats(),
-                          trace=None)
+    hierarchy = Hierarchy(config, engine, noc, dram, trace=None)
     return hierarchy, engine
 
 
@@ -239,15 +237,12 @@ class TestL2Node:
         for i in range(l2.port.mshr.capacity):
             l2.port.allocate(0x9000 + i, False, False, 0, 0)
         node.pf_issued = 1
-        hierarchy.stats.issued = 1
         req = MemoryRequest(line=privatize(0, 0x4000), address=0x4000,
                             ip=0x11, core_id=0, is_prefetch=True)
         l2.request(req, 0, respond=None)
         assert node.pf_dropped_mshr == 1
-        assert hierarchy.stats.dropped_mshr == 1
         # Un-counted: it never entered the hierarchy.
         assert node.pf_issued == 0
-        assert hierarchy.stats.issued == 0
 
     def test_hit_responds_after_l2_latency(self):
         hierarchy, engine = _hierarchy()
@@ -331,10 +326,9 @@ class TestFilterChain:
         chain.crit_gate = _AlwaysCold()
         chain.gate_enabled = True
         chain.handle([PrefetchRequest(0x4000, 1, 0x11)], cycle=0)
+        assert node.pf_candidates == 1
         assert node.pf_dropped_filter == 1
-        assert hierarchy.stats.dropped_filter == 1
-        assert hierarchy.stats.candidates == 1
-        assert hierarchy.stats.issued == 0
+        assert node.pf_issued == 0
 
     def test_ungated_candidates_reach_issuing_layer(self):
         hierarchy, _ = _hierarchy()
@@ -344,6 +338,8 @@ class TestFilterChain:
             (req.address, crit))
         node.chain.handle([PrefetchRequest(0x4000, 1, 0x11)], cycle=0)
         assert issued == [(0x4000, False)]
+        assert node.pf_candidates == 1
+        assert node.pf_dropped_filter == 0
 
 
 # ----------------------------------------------------------------------

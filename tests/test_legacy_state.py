@@ -3,11 +3,14 @@
 Releases with two simulation engines recorded the engine's name as
 provenance: a ``"backend"`` field in every result-store entry and in
 serve campaign manifests.  Results never depended on it (cache keys
-excluded it), so such state must keep loading unchanged.
+excluded it).  Such a store entry is also a schema-3 entry, which the
+schema-4 store (the counter snapshot grew) must treat as a miss; the
+re-simulated result still reproduces every value it pinned.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import json
 import shutil
 from pathlib import Path
@@ -21,22 +24,55 @@ from repro.serve.wire import spec_to_dict
 #: A store holding one entry written by the two-engine release (under
 #: the batch engine), verbatim.
 OLD_STORE = Path(__file__).parent / "data" / "store_with_backend_field"
+REGENERATE = (Path(__file__).parent.parent / "scripts"
+              / "regenerate_equivalence_goldens.py")
 
 SPEC = RunSpec(scheme=Scheme(l1="berti"), mix=("605.mcf_s-1536B",),
                channels=1, num_cores=1, sim_instructions=500)
 
+#: Counters schema 4 added to each group kind this berti-only point
+#: registers (no CLIP, no criticality predictor).
+ADDED_COUNTERS = {
+    "l1d": {"late_prefetch_merges", "l1d_miss_latency_sum",
+            "l1d_miss_latency_count", "l2_miss_latency_sum",
+            "l2_miss_latency_count", "llc_miss_latency_sum",
+            "llc_miss_latency_count"},
+    "l2": {"late_prefetch_merges"},
+    "chain": {"pf_candidates"},
+    "noc": {"total_latency"},
+    "dram": {"total_read_latency"},
+    "llc": set(),
+}
 
-def test_store_entry_with_backend_field_is_a_cache_hit(tmp_path):
+
+def _pinned_leaf_changes(old, new):
+    spec = importlib.util.spec_from_file_location("regenerate", REGENERATE)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.pinned_leaf_changes(old, new)
+
+
+def test_store_entry_with_backend_field_is_a_miss(tmp_path):
     shutil.copytree(OLD_STORE, tmp_path / "store")
     store = ResultStore(tmp_path / "store")
-    key = SPEC.cache_key()
-    entry = json.loads(store.path_for(key).read_text())
-    assert entry["backend"] == "batch"
+    [path] = (tmp_path / "store").glob("*/*.json")
+    entry = json.loads(path.read_text())
+    assert entry["backend"] == "batch" and entry["schema"] == 3
+    assert store.load(path.stem) is None
     outcome = run_sweep([SPEC], store=store)
-    assert outcome.cache_hits == 1 and outcome.simulated == 0
-    assert outcome.results[SPEC].to_dict() == entry["result"]
-    # The entry is also exactly what simulating today produces.
-    assert run_sweep([SPEC]).results[SPEC].to_dict() == entry["result"]
+    assert outcome.cache_hits == 0 and outcome.simulated == 1
+    fresh = outcome.results[SPEC].to_dict()
+    # Every leaf the old entry pinned survives bit-identically...
+    assert _pinned_leaf_changes(entry["result"], fresh) == []
+    # ...and the only new leaves are the counters schema 4 added.
+    old_counters = entry["result"]["counters"]
+    assert set(fresh) == set(entry["result"])
+    assert set(fresh["counters"]) == set(old_counters)
+    for group, values in fresh["counters"].items():
+        head, _, tail = group.partition(".")
+        kind = tail if head.startswith("core") else head
+        assert set(values) - set(old_counters[group]) == \
+            ADDED_COUNTERS[kind], group
 
 
 def test_serve_resume_ignores_manifest_backend_field(tmp_path, capsys):

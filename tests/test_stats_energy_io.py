@@ -10,8 +10,7 @@ import pytest
 from repro.config import (CacheConfig, ClipConfig, SystemConfig,
                           scaled_config)
 from repro.energy import dynamic_energy
-from repro.sim.stats import (ClipResult, CoreResult, DramResult,
-                             LevelStats, NocResult, PrefetchStats,
+from repro.sim.stats import (CoreResult, LevelStats, PrefetchStats,
                              SimulationResult, weighted_speedup)
 from repro.trace.io import load_trace, save_trace
 from repro.trace.synthetic import SyntheticWorkload
@@ -86,14 +85,13 @@ class TestStatsProperties:
 class TestEnergyModel:
     def _loaded_result(self) -> SimulationResult:
         result = SimulationResult(config_label="e")
-        result.levels = {
-            "L1D": LevelStats("L1D", demand_accesses=10_000,
-                              prefetch_fills=500),
-            "L2": LevelStats("L2", demand_accesses=2_000),
-            "LLC": LevelStats("LLC", demand_accesses=800),
+        result.counters = {
+            "core0.l1d": {"demand_accesses": 10_000, "prefetch_fills": 500},
+            "core0.l2": {"demand_accesses": 2_000, "prefetch_fills": 0},
+            "llc.slice0": {"demand_accesses": 800, "prefetch_fills": 0},
+            "noc": {"flit_hops": 20_000},
+            "dram.ch0": {"reads": 500, "writes": 100, "activates": 200},
         }
-        result.dram = DramResult(reads=500, writes=100, row_misses=200)
-        result.noc = NocResult(packets=600, flits=4000)
         return result
 
     def test_dram_dominates(self):
@@ -104,41 +102,24 @@ class TestEnergyModel:
     def test_clip_energy_is_small(self):
         base = dynamic_energy(self._loaded_result())
         with_clip = self._loaded_result()
-        with_clip.clip = ClipResult(filter_accesses=10_000,
-                                    predictor_accesses=10_000,
-                                    utility_cam_accesses=5_000)
+        with_clip.counters["core0.chain"] = {
+            "clip_filter_accesses": 10_000,
+            "clip_predictor_accesses": 10_000,
+            "clip_utility_cam_accesses": 5_000}
         overhead = dynamic_energy(with_clip).total_mj - base.total_mj
         assert 0 < overhead < 0.05 * base.total_mj
 
-    def test_clip_events_argument_is_a_deprecated_noop(self):
-        result = self._loaded_result()
-        base = dynamic_energy(result)
-        with pytest.warns(DeprecationWarning, match="clip_events"):
-            legacy = dynamic_energy(result, clip_events=10_000)
-        # Ignored, not applied: CLIP activity comes from the result's
-        # own counters, and this result has none.
-        assert legacy.total_mj == base.total_mj
-        assert "CLIP" not in legacy.components_mj
-
     def test_counter_driven_when_counters_present(self):
-        result = self._loaded_result()
-        legacy = dynamic_energy(result)
-        result.counters = {
-            "core0.l1d": {"demand_accesses": 10_000, "prefetch_fills": 500},
-            "core0.l2": {"demand_accesses": 2_000, "prefetch_fills": 0},
-            "llc.slice0": {"demand_accesses": 800, "prefetch_fills": 0},
-            # Exact flit-hops, not flits x LEGACY_MEAN_HOPS.
-            "noc": {"flit_hops": 20_000},
-            "dram.ch0": {"reads": 500, "writes": 100, "activates": 200},
-        }
-        counter = dynamic_energy(result)
-        # SRAM and DRAM components agree with the legacy estimate...
-        for name in ("L1D", "L2", "LLC", "DRAM"):
-            assert counter.components_mj[name] == pytest.approx(
-                legacy.components_mj[name])
-        # ...but the NoC uses the measured hop count (20k != 4000 x 3).
-        assert counter.components_mj["NoC"] != pytest.approx(
-            legacy.components_mj["NoC"])
+        breakdown = dynamic_energy(self._loaded_result())
+        pj = {name: mj * 1e9
+              for name, mj in breakdown.components_mj.items()}
+        assert pj["L1D"] == pytest.approx(10_500 * 12.0)
+        assert pj["L2"] == pytest.approx(2_000 * 35.0)
+        assert pj["LLC"] == pytest.approx(800 * 90.0)
+        # The NoC is charged per measured flit-hop.
+        assert pj["NoC"] == pytest.approx(20_000 * 4.0)
+        assert pj["DRAM"] == pytest.approx(
+            500 * 15_000.0 + 100 * 15_500.0 + 200 * 9_000.0)
 
     def test_total_is_sum(self):
         breakdown = dynamic_energy(self._loaded_result())
@@ -148,7 +129,7 @@ class TestEnergyModel:
     def test_fewer_dram_accesses_less_energy(self):
         heavy = self._loaded_result()
         light = self._loaded_result()
-        light.dram.reads //= 2
+        light.counters["dram.ch0"]["reads"] //= 2
         assert dynamic_energy(light).total_mj \
             < dynamic_energy(heavy).total_mj
 
