@@ -13,8 +13,8 @@ wraps the *instances* of the hot components with checking shims:
   serialisation (one burst on the bus at a time);
 * ``MeshNoc.send`` -- per-link flit conservation and monotonic link
   reservations;
-* ``Core`` retirement -- strict ROB FIFO order, nothing retires before
-  it completes.
+* ``Core.tick`` -- strict ROB FIFO retirement, nothing retires before
+  it completes (checked once per tick).
 
 Zero overhead when off: the enable flag is consulted **once at wiring
 time** -- a disabled run installs no wrappers, adds no per-event
@@ -29,6 +29,7 @@ first broken event, pointing at the component and the numbers involved.
 from __future__ import annotations
 
 import os
+from itertools import islice
 from typing import Any, Dict, Tuple
 
 from repro.analysis.invariants import SimulationInvariantError, check
@@ -282,27 +283,51 @@ class Sanitizer:
         noc.send = send
 
     # ------------------------------------------------------------------
-    # Cores: strict ROB FIFO retirement
+    # Cores: strict ROB FIFO retirement, checked per tick
     # ------------------------------------------------------------------
 
     def wrap_core(self, core: Any) -> None:
-        orig_account = core._account_retire
+        """Check each tick's retirements, in O(retire width).
+
+        The ROB's first ``retire_width + 1`` entries are noted before the
+        tick; the ``retired`` counter then says how many left the head.
+        Each must have completed by the tick's cycle, their ``seq``
+        values must continue the retired sequence, and the new head must
+        be the entry after them.
+        """
+        orig_tick = core.tick
+        window = core.config.retire_width + 1
         state = {"last_seq": -1}
 
-        def account_retire(entry: Any, cycle: int) -> None:
-            self._count("rob", 2)
-            check(entry.seq == state["last_seq"] + 1,
-                  "core %d: ROB retirement out of FIFO order -- seq %d "
-                  "retired after seq %d", core.core_id, entry.seq,
-                  state["last_seq"])
-            check(entry.done_at is not None and entry.done_at <= cycle,
-                  "core %d: instruction seq %d retired at cycle %d "
-                  "before completing (done_at=%r)", core.core_id,
-                  entry.seq, cycle, entry.done_at)
-            state["last_seq"] = entry.seq
-            orig_account(entry, cycle)
+        def tick(cycle: int) -> None:
+            before = list(islice(core.rob, window))
+            retired_before = core.retired
+            orig_tick(cycle)
+            left = core.retired - retired_before
+            last_seq = state["last_seq"]
+            rob = core.rob
+            check(left <= len(before)
+                  and (not rob or rob[0].seq == last_seq + left + 1),
+                  "core %d: ROB retirement out of FIFO order -- %d "
+                  "instruction(s) left the head after seq %d, and the "
+                  "head is now seq %r", core.core_id, left, last_seq,
+                  rob[0].seq if rob else None)
+            if not left:
+                return
+            self._count("rob", 2 * left)
+            for entry in before[:left]:
+                check(entry.seq == last_seq + 1,
+                      "core %d: ROB retirement out of FIFO order -- seq %d "
+                      "retired after seq %d", core.core_id, entry.seq,
+                      last_seq)
+                check(entry.done_at is not None and entry.done_at <= cycle,
+                      "core %d: instruction seq %d retired at cycle %d "
+                      "before completing (done_at=%r)", core.core_id,
+                      entry.seq, cycle, entry.done_at)
+                last_seq = entry.seq
+            state["last_seq"] = last_seq
 
-        core._account_retire = account_retire
+        core.tick = tick
 
     # ------------------------------------------------------------------
     # End-of-run quiescence

@@ -18,8 +18,8 @@ SIM011    entropy-in-sim-state      no wall-clock/``id()``/``hash()``
                                     values influencing sim state
 SIM012    unordered-reduction       no ``sum()``-style reductions over
                                     unordered collections
-SIM013    compile-readiness         hot-set modules stay free of the
-                                    dynamic tricks that block mypyc
+SIM013    compile-readiness         hot-set modules stay free of
+                                    dynamic attribute tricks
 ========  ========================  ====================================
 
 The first three are *gated* on call-graph reachability: the construct
@@ -39,12 +39,15 @@ from repro.analysis.dataflow import (TaintAnalysis, TaintResult, TaintSpec,
                                      walk_excluding_nested)
 from repro.analysis.framework import LintContext, Rule, Violation
 
-#: Modules that must stay compilable by a mypyc/Cython backend
-#: (ROADMAP: the vectorized/compiled fast path for the 64-core config).
+#: The simulator's hot layers: the engine, the caches, the hierarchy,
+#: the core model and CLIP.  Their classes keep a static attribute
+#: layout so slot and inlining work on them stays possible.
 COMPILE_HOT_SET = (
     "src/repro/sim/engine.py",
     "src/repro/cache/",
     "src/repro/sim/hierarchy/",
+    "src/repro/cpu/",
+    "src/repro/core/",
 )
 
 #: Path fragment marking the sanctioned home of randomness.
@@ -455,22 +458,24 @@ class UnorderedReductionRule(Rule):
 
 
 class CompilationReadinessRule(Rule):
-    """SIM013: the declared hot set stays statically compilable.
+    """SIM013: the declared hot set keeps a static attribute layout.
 
-    The ROADMAP's compiled fast path (mypyc/Cython over
-    ``repro.sim.engine``, ``repro.cache``, ``repro.sim.hierarchy``)
-    requires classes with a fixed attribute layout: no ``setattr``/
-    ``delattr``/``vars(obj)``, no ``__dict__`` access, no ``import *``,
-    no attributes materialised outside ``__init__``, and no writes
-    outside a declared ``__slots__``.  This pass flags those blockers
-    everywhere (dynamic attribute tricks are a maintenance hazard
-    generally) but only hot-set findings are fix-on-sight; elsewhere
-    they may be baselined with a justification comment.
+    No compiler (mypyc, Cython) can be installed offline, so the hot
+    set's speed comes from plain-Python work: ``__slots__`` records,
+    inlined per-instruction paths, attributes bound to locals.  That
+    work needs classes with a fixed attribute layout, so this pass
+    keeps the hot set (``COMPILE_HOT_SET``) free of dynamic attribute
+    tricks: no ``setattr``/``delattr``/``vars(obj)``, no ``__dict__``
+    access, no ``import *``, no attributes materialised outside
+    ``__init__``, and no writes outside a declared ``__slots__``.  It
+    flags them everywhere (they are a maintenance hazard generally),
+    but only hot-set findings are fix-on-sight; elsewhere they may be
+    baselined with a justification comment.
     """
 
     id = "SIM013"
     name = "compile-readiness"
-    summary = "dynamic attribute trick that blocks the compiled backend"
+    summary = "dynamic attribute trick that blocks slot and inlining work"
 
     _INIT_LIKE = ("__init__", "__post_init__", "__new__")
 

@@ -93,6 +93,9 @@ class CacheConfig:
         return self.size_kib * 1024 // self.line_size
 
     def __post_init__(self) -> None:
+        if self.ways < 1:
+            raise ValueError(f"{self.name}: ways must be positive, got "
+                             f"{self.ways}")
         total_lines = self.size_kib * 1024 // self.line_size
         if total_lines % self.ways:
             raise ValueError(
@@ -341,6 +344,18 @@ class LearnedConfig:
     pending_entries: int = 512
 
 
+def _validate_cache(field_name: str, cache: CacheConfig) -> None:
+    """``SystemConfig.validate`` for one cache level; ``field_name`` is
+    the config field (``l1d``, ``l2``, ``llc_slice``) named in messages.
+    Zero ways or zero capacity would divide by zero in the cache."""
+    if cache.ways < 1:
+        raise ValueError(f"{field_name}.ways must be positive, got "
+                         f"{cache.ways}")
+    if cache.size_kib < 1:
+        raise ValueError(f"{field_name}.size_kib must be positive, got "
+                         f"{cache.size_kib}")
+
+
 def _validate_core(prefix: str, core: CoreConfig) -> None:
     """``SystemConfig.validate`` for one core (base or override);
     ``prefix`` names the core in messages."""
@@ -412,14 +427,26 @@ class SystemConfig:
         """Reject configurations the simulator cannot run as asked.
 
         Everything that would otherwise hang (zero retire width), stall
-        into a deadlock (an empty ROB), crash deep in a component (an
-        empty or zero-width branch table) or silently simulate something
-        else (negative warm-up or latencies) raises ``ValueError`` here.
+        into a deadlock (an empty ROB or DRAM read queue), crash deep in
+        a component (an empty or zero-width branch table, a cache with
+        no ways or no capacity, a DRAM channel with no banks) or
+        silently simulate something else (negative warm-up or latencies)
+        raises ``ValueError`` here.
         """
         if self.num_cores < 1:
             raise ValueError("num_cores must be positive")
         if self.dram.channels < 1:
             raise ValueError("at least one DRAM channel is required")
+        dram = self.dram
+        if dram.banks_per_channel < 1:
+            raise ValueError(f"dram.banks_per_channel must be positive, "
+                             f"got {dram.banks_per_channel}")
+        if dram.read_queue_entries < 1:
+            raise ValueError(f"dram.read_queue_entries must be positive, "
+                             f"got {dram.read_queue_entries}")
+        _validate_cache("l1d", self.l1d)
+        _validate_cache("l2", self.l2)
+        _validate_cache("llc_slice", self.llc_slice)
         if self.sim_instructions < 1:
             raise ValueError("sim_instructions must be positive")
         if self.warmup_instructions < 0:

@@ -15,8 +15,8 @@ The model keeps the microarchitectural state the paper's mechanisms read:
   from the trace's precomputed outcome stream
   (:func:`repro.cpu.branch.outcome_stream`).
 
-Timing is driven by a cooperative engine: ``tick(cycle)`` performs retire
-and dispatch for one cycle and publishes ``next_wake`` so the engine can
+Timing is driven by a cooperative engine: one ``tick(cycle)`` call retires
+and dispatches for one cycle and publishes ``next_wake`` so the engine can
 skip cycles in which the core can make no progress (memory events wake it).
 """
 
@@ -32,6 +32,9 @@ from repro.cpu.branch import HashedPerceptronPredictor, outcome_stream
 from repro.trace.record import Op, TraceRecord
 
 INFINITY = float("inf")
+#: ``fetch_stall_until`` while a mispredicted branch waits on a producer:
+#: fetch stays blocked until the branch resolves (:meth:`Core._set_done`).
+_FETCH_BLOCKED = 1 << 62
 
 # Enum member access goes through EnumType.__getattr__; these run once per
 # dispatched instruction, so bind them as module constants.
@@ -50,44 +53,48 @@ class ServiceLevel(IntEnum):
     DRAM = 4
 
 
-_LEVEL_UNKNOWN = ServiceLevel.UNKNOWN
 _LEVEL_L2 = ServiceLevel.L2
 
 
 class RobEntry:
     """One in-flight instruction.
 
-    Built field by field in :meth:`Core._dispatch`, the only place
-    entries are created (a constructor call per dispatched instruction
-    costs more than the slot stores themselves).  ``dependents`` stays
-    ``None`` until the first consumer registers, so the (majority)
-    producer-less entries never allocate a list; ``history_snapshot``
-    holds the (branch history, criticality history) CLIP captures at
-    dispatch, so predictor training sees the trigger-time context.
+    Built slot by slot in :meth:`Core.tick`, the only place entries are
+    created (a constructor call per dispatched instruction costs more
+    than the slot stores themselves), and only the slots an entry's
+    kind is read for are set:
+
+    * every entry: ``seq``, ``ip``, ``op``, ``address``,
+      ``dispatched_at``, ``consumer_count`` and ``done_at`` (``None``
+      until its completion cycle is known); ``became_head_at`` once it
+      reaches the ROB head;
+    * an entry that does not finish at dispatch -- a load, or any
+      instruction waiting on a producer: ``deps``, ``ready_at``,
+      ``is_mispredict`` and ``dependents`` (``None`` until the first
+      consumer registers);
+    * a load: ``history_snapshot`` (the branch and criticality
+      histories CLIP captures at dispatch, so predictor training sees
+      the trigger-time context), ``mlp_at_issue`` from its issue and
+      ``service_level`` from its response.
     """
 
-    __slots__ = ("seq", "ip", "op", "address", "dst", "deps", "ready_at",
+    __slots__ = ("seq", "ip", "op", "address", "deps", "ready_at",
                  "done_at", "dependents", "became_head_at", "service_level",
-                 "issued_at", "dispatched_at", "mlp_at_issue", "producers",
-                 "is_mispredict", "taken", "consumer_count",
-                 "history_snapshot")
+                 "dispatched_at", "mlp_at_issue", "is_mispredict",
+                 "consumer_count", "history_snapshot")
 
     seq: int
     ip: int
     op: Op
     address: int
-    dst: int
-    taken: bool
     deps: int
     ready_at: int
     done_at: Optional[int]
     dependents: Optional[List["RobEntry"]]
-    became_head_at: Optional[int]
+    became_head_at: int
     service_level: ServiceLevel
-    issued_at: Optional[int]
     dispatched_at: int
     mlp_at_issue: int
-    producers: tuple
     is_mispredict: bool
     consumer_count: int
     history_snapshot: Optional[tuple]
@@ -168,186 +175,195 @@ class Core:
         self.load_response_hooks: List[Callable] = []
         self.load_issue_hooks: List[Callable] = []
 
-    # ------------------------------------------------------------------
-    # Engine interface
-    # ------------------------------------------------------------------
-
     def tick(self, cycle: int) -> None:
-        """Retire then dispatch for one cycle; update ``next_wake``."""
+        """Retire, dispatch and publish ``next_wake`` for one cycle.
+
+        One call per core tick does it all inline: retirement with its
+        ``CoreStats`` accounting, dispatch with dependency wiring, and
+        the wake computation.  An ALU, branch or store whose sources are
+        ready finishes at dispatch (a store also issues to memory there);
+        a load issues a cycle later through the engine, and an
+        instruction waiting on a producer starts when the last one
+        completes (:meth:`_set_done`).  The sanitizer checks retirement
+        by wrapping this method on the instance.
+        """
         if self.done:
             self.next_wake = INFINITY
             return
-        self._retire(cycle)
-        if not self.done:
-            self._dispatch(cycle)
-        self._update_next_wake(cycle)
-
-    # ------------------------------------------------------------------
-    # Retirement
-    # ------------------------------------------------------------------
-
-    def _retire(self, cycle: int) -> None:
-        retired_now = 0
+        config = self.config
         rob = self.rob
-        retire_width = self.config.retire_width
-        # ``self._account_retire`` resolves dynamically on purpose: the
-        # sanitizer wraps it as an instance attribute.  One lookup per
-        # tick (not per retirement) still goes through the shim.
-        account_retire = self._account_retire
-        while (rob and retired_now < retire_width):
-            head = rob[0]
-            if head.done_at is None or head.done_at > cycle:
+
+        # -- Retirement: completed heads, in order, up to retire_width.
+        retired = self.retired
+        budget = config.retire_width
+        warmup = self.warmup_instructions
+        stats = self.stats
+        retire_hooks = self.retire_hooks
+        while rob and budget:
+            entry = rob[0]
+            done_at = entry.done_at
+            if done_at is None or done_at > cycle:
                 break
             rob.popleft()
-            retired_now += 1
-            account_retire(head, cycle)
-            if rob and rob[0].became_head_at is None:
-                rob[0].became_head_at = cycle
-        if self.retired >= self._trace_len and not rob:
-            self.done = True
-            self.stats.finish_cycle = cycle - self._warmup_cycle
-
-    def _account_retire(self, entry: RobEntry, cycle: int) -> None:
-        self.retired += 1
-        if self.warmup_instructions:
-            if self.retired <= self.warmup_instructions:
-                if self.retired == self.warmup_instructions:
+            budget -= 1
+            retired += 1
+            if retired <= warmup:
+                if retired == warmup:
                     # Warm-up ends: restart the statistics window.
-                    self.stats = CoreStats()
+                    stats = self.stats = CoreStats()
                     self._warmup_cycle = cycle
-                return
-        stats = self.stats
-        stats.instructions += 1
-        became_head = entry.became_head_at
-        if became_head is None:
-            became_head = entry.dispatched_at
-        head_wait = 0
-        if entry.done_at is not None and entry.done_at > became_head:
-            head_wait = entry.done_at - became_head
-        stats.head_stall_cycles += head_wait
-        op = entry.op
-        if op == _OP_LOAD:
-            stats.loads += 1
-            if entry.service_level >= _LEVEL_L2:
-                stats.load_instances_beyond_l1 += 1
-                if head_wait > 0:
-                    stats.head_stall_cycles_miss += head_wait
-                    stats.critical_load_instances += 1
-        elif op == _OP_STORE:
-            stats.stores += 1
-        elif op == _OP_BRANCH:
-            stats.branches += 1
-        for hook in self.retire_hooks:
-            hook(self, entry, cycle, head_wait)
-
-    # ------------------------------------------------------------------
-    # Dispatch
-    # ------------------------------------------------------------------
-
-    def _dispatch(self, cycle: int) -> None:
-        if self.fetch_stall_until > cycle:
-            return
-        dispatched = 0
-        config = self.config
-        issue_width = config.issue_width
-        rob_entries = config.rob_entries
-        trace = self.trace
-        trace_len = self._trace_len
-        rob = self.rob
-        reg_producer = self.reg_producer
-        dispatch_hooks = self.dispatch_hooks
-        branch_hooks = self.branch_hooks
-        predictor = self.branch_predictor
-        outcomes = self.branch_outcomes
-        new_entry = RobEntry.__new__
-        pc = self.pc
-        seq = self.seq
-        next_cycle = cycle + 1
-        while (dispatched < issue_width
-               and len(rob) < rob_entries
-               and pc < trace_len):
-            record = trace[pc]
-            pc += 1
-            dispatched += 1
-            entry = new_entry(RobEntry)
-            entry.seq = seq
-            entry.ip = record.ip
-            entry.op = op = record.op
-            entry.address = record.address
-            entry.dst = dst = record.dst
-            entry.taken = record.taken
-            entry.deps = 0
-            entry.ready_at = cycle
-            entry.done_at = None
-            entry.dependents = None
-            entry.became_head_at = None if rob else cycle
-            entry.service_level = _LEVEL_UNKNOWN
-            entry.issued_at = None
-            entry.dispatched_at = cycle
-            entry.mlp_at_issue = 0
-            entry.producers = ()
-            entry.is_mispredict = False
-            entry.consumer_count = 0
-            entry.history_snapshot = None
-            seq += 1
-            rob.append(entry)
-            if record.srcs:
-                self._wire_dependencies(entry, record, cycle)
-            if op == _OP_LOAD:
-                for hook in dispatch_hooks:
-                    hook(self, entry, cycle)
-            if dst >= 0:
-                reg_producer[dst] = entry
-            stop_fetch = False
-            if op == _OP_BRANCH:
-                predictor.predictions += 1
-                mispredicted = not outcomes[pc - 1]  # this record's flag
-                if mispredicted:
-                    predictor.mispredictions += 1
-                    self.stats.mispredicts += 1
-                    entry.is_mispredict = True
-                    stop_fetch = True
-                for hook in branch_hooks:
-                    hook(self, record.ip, record.taken, mispredicted, cycle)
-            if entry.deps == 0:
-                ready_at = entry.ready_at
-                self._begin_execution(
-                    entry, next_cycle if next_cycle > ready_at else ready_at)
-            if stop_fetch:
-                if entry.done_at is not None:
-                    self.fetch_stall_until = (entry.done_at
-                                              + config.mispredict_penalty)
-                else:
-                    self.fetch_stall_until = 1 << 62
-                break
-        self.pc = pc
-        self.seq = seq
-
-    def _wire_dependencies(self, entry: RobEntry, record: TraceRecord,
-                           cycle: int) -> None:
-        producers = []
-        for src in record.srcs:
-            producer = self.reg_producer.get(src)
-            if producer is None:
-                continue
-            producers.append((producer.ip, producer.op))
-            producer.consumer_count += 1
-            if producer.done_at is None:
-                waiting = producer.dependents
-                if waiting is None:
-                    producer.dependents = [entry]
-                else:
-                    waiting.append(entry)
-                entry.deps += 1
             else:
-                entry.ready_at = max(entry.ready_at, producer.done_at)
-        entry.producers = tuple(producers)
+                stats.instructions += 1
+                # Cycles this entry held the ROB head before completing.
+                head_wait = done_at - entry.became_head_at
+                if head_wait < 0:
+                    head_wait = 0
+                stats.head_stall_cycles += head_wait
+                op = entry.op
+                if op == _OP_LOAD:
+                    stats.loads += 1
+                    if entry.service_level >= _LEVEL_L2:
+                        stats.load_instances_beyond_l1 += 1
+                        if head_wait:
+                            stats.head_stall_cycles_miss += head_wait
+                            stats.critical_load_instances += 1
+                elif op == _OP_STORE:
+                    stats.stores += 1
+                elif op == _OP_BRANCH:
+                    stats.branches += 1
+                for hook in retire_hooks:
+                    hook(self, entry, cycle, head_wait)
+            if rob:
+                rob[0].became_head_at = cycle
+        self.retired = retired
+        if retired >= self._trace_len and not rob:
+            self.done = True
+            stats.finish_cycle = cycle - self._warmup_cycle
+            self.next_wake = INFINITY
+            return
+
+        # -- Dispatch: up to issue_width records while the ROB has room.
+        pc = self.pc
+        trace_len = self._trace_len
+        if self.fetch_stall_until <= cycle:
+            end = min(pc + config.issue_width,
+                      pc + config.rob_entries - len(rob), trace_len)
+            trace = self.trace
+            reg_producer = self.reg_producer
+            new_entry = RobEntry.__new__
+            seq = self.seq
+            next_cycle = cycle + 1
+            while pc < end:
+                record = trace[pc]
+                pc += 1
+                op = record.op
+                entry = new_entry(RobEntry)
+                entry.seq = seq
+                seq += 1
+                entry.ip = record.ip
+                entry.op = op
+                entry.address = record.address
+                entry.dispatched_at = cycle
+                entry.consumer_count = 0
+                if not rob:
+                    entry.became_head_at = cycle
+                rob.append(entry)
+                ready = cycle
+                deps = 0
+                for src in record.srcs:
+                    producer = reg_producer.get(src)
+                    if producer is None:
+                        continue
+                    producer.consumer_count += 1
+                    done_at = producer.done_at
+                    if done_at is None:
+                        waiting = producer.dependents
+                        if waiting is None:
+                            producer.dependents = [entry]
+                        else:
+                            waiting.append(entry)
+                        deps += 1
+                    elif done_at > ready:
+                        ready = done_at
+                dst = record.dst
+                if dst >= 0:
+                    reg_producer[dst] = entry
+                if deps or op == _OP_LOAD:
+                    # Finishes later, in _set_done: at its load response,
+                    # or when its last producer completes.
+                    entry.deps = deps
+                    entry.ready_at = ready
+                    entry.done_at = None
+                    entry.dependents = None
+                    entry.is_mispredict = False
+                if op == _OP_LOAD:
+                    entry.history_snapshot = None
+                    for hook in self.dispatch_hooks:
+                        hook(self, entry, cycle)
+                    if not deps:
+                        self.engine.schedule(
+                            ready if ready > next_cycle else next_cycle,
+                            self._issue_load, entry)
+                    continue
+                mispredicted = False
+                if op == _OP_BRANCH:
+                    predictor = self.branch_predictor
+                    predictor.predictions += 1
+                    if not self.branch_outcomes[pc - 1]:
+                        mispredicted = True
+                        predictor.mispredictions += 1
+                        self.stats.mispredicts += 1
+                    for hook in self.branch_hooks:
+                        hook(self, record.ip, record.taken, mispredicted,
+                             cycle)
+                if deps:
+                    if mispredicted:
+                        # Fetch stays blocked until the branch resolves.
+                        entry.is_mispredict = True
+                        self.fetch_stall_until = _FETCH_BLOCKED
+                        break
+                    continue
+                start = ready if ready > next_cycle else next_cycle
+                if op == _OP_STORE:
+                    entry.done_at = start + 1
+                    # Stores commit through the store buffer; the write
+                    # itself is fire-and-forget.
+                    self.memory.issue_store(self.core_id, entry.address,
+                                            entry.ip, start)
+                elif op == _OP_BRANCH:
+                    entry.done_at = start + 1
+                    if mispredicted:
+                        # Fetch resumes mispredict_penalty cycles after
+                        # the branch resolves.
+                        self.fetch_stall_until = (entry.done_at
+                                                  + config.mispredict_penalty)
+                        break
+                else:
+                    entry.done_at = start + config.alu_latency
+            self.pc = pc
+            self.seq = seq
+
+        # -- Next wake: the head's completion or the next fetch; a
+        # pending head wakes the core through its completion event.
+        wake = INFINITY
+        if rob:
+            done_at = rob[0].done_at
+            if done_at is not None:
+                wake = done_at if done_at > cycle else cycle + 1
+        if pc < trace_len and len(rob) < config.rob_entries:
+            stall = self.fetch_stall_until
+            if stall <= cycle:
+                wake = cycle + 1
+            elif stall < wake and stall < _FETCH_BLOCKED:
+                wake = stall
+        self.next_wake = wake
 
     # ------------------------------------------------------------------
-    # Execution
+    # Completion of loads and of instructions woken by a producer
     # ------------------------------------------------------------------
 
     def _begin_execution(self, entry: RobEntry, start: int) -> None:
+        """Start an entry its last producer just woke, at ``start``."""
         op = entry.op
         if op == _OP_LOAD:
             if start > self.engine.now:
@@ -355,8 +371,6 @@ class Core:
             else:
                 self._issue_load(entry)
         elif op == _OP_STORE:
-            # Stores commit through the store buffer; the write itself is
-            # fire-and-forget into the hierarchy.
             self._set_done(entry, start + 1)
             self.memory.issue_store(self.core_id, entry.address, entry.ip,
                                     start)
@@ -367,7 +381,6 @@ class Core:
 
     def _issue_load(self, entry: RobEntry) -> None:
         cycle = self.engine.now
-        entry.issued_at = cycle
         self.outstanding_loads += 1
         entry.mlp_at_issue = self.outstanding_loads
         for hook in self.load_issue_hooks:
@@ -381,67 +394,44 @@ class Core:
         self.outstanding_loads -= 1
         entry.service_level = (level if level.__class__ is ServiceLevel
                                else ServiceLevel(level))
-        # Two stall signals: the paper's hardware mechanism checks the
-        # *global* ROB-stall flag when a response returns (section 4.1);
-        # ground truth for criticality is whether *this* load is the
-        # blocked ROB head (it stalled retirement itself).
-        rob_stalled = self._rob_stalled(cycle)
-        self_stalled = bool(
-            self.rob and self.rob[0] is entry
-            and entry.became_head_at is not None
-            and entry.became_head_at < cycle)
-        for hook in self.load_response_hooks:
-            hook(self, entry, cycle, rob_stalled, self_stalled)
+        hooks = self.load_response_hooks
+        if hooks:
+            # Two stall signals: the paper's hardware mechanism checks
+            # the *global* ROB-stall flag (retirement is blocked) when a
+            # response returns (section 4.1); ground truth for
+            # criticality is whether *this* load is the blocked ROB head
+            # (it stalled retirement itself).  The load is still in the
+            # ROB, so the ROB is not empty.
+            head = self.rob[0]
+            stalled = head.became_head_at < cycle
+            head_done = head.done_at
+            rob_stalled = stalled and (head_done is None or head_done > cycle)
+            self_stalled = stalled and head is entry
+            for hook in hooks:
+                hook(self, entry, cycle, rob_stalled, self_stalled)
         self._set_done(entry, cycle)
 
-    def _rob_stalled(self, cycle: int) -> bool:
-        """Paper's ROB-stall flag: retirement is currently blocked."""
-        if not self.rob:
-            return False
-        head = self.rob[0]
-        if head.done_at is not None and head.done_at <= cycle:
-            return False
-        became_head = head.became_head_at
-        return became_head is not None and became_head < cycle
-
     def _set_done(self, entry: RobEntry, cycle: int) -> None:
+        """Complete a load or a woken entry at ``cycle``: start the
+        dependents it was the last producer of, end a mispredict's fetch
+        stall, and wake the core when the entry holds the ROB head."""
         entry.done_at = cycle
         dependents = entry.dependents
         if dependents is not None:
             entry.dependents = None
             for dependent in dependents:
-                dependent.ready_at = max(dependent.ready_at, cycle)
+                if cycle > dependent.ready_at:
+                    dependent.ready_at = cycle
                 dependent.deps -= 1
                 if dependent.deps == 0:
                     self._begin_execution(dependent, dependent.ready_at)
         if entry.is_mispredict:
-            self.fetch_stall_until = cycle + self.config.mispredict_penalty
-            self.next_wake = min(self.next_wake, self.fetch_stall_until)
-        if self.rob and self.rob[0] is entry:
-            self.next_wake = min(self.next_wake, cycle)
-
-    # ------------------------------------------------------------------
-    # Wake computation
-    # ------------------------------------------------------------------
-
-    def _update_next_wake(self, cycle: int) -> None:
-        if self.done:
-            self.next_wake = INFINITY
-            return
-        wake = INFINITY
-        if self.rob:
-            head = self.rob[0]
-            if head.done_at is not None:
-                wake = max(head.done_at, cycle + 1)
-            # A pending head wakes us through its completion event.
-        can_fetch = (self.pc < self._trace_len
-                     and len(self.rob) < self.config.rob_entries)
-        if can_fetch:
-            if self.fetch_stall_until <= cycle:
-                wake = min(wake, cycle + 1)
-            elif self.fetch_stall_until < (1 << 61):
-                wake = min(wake, self.fetch_stall_until)
-        self.next_wake = wake
+            resume = self.fetch_stall_until = (
+                cycle + self.config.mispredict_penalty)
+            if resume < self.next_wake:
+                self.next_wake = resume
+        if self.rob[0] is entry and cycle < self.next_wake:
+            self.next_wake = cycle
 
     @property
     def rob_occupancy(self) -> int:

@@ -12,12 +12,20 @@ reviewed) with ``python scripts/regenerate_equivalence_goldens.py``.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
+import json
 from pathlib import Path
 from typing import Callable, Dict, List, Tuple
 
 from repro.config import SystemConfig, scaled_config
 
 GOLDEN_DIR = Path(__file__).parent / "data" / "equivalence"
+
+
+def result_digest(result: dict) -> str:
+    """sha256 over a ``to_dict()`` tree with sorted keys."""
+    return hashlib.sha256(
+        json.dumps(result, sort_keys=True).encode()).hexdigest()
 
 
 def _base(instructions: int = 2_500,

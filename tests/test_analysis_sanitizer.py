@@ -13,7 +13,13 @@ Three claims are proven here:
 
 from __future__ import annotations
 
+import json
+from collections import deque
+from types import SimpleNamespace
+
 import pytest
+
+from equivalence_points import GOLDEN_DIR, POINTS
 
 from repro.analysis.invariants import SimulationInvariantError, check
 from repro.analysis.sanitizer import (Sanitizer, install_sanitizer,
@@ -83,7 +89,7 @@ class TestZeroOverheadWhenOff:
             assert "fill" not in vars(node.l1d)
             assert "allocate" not in vars(node.l1_mshr)
         for core in system.cores:
-            assert "_account_retire" not in vars(core)
+            assert "tick" not in vars(core)
 
 
 # ----------------------------------------------------------------------
@@ -210,6 +216,9 @@ class TestCacheInvariants:
 
 
 class TestRobInvariants:
+    """The per-tick retirement check, against a core that retires as
+    told: ``pop_at`` picks which ROB slot the next tick removes."""
+
     class FakeEntry:
         def __init__(self, seq, done_at):
             self.seq = seq
@@ -217,32 +226,60 @@ class TestRobInvariants:
 
     class FakeCore:
         core_id = 0
+        config = SimpleNamespace(retire_width=2)
 
-        def __init__(self):
-            self.retired = []
+        def __init__(self, *done_at):
+            self.rob = deque(TestRobInvariants.FakeEntry(seq, done)
+                             for seq, done in enumerate(done_at))
+            self.retired = 0
+            self.order = []
+            self.pop_at = 0
 
-        def _account_retire(self, entry, cycle):
-            self.retired.append(entry.seq)
+        def tick(self, cycle):
+            entry = self.rob[self.pop_at]
+            del self.rob[self.pop_at]
+            self.retired += 1
+            self.order.append(entry.seq)
 
     def test_fifo_order_enforced(self):
-        core = self.FakeCore()
+        core = self.FakeCore(5, 5, 5)
         Sanitizer().wrap_core(core)
-        core._account_retire(self.FakeEntry(0, done_at=5), 10)
+        core.tick(10)
+        core.pop_at = 1  # retire seq 2 while seq 1 still holds the head
         with pytest.raises(SimulationInvariantError, match="FIFO"):
-            core._account_retire(self.FakeEntry(2, done_at=5), 11)
+            core.tick(11)
 
     def test_retire_before_completion_caught(self):
-        core = self.FakeCore()
+        core = self.FakeCore(20)
         Sanitizer().wrap_core(core)
         with pytest.raises(SimulationInvariantError, match="completing"):
-            core._account_retire(self.FakeEntry(0, done_at=20), 10)
+            core.tick(10)
 
     def test_clean_retirement_passes(self):
-        core = self.FakeCore()
-        Sanitizer().wrap_core(core)
+        core = self.FakeCore(0, 1, 2)
+        sanitizer = Sanitizer()
+        sanitizer.wrap_core(core)
         for seq in range(3):
-            core._account_retire(self.FakeEntry(seq, done_at=seq), seq + 1)
-        assert core.retired == [0, 1, 2]
+            core.tick(seq + 1)
+        assert core.order == [0, 1, 2]
+        assert sanitizer.checks_by_category["rob"] == 2 * 3
+
+
+@pytest.mark.parametrize("point", sorted(POINTS))
+def test_sanitized_golden_point(point):
+    """Every golden point runs clean under the sanitizer, reproduces its
+    golden result, and gets two ROB checks per retired instruction,
+    warm-up included."""
+    config, mix = POINTS[point]()
+    config.sanitize = True
+    system = MulticoreSystem(config, mix)
+    result = system.run().to_dict()
+    golden = json.loads((GOLDEN_DIR / f"{point}.json").read_text())
+    assert result == golden["result"]
+    retired = sum(core.retired for core in system.cores)
+    assert retired == config.num_cores * (config.warmup_instructions
+                                          + config.sim_instructions)
+    assert system.sanitizer.checks_by_category["rob"] == 2 * retired
 
 
 class TestDramInvariants:

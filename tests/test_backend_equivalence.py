@@ -24,24 +24,17 @@ file from the current simulator.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import random
 
 import pytest
 
-from equivalence_points import GOLDEN_DIR, POINTS
+from equivalence_points import GOLDEN_DIR, POINTS, result_digest
 
 from repro.experiments.sweep import RunSpec, Scheme
 from repro.sim.system import run_system
 
 DIGESTS_PATH = GOLDEN_DIR / "fuzz_digests.json"
-
-
-def result_digest(result: dict) -> str:
-    """sha256 over a ``to_dict()`` tree with sorted keys."""
-    return hashlib.sha256(
-        json.dumps(result, sort_keys=True).encode()).hexdigest()
 
 
 def _pinned_digests() -> dict:

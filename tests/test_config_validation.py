@@ -6,11 +6,15 @@ engine (empty ROB), crash deep in the branch predictor (empty or
 zero-width tables), fail in trace generation (no instructions), or run
 and silently retire the wrong number of instructions (negative
 warm-up).  Negative latencies and penalties were accepted as given.
+The cache and DRAM zeros in ``NAMED`` crashed with a bare
+``ZeroDivisionError`` (no ways or no capacity in a cache, no banks in a
+DRAM channel) or deadlocked only after simulating (no DRAM read queue).
 """
 
 from __future__ import annotations
 
 import dataclasses
+import re
 
 import pytest
 
@@ -71,6 +75,43 @@ def test_validate_rejects(case):
     INVALID[case](config)
     with pytest.raises(ValueError):
         config.validate()
+
+
+def _set(group, **fields):
+    def apply(config):
+        for name, value in fields.items():
+            setattr(getattr(config, group), name, value)
+    return apply
+
+
+#: case -> (edit, the field the error must name).
+NAMED = {
+    **{f"{level}.{name}=0": (_set(level, **{name: 0}), f"{level}.{name}")
+       for level in ("l1d", "l2", "llc_slice")
+       for name in ("ways", "size_kib")},
+    "dram.banks_per_channel=0": (_set("dram", banks_per_channel=0),
+                                 "dram.banks_per_channel"),
+    "dram.read_queue_entries=0": (_set("dram", read_queue_entries=0),
+                                  "dram.read_queue_entries"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NAMED))
+def test_validate_rejects_and_names_field(case):
+    edit, field_name = NAMED[case]
+    config = _point()
+    edit(config)
+    with pytest.raises(ValueError, match=re.escape(field_name)):
+        config.validate()
+
+
+@pytest.mark.parametrize("level", ["l1d", "l2", "llc_slice"])
+def test_zero_way_cache_config_is_a_value_error(level):
+    """Building the level with no ways fails in ``CacheConfig`` itself,
+    before ``validate()``: a ``ValueError``, not a division by zero."""
+    config = _point()
+    with pytest.raises(ValueError, match="ways must be positive"):
+        dataclasses.replace(getattr(config, level), ways=0)
 
 
 def test_smallest_valid_config_finishes():
