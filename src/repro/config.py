@@ -356,6 +356,37 @@ def _validate_cache(field_name: str, cache: CacheConfig) -> None:
                          f"{cache.size_kib}")
 
 
+def _validate_clip(clip: ClipConfig) -> None:
+    """``SystemConfig.validate`` for an enabled CLIP.  Empty structures
+    and a zero-bit history or counter fail in the CLIP constructors; a
+    negative tag or counter width fails as a negative shift, at build
+    time or at the first prefetch issue or hit."""
+    for name, value in (
+            ("filter_sets", clip.filter_sets),
+            ("filter_ways", clip.filter_ways),
+            ("predictor_sets", clip.predictor_sets),
+            ("predictor_ways", clip.predictor_ways),
+            ("utility_buffer_entries", clip.utility_buffer_entries),
+            ("branch_history_bits", clip.branch_history_bits),
+            ("criticality_history_bits", clip.criticality_history_bits),
+            ("saturating_counter_bits", clip.saturating_counter_bits),
+            ("apc_history_windows", clip.apc_history_windows)):
+        if value < 1:
+            raise ValueError(f"clip.{name} must be positive, got {value}")
+    for name, value in (
+            ("ip_tag_bits", clip.ip_tag_bits),
+            ("predictor_tag_bits", clip.predictor_tag_bits),
+            ("criticality_count_bits", clip.criticality_count_bits),
+            ("hit_count_bits", clip.hit_count_bits),
+            ("issue_count_bits", clip.issue_count_bits)):
+        if value < 0:
+            raise ValueError(f"clip.{name} must not be negative, got "
+                             f"{value}")
+    if not 0 < clip.phase_change_threshold < 1:
+        raise ValueError(f"clip.phase_change_threshold must be a fraction "
+                         f"in (0, 1), got {clip.phase_change_threshold}")
+
+
 def _validate_core(prefix: str, core: CoreConfig) -> None:
     """``SystemConfig.validate`` for one core (base or override);
     ``prefix`` names the core in messages."""
@@ -429,7 +460,8 @@ class SystemConfig:
         Everything that would otherwise hang (zero retire width), stall
         into a deadlock (an empty ROB or DRAM read queue), crash deep in
         a component (an empty or zero-width branch table, a cache with
-        no ways or no capacity, a DRAM channel with no banks) or
+        no ways or no capacity, a DRAM channel with no banks, an enabled
+        CLIP with an empty table or a negative counter width) or
         silently simulate something else (negative warm-up or latencies)
         raises ``ValueError`` here.
         """
@@ -447,6 +479,9 @@ class SystemConfig:
         _validate_cache("l1d", self.l1d)
         _validate_cache("l2", self.l2)
         _validate_cache("llc_slice", self.llc_slice)
+        if self.clip.enabled:
+            # A disabled CLIP is never built, so its fields are not read.
+            _validate_clip(self.clip)
         if self.sim_instructions < 1:
             raise ValueError("sim_instructions must be positive")
         if self.warmup_instructions < 0:

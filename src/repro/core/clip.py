@@ -22,11 +22,13 @@ from repro.core.criticality_filter import CriticalityFilter
 from repro.core.criticality_predictor import CriticalityPredictor
 from repro.core.history import ShiftRegister
 from repro.core.phase import ApcPhaseDetector
-from repro.core.signature import critical_signature
+from repro.core.signature import (closed_form_signature, history_term,
+                                  signature_masks)
 from repro.core.utility_buffer import UtilityBuffer
 from repro.cpu.core_model import Core, RobEntry, ServiceLevel
 
 _LINE_SHIFT = 6
+_LEVEL_L2 = ServiceLevel.L2
 
 
 class ClipStats:
@@ -83,14 +85,15 @@ class Clip:
         # hoisted once (attribute chains through ``config`` showed up in
         # profiles).
         self._index_by_page = config.index_by_page
-        self._sig_use_address = config.signature_use_address
-        self._sig_use_branch = config.signature_use_branch_history
-        self._sig_use_crit = config.signature_use_criticality_history
-        #: (key, 16KiB region) -> signature.  The signature is a pure
-        #: function of those two plus the global histories, so the memo
-        #: is cleared whenever either history shifts; a multi-candidate
-        #: prefetch batch then hashes each trigger/region once.
-        self._sig_cache: Dict[Tuple[int, int], int] = {}
+        self._dynamic = config.dynamic
+        self._use_criticality_filter = config.use_criticality_filter
+        self._use_accuracy_filter = config.use_accuracy_filter
+        self._crit_flag = config.criticality_conscious_noc_dram
+        #: The signature toggles, as the masks of the closed form.
+        self._address_mask, self._branch_mask, self._criticality_mask = \
+            signature_masks(config.signature_use_address,
+                            config.signature_use_branch_history,
+                            config.signature_use_criticality_history)
         self.stats = ClipStats()
         self._window_misses = 0
         self._paused_for_window = False
@@ -117,34 +120,38 @@ class Clip:
 
     def _on_load_dispatch(self, core: Core, entry: RobEntry,
                           cycle: int) -> None:
-        entry.history_snapshot = (self.branch_history.value,
-                                  self.criticality_history.value)
+        entry.history_snapshot = history_term(
+            self.branch_history.value, self.criticality_history.value,
+            self._branch_mask, self._criticality_mask)
 
     def _on_branch(self, core: Core, ip: int, taken: bool,
                    mispredicted: bool, cycle: int) -> None:
         self.branch_history.push(taken)
-        self._sig_cache.clear()
 
-    def _signature(self, ip: int, line: int,
-                   histories: Optional[tuple] = None) -> int:
-        if histories is None:
-            histories = (self.branch_history.value,
-                         self.criticality_history.value)
-        return critical_signature(
-            ip, line, histories[0], histories[1],
-            self._sig_use_address, self._sig_use_branch,
-            self._sig_use_crit)
+    def _signature(self, key: int, line: int) -> int:
+        """The critical signature of ``key`` and ``line`` under the live
+        histories."""
+        return closed_form_signature(
+            key, line,
+            history_term(self.branch_history.value,
+                         self.criticality_history.value,
+                         self._branch_mask, self._criticality_mask),
+            self._address_mask)
 
     def _on_load_response(self, core: Core, entry: RobEntry, cycle: int,
                           rob_stalled: bool, self_stalled: bool) -> None:
         line = entry.address >> _LINE_SHIFT
-        beyond_l1 = entry.service_level >= ServiceLevel.L2
+        beyond_l1 = entry.service_level >= _LEVEL_L2
         # Ground truth: this load itself blocked the ROB head.
         critical = self_stalled and beyond_l1
         key = (entry.address >> 12 if self._index_by_page else entry.ip)
         # Train with the histories captured at the load's dispatch: that is
         # the context a future prefetch trigger for the same code will see.
-        signature = self._signature(key, line, entry.history_snapshot)
+        # A load dispatched without this hook has no snapshot.
+        history = entry.history_snapshot
+        signature = (self._signature(key, line) if history is None
+                     else closed_form_signature(key, line, history,
+                                                self._address_mask))
         # --- measurement (Figs. 13-15): what would CLIP have predicted? --
         if beyond_l1:
             predicted = self._predict_critical(key, signature)
@@ -170,7 +177,6 @@ class Clip:
             self.stats.filter_accesses += 1
             self.filter.record_critical(key)
         self.criticality_history.push(critical)
-        self._sig_cache.clear()
 
     def _key(self, ip: int, address: int) -> int:
         """Tracking key: the trigger IP, or the 4 KiB page for the paper's
@@ -241,10 +247,9 @@ class Clip:
         predictor says non-critical or misses (stage I); or the IP's per-IP
         prefetch hit rate is below threshold (stage II).
         """
-        config = self.config
         stats = self.stats
         stats.prefetches_seen += 1
-        if config.dynamic and self._dynamic_bypassed:
+        if self._dynamic and self._dynamic_bypassed:
             # Dynamic CLIP: ample bandwidth, let the prefetcher run free.
             stats.prefetches_allowed += 1
             return True, False
@@ -253,45 +258,41 @@ class Clip:
             return False, False
         key = (address >> 12 if self._index_by_page else trigger_ip)
         filt = self.filter
-        if config.use_criticality_filter:
+        if self._use_criticality_filter:
             stats.filter_accesses += 1
             entry = filt.get(key)
             if entry is None or entry.crit_count < filt.effective_threshold:
                 stats.dropped_not_critical += 1
                 return False, False
-            if config.use_accuracy_filter and not (
+            if self._use_accuracy_filter and not (
                     entry.is_crit_accurate
                     or (entry.exploring and entry.issue_count
                         < filt.EXPLORATION_PROBES)):
                 stats.dropped_low_accuracy += 1
                 return False, False
-            line = address >> _LINE_SHIFT
-            sig_key = (key, line >> 8)
-            signature = self._sig_cache.get(sig_key)
-            if signature is None:
-                signature = critical_signature(
-                    key, line, self.branch_history.value,
-                    self.criticality_history.value,
-                    self._sig_use_address, self._sig_use_branch,
-                    self._sig_use_crit)
-                self._sig_cache[sig_key] = signature
             stats.predictor_accesses += 1
-            prediction = self.predictor.predict(signature)
-            if not prediction:
+            # _signature under the live histories, inlined: this runs for
+            # most candidates.
+            signature = closed_form_signature(
+                key, address >> _LINE_SHIFT,
+                history_term(self.branch_history.value,
+                             self.criticality_history.value,
+                             self._branch_mask, self._criticality_mask),
+                self._address_mask)
+            if not self.predictor.predict(signature):
                 stats.dropped_predictor += 1
                 return False, False
-        elif config.use_accuracy_filter:
+        elif self._use_accuracy_filter:
             stats.filter_accesses += 1
             entry = filt.get(key)
             if entry is not None and not (
                     entry.is_crit_accurate
                     or (entry.exploring and entry.issue_count
-                        < self.filter.EXPLORATION_PROBES)):
+                        < filt.EXPLORATION_PROBES)):
                 stats.dropped_low_accuracy += 1
                 return False, False
         stats.prefetches_allowed += 1
-        crit_flag = config.criticality_conscious_noc_dram
-        return True, crit_flag
+        return True, self._crit_flag
 
     def on_prefetch_issued(self, line: int, trigger_ip: int) -> None:
         """An allowed prefetch left for the hierarchy (Fig. 8 step 3)."""

@@ -26,10 +26,6 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 
-def _saturate(value: int, bits: int) -> int:
-    return min(value, (1 << bits) - 1)
-
-
 class FilterEntry:
     """One tracked IP."""
 
@@ -70,15 +66,16 @@ class CriticalityFilter:
         self.num_sets = sets
         self.ways = ways
         self.tag_mask = (1 << tag_bits) - 1
-        self.crit_count_bits = crit_count_bits
-        self.hit_count_bits = hit_count_bits
-        self.issue_count_bits = issue_count_bits
-        self.crit_threshold = min(crit_threshold,
-                                  (1 << crit_count_bits) - 1 + 1)
-        #: Cached :meth:`_effective_threshold`: a pure function of the
-        #: fixed geometry, read on every prefetch candidate.
+        #: Saturation values of the three counters.
+        self.crit_count_max = (1 << crit_count_bits) - 1
+        self.hit_count_max = (1 << hit_count_bits) - 1
+        self.issue_count_max = (1 << issue_count_bits) - 1
+        self.crit_threshold = min(crit_threshold, self.crit_count_max + 1)
+        #: The criticality count at which an IP counts as critical.  A
+        #: 2-bit counter saturates at 3; the paper's threshold of 4 is
+        #: reached by treating the saturated value as "threshold crossed".
         self.effective_threshold = min(self.crit_threshold,
-                                       (1 << crit_count_bits) - 1)
+                                       self.crit_count_max)
         self.accuracy_threshold = accuracy_threshold
         self._sets: List[Dict[int, FilterEntry]] = [
             dict() for _ in range(sets)
@@ -87,18 +84,17 @@ class CriticalityFilter:
         self.evictions = 0
 
     # ------------------------------------------------------------------
-
-    def _locate(self, ip: int) -> tuple[int, int]:
-        hashed = (ip >> 2) ^ (ip >> 13)
-        return hashed % self.num_sets, (hashed // self.num_sets) & self.tag_mask
+    # An IP hashes to ``(ip >> 2) ^ (ip >> 13)``; the hash modulo the set
+    # count picks the set and the rest, masked, is the tag.
 
     def get(self, ip: int) -> Optional[FilterEntry]:
-        set_index, tag = self._locate(ip)
-        return self._sets[set_index].get(tag)
+        tag, set_index = divmod((ip >> 2) ^ (ip >> 13), self.num_sets)
+        return self._sets[set_index].get(tag & self.tag_mask)
 
     def record_critical(self, ip: int) -> FilterEntry:
         """An instance of ``ip`` stalled the ROB head beyond L1."""
-        set_index, tag = self._locate(ip)
+        tag, set_index = divmod((ip >> 2) ^ (ip >> 13), self.num_sets)
+        tag &= self.tag_mask
         bucket = self._sets[set_index]
         entry = bucket.get(tag)
         if entry is None:
@@ -111,17 +107,12 @@ class CriticalityFilter:
             entry = FilterEntry(tag)
             bucket[tag] = entry
             self.insertions += 1
-        entry.crit_count = _saturate(entry.crit_count + 1,
-                                     self.crit_count_bits)
-        if entry.crit_count >= self._effective_threshold() \
+        if entry.crit_count < self.crit_count_max:
+            entry.crit_count += 1
+        if entry.crit_count >= self.effective_threshold \
                 and not entry.is_crit_accurate and not entry.exploring:
             entry.exploring = True
         return entry
-
-    def _effective_threshold(self) -> int:
-        # A 2-bit counter saturates at 3; the paper's threshold of 4 is
-        # reached by treating the saturated value as "threshold crossed".
-        return self.effective_threshold
 
     # ------------------------------------------------------------------
     # Accuracy tracker
@@ -131,7 +122,7 @@ class CriticalityFilter:
         entry = self.get(ip)
         if entry is None:
             return
-        if entry.issue_count >= (1 << self.issue_count_bits) - 1:
+        if entry.issue_count >= self.issue_count_max:
             # Halve both counters so the ratio keeps moving instead of
             # pinning at 1.0 once the small counters saturate.
             entry.issue_count //= 2
@@ -142,8 +133,8 @@ class CriticalityFilter:
         entry = self.get(ip)
         if entry is None:
             return
-        entry.hit_count = _saturate(entry.hit_count + 1,
-                                    self.hit_count_bits)
+        if entry.hit_count < self.hit_count_max:
+            entry.hit_count += 1
 
     def allows_prefetch(self, ip: int,
                         use_accuracy_filter: bool = True) -> bool:
@@ -151,7 +142,7 @@ class CriticalityFilter:
         entry = self.get(ip)
         if entry is None:
             return False
-        if entry.crit_count < self._effective_threshold():
+        if entry.crit_count < self.effective_threshold:
             return False
         if not use_accuracy_filter:
             return True
@@ -163,7 +154,7 @@ class CriticalityFilter:
 
     def end_window(self) -> None:
         """Exploration-window boundary: recompute bits, halve counters."""
-        threshold = self._effective_threshold()
+        threshold = self.effective_threshold
         for bucket in self._sets:
             for entry in bucket.values():
                 crit_ok = entry.crit_count >= threshold

@@ -43,17 +43,15 @@ class CriticalityPredictor:
         self.lookups = 0
         self.misses = 0
 
-    def _locate(self, signature: int) -> tuple[int, int]:
-        return (signature % self.num_sets,
-                (signature // self.num_sets) & self.tag_mask)
-
     # ------------------------------------------------------------------
+    # The signature's low part (modulo the set count) picks the set and
+    # the rest, masked, is the tag.
 
     def predict(self, signature: int) -> Optional[bool]:
         """MSB of the counter, or ``None`` on a table miss (drop)."""
         self.lookups += 1
-        set_index, tag = self._locate(signature)
-        entry = self._sets[set_index].get(tag)
+        tag, set_index = divmod(signature, self.num_sets)
+        entry = self._sets[set_index].get(tag & self.tag_mask)
         if entry is None:
             self.misses += 1
             return None
@@ -62,7 +60,8 @@ class CriticalityPredictor:
 
     def train(self, signature: int, critical: bool) -> None:
         """Counter update from an observed load outcome."""
-        set_index, tag = self._locate(signature)
+        tag, set_index = divmod(signature, self.num_sets)
+        tag &= self.tag_mask
         bucket = self._sets[set_index]
         entry = bucket.get(tag)
         if entry is None:
@@ -72,9 +71,10 @@ class CriticalityPredictor:
             entry = _PredictorEntry(tag, self.counter_init)
             bucket[tag] = entry
         if critical:
-            entry.counter = min(self.counter_max, entry.counter + 1)
-        else:
-            entry.counter = max(0, entry.counter - 1)
+            if entry.counter < self.counter_max:
+                entry.counter += 1
+        elif entry.counter > 0:
+            entry.counter -= 1
         entry.nru = True
 
     def _nru_victim(self, bucket: Dict[int, _PredictorEntry]) -> int:

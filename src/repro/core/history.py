@@ -21,7 +21,7 @@ class ShiftRegister:
         self.value = 0
 
     def push(self, bit: bool) -> None:
-        self.value = ((self.value << 1) | int(bool(bit))) & self._mask
+        self.value = ((self.value << 1) | bit) & self._mask
 
     def clear(self) -> None:
         self.value = 0

@@ -72,10 +72,10 @@ class RobEntry:
       instruction waiting on a producer: ``deps``, ``ready_at``,
       ``is_mispredict`` and ``dependents`` (``None`` until the first
       consumer registers);
-    * a load: ``history_snapshot`` (the branch and criticality
-      histories CLIP captures at dispatch, so predictor training sees
-      the trigger-time context), ``mlp_at_issue`` from its issue and
-      ``service_level`` from its response.
+    * a load: ``history_snapshot`` (the one-int history term of the
+      critical signature that CLIP captures at dispatch, so predictor
+      training sees the trigger-time context), ``mlp_at_issue`` from
+      its issue and ``service_level`` from its response.
     """
 
     __slots__ = ("seq", "ip", "op", "address", "deps", "ready_at",
@@ -97,7 +97,7 @@ class RobEntry:
     mlp_at_issue: int
     is_mispredict: bool
     consumer_count: int
-    history_snapshot: Optional[tuple]
+    history_snapshot: Optional[int]
 
 
 class CoreStats:

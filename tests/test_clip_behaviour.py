@@ -3,12 +3,18 @@
 from __future__ import annotations
 
 import dataclasses
+import itertools
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro import MulticoreSystem, run_system, scaled_config
 from repro.config import ClipConfig
 from repro.core.clip import Clip
+from repro.core.signature import critical_signature
+from repro.cpu.core_model import ServiceLevel
 from repro.trace import homogeneous_mix
 
 
@@ -169,3 +175,75 @@ class TestClipEndToEnd:
             full._signature(0x400, 0x99 + (1 << 10))
         assert ip_only._signature(0x400, 0x99) == \
             ip_only._signature(0x400, 0x99 + (1 << 10))
+
+
+#: (signature_use_address, _branch_history, _criticality_history).
+SIGNATURE_TOGGLES = list(itertools.product((True, False), repeat=3))
+
+
+class TestClosedFormSignature:
+    """CLIP hashes with the closed form in ``repro.core.signature``; on
+    every path and under every toggle combination it must equal
+    ``critical_signature``, the reference.  Keys and lines reach past 64
+    bits, where the reference truncates, and the histories fill their
+    32-bit registers."""
+
+    @pytest.mark.parametrize(
+        "toggles", SIGNATURE_TOGGLES,
+        ids=["-".join(name if on else "no_" + name for name, on in
+                      zip(("address", "branch", "crit"), toggles))
+             for toggles in SIGNATURE_TOGGLES])
+    @given(key=st.integers(0, (1 << 70) - 1),
+           line=st.integers(0, (1 << 70) - 1),
+           branch=st.integers(0, (1 << 32) - 1),
+           crit=st.integers(0, (1 << 32) - 1),
+           pushes=st.lists(st.booleans(), min_size=1, max_size=40))
+    # Hypothesis favours small integers; these always reach the top
+    # 13-bit fold chunk and the bits past 64 that the reference drops.
+    @example(key=(1 << 70) - 1, line=(1 << 70) - 1, branch=0xABCDE,
+             crit=0x12345, pushes=[True])
+    @example(key=0x123 << 56, line=0x5 << 66, branch=(1 << 32) - 1,
+             crit=(1 << 32) - 1, pushes=[False, True])
+    @settings(max_examples=100, deadline=None)
+    def test_every_path_matches_the_reference(self, toggles, key, line,
+                                              branch, crit, pushes):
+        clip = Clip(_clip_config(
+            signature_use_address=toggles[0],
+            signature_use_branch_history=toggles[1],
+            signature_use_criticality_history=toggles[2]))
+        trained, predicted = [], []
+        clip.predictor.train = lambda signature, critical: \
+            trained.append(signature)
+        clip.predictor.predict = predicted.append
+
+        def reference() -> int:
+            return critical_signature(key, line, branch, crit, *toggles)
+
+        clip.branch_history.value = branch
+        clip.criticality_history.value = crit
+        assert clip._signature(key, line) == reference()
+        # A prefetch candidate that reaches the predictor hashes with the
+        # live histories.
+        for _ in range(clip.filter.effective_threshold):
+            clip.filter.record_critical(key)
+        clip.filter_request(key, line << 6, cycle=0)
+        assert predicted == [reference()]
+        # A load response hashes with the snapshot taken at its dispatch,
+        # whatever the histories did in between.
+        core = SimpleNamespace()
+        entry = SimpleNamespace(history_snapshot=None, ip=key,
+                                address=line << 6,
+                                service_level=ServiceLevel.L1)
+        clip._on_load_dispatch(core, entry, 0)
+        for bit in pushes:
+            clip._on_branch(core, 0, bit, False, 0)
+            clip.criticality_history.push(bit)
+        clip._on_load_response(core, entry, 1, False, False)
+        assert trained == [reference()]
+        # A load dispatched without CLIP's hook has no snapshot and
+        # hashes with the live histories.
+        entry.history_snapshot = None
+        branch = clip.branch_history.value
+        crit = clip.criticality_history.value
+        clip._on_load_response(core, entry, 2, False, False)
+        assert trained[1] == reference()

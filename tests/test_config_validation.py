@@ -9,6 +9,11 @@ warm-up).  Negative latencies and penalties were accepted as given.
 The cache and DRAM zeros in ``NAMED`` crashed with a bare
 ``ZeroDivisionError`` (no ways or no capacity in a cache, no banks in a
 DRAM channel) or deadlocked only after simulating (no DRAM read queue).
+The CLIP values in ``CLIP_INVALID`` failed in a CLIP constructor at
+build time (an empty table or buffer, a zero-bit history or counter, no
+APC history, a phase threshold outside (0, 1)) or raised a bare
+"negative shift count" at build time or at the first prefetch issue or
+hit (a negative tag or counter width).
 """
 
 from __future__ import annotations
@@ -95,6 +100,33 @@ NAMED = {
                                   "dram.read_queue_entries"),
 }
 
+#: CLIP edits that crash an enabled CLIP -> (field, value).
+CLIP_INVALID = {
+    **{f"clip.{name}=0": (name, 0)
+       for name in ("filter_sets", "filter_ways", "predictor_sets",
+                    "predictor_ways", "utility_buffer_entries",
+                    "branch_history_bits", "criticality_history_bits",
+                    "saturating_counter_bits", "apc_history_windows")},
+    "clip.phase_change_threshold=0.0": ("phase_change_threshold", 0.0),
+    "clip.phase_change_threshold=1.5": ("phase_change_threshold", 1.5),
+    **{f"clip.{name}=-1": (name, -1)
+       for name in ("ip_tag_bits", "predictor_tag_bits",
+                    "criticality_count_bits", "issue_count_bits",
+                    "hit_count_bits")},
+}
+
+
+def _clip(enabled: bool, **fields):
+    def apply(config):
+        config.clip = dataclasses.replace(config.clip, enabled=enabled,
+                                          **fields)
+    return apply
+
+
+NAMED.update({
+    case: (_clip(True, **{name: value}), f"clip.{name}")
+    for case, (name, value) in CLIP_INVALID.items()})
+
 
 @pytest.mark.parametrize("case", sorted(NAMED))
 def test_validate_rejects_and_names_field(case):
@@ -103,6 +135,18 @@ def test_validate_rejects_and_names_field(case):
     edit(config)
     with pytest.raises(ValueError, match=re.escape(field_name)):
         config.validate()
+
+
+def test_disabled_clip_fields_are_not_validated():
+    """A disabled CLIP is never built, so every CLIP value that
+    ``validate()`` rejects for an enabled CLIP still runs with it off."""
+    config = _point()
+    for case in sorted(CLIP_INVALID):
+        name, value = CLIP_INVALID[case]
+        _clip(False, **{name: value})(config)
+        config.validate()
+    result = run_system(config, ["605.mcf_s-1536B"])
+    assert result.total_instructions == 500
 
 
 @pytest.mark.parametrize("level", ["l1d", "l2", "llc_slice"])

@@ -265,7 +265,7 @@ class TestCoreModel:
         core = Core(0, CoreConfig(), trace, memory, engine)
         core.dispatch_hooks.append(
             lambda c, entry, cycle: setattr(entry, "history_snapshot",
-                                            (1, 2)))
+                                            0x5A5))
         engine.run([core])
 
     def test_two_cores_run_to_completion(self):
