@@ -1,7 +1,7 @@
 """Runtime invariant sanitizer for :class:`repro.sim.system.MulticoreSystem`.
 
 Opt-in via ``REPRO_SANITIZE=1`` in the environment or
-``SystemConfig.sanitize = True``.  When enabled, :func:`install_sanitizer`
+``SystemConfig.sanitize = True``.  When enabled, a :class:`Sanitizer`
 wraps the *instances* of the hot components with checking shims:
 
 * ``Engine.schedule`` / event drain -- integral, monotonic time;
@@ -20,6 +20,14 @@ Zero overhead when off: the enable flag is consulted **once at wiring
 time** -- a disabled run installs no wrappers, adds no per-event
 branches, and leaves every method the plain class attribute (tests
 assert ``"schedule" not in vars(engine)``).
+
+Order matters for the engine: every hierarchy port binds
+``engine.schedule`` when it is built, so
+:class:`~repro.sim.system.MulticoreSystem` calls :meth:`Sanitizer.
+wrap_engine` *before* it builds the hierarchy, and
+:func:`install_sanitizer` wraps everything else afterwards.  The other
+shims are read per call (``mshr_file.allocate``, ``cache.fill``, ...),
+so installing them after wiring is enough.
 
 A violated invariant raises
 :class:`repro.analysis.invariants.SimulationInvariantError` at the
@@ -381,14 +389,13 @@ class Sanitizer:
         return f"sanitizer: {self.checks_run} checks ({parts})"
 
 
-def install_sanitizer(system: Any) -> Sanitizer:
-    """Wrap every checked component of ``system``; returns the sanitizer.
+def install_sanitizer(system: Any, sanitizer: Sanitizer) -> None:
+    """Wrap every checked component of ``system`` but its engine, which
+    ``sanitizer`` wrapped before the hierarchy was built.
 
     Call once, right after construction.  The system's ``run`` invokes
     :meth:`Sanitizer.final_check` after the event drain.
     """
-    sanitizer = Sanitizer()
-    sanitizer.wrap_engine(system.engine)
     sanitizer.wrap_noc(system.noc)
     for channel in system.dram.channels:
         sanitizer.wrap_dram_channel(channel)
@@ -403,4 +410,3 @@ def install_sanitizer(system: Any) -> Sanitizer:
         sanitizer.wrap_mshr(node.l2_mshr, f"core{node.core_id}.L2 MSHR")
     for core in system.cores:
         sanitizer.wrap_core(core)
-    return sanitizer

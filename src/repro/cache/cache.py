@@ -153,8 +153,9 @@ class Cache:
         Filling a line that is already resident only updates metadata (this
         happens when a demand and a prefetch race through different paths).
         """
-        set_index = self.set_index(line)
-        tag = line // self.num_sets
+        num_sets = self.num_sets
+        set_index = line % num_sets
+        tag = line // num_sets
         existing = self._map[set_index].get(tag)
         if existing is not None:
             state = self._lines[set_index][existing]

@@ -51,7 +51,6 @@ class MshrFile:
         self.entries: Dict[int, Mshr] = {}
         self.pending: Deque[Tuple] = deque()
         self.peak_occupancy = 0
-        self.merges = 0
         self.late_prefetch_merges = 0
 
     def lookup(self, line: int) -> Optional[Mshr]:
@@ -63,20 +62,22 @@ class MshrFile:
 
     def allocate(self, line: int, is_prefetch: bool, crit: bool,
                  trigger_ip: int, now: int) -> Mshr:
-        if line in self.entries:
+        entries = self.entries
+        if line in entries:
             raise ValueError(f"line {line:#x} already outstanding")
-        if self.full:
+        occupancy = len(entries)
+        if occupancy >= self.capacity:
             raise SimulationInvariantError(
                 "MSHR file full; caller must check first")
         mshr = Mshr(line, is_prefetch, crit, trigger_ip, now)
-        self.entries[line] = mshr
-        self.peak_occupancy = max(self.peak_occupancy, len(self.entries))
+        entries[line] = mshr
+        if occupancy >= self.peak_occupancy:
+            self.peak_occupancy = occupancy + 1
         return mshr
 
     def merge(self, mshr: Mshr, waiter: Optional[Callable],
               is_prefetch: bool) -> None:
         """Merge a new request for the same line into ``mshr``."""
-        self.merges += 1
         if waiter is not None:
             mshr.waiters.append(waiter)
         if not is_prefetch:

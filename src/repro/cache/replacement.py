@@ -41,16 +41,14 @@ class LruPolicy(ReplacementPolicy):
         self._stamp = [[0] * ways for _ in range(num_sets)]
         self._clock = 0
 
-    def _touch(self, set_index: int, way: int) -> None:
+    def on_hit(self, set_index: int, way: int, now: int, pc: int) -> None:
         self._clock += 1
         self._stamp[set_index][way] = self._clock
 
-    def on_hit(self, set_index: int, way: int, now: int, pc: int) -> None:
-        self._touch(set_index, way)
-
     def on_fill(self, set_index: int, way: int, now: int, pc: int,
                 prefetch: bool = False) -> None:
-        self._touch(set_index, way)
+        self._clock += 1
+        self._stamp[set_index][way] = self._clock
 
     def victim(self, set_index: int, now: int, valid: List[bool]) -> int:
         stamps = self._stamp[set_index]

@@ -347,13 +347,34 @@ class LearnedConfig:
 def _validate_cache(field_name: str, cache: CacheConfig) -> None:
     """``SystemConfig.validate`` for one cache level; ``field_name`` is
     the config field (``l1d``, ``l2``, ``llc_slice``) named in messages.
-    Zero ways or zero capacity would divide by zero in the cache."""
-    if cache.ways < 1:
-        raise ValueError(f"{field_name}.ways must be positive, got "
-                         f"{cache.ways}")
-    if cache.size_kib < 1:
-        raise ValueError(f"{field_name}.size_kib must be positive, got "
-                         f"{cache.size_kib}")
+    Zero ways or zero capacity would divide by zero in the cache, no
+    MSHR registers fail the MSHR file's construction, and a negative
+    latency schedules a response in the past."""
+    for name, value in (("ways", cache.ways),
+                        ("size_kib", cache.size_kib),
+                        ("mshr_entries", cache.mshr_entries)):
+        if value < 1:
+            raise ValueError(f"{field_name}.{name} must be positive, got "
+                             f"{value}")
+    if cache.latency < 0:
+        raise ValueError(f"{field_name}.latency must not be negative, got "
+                         f"{cache.latency}")
+
+
+def _validate_noc_dram(noc: NocConfig, dram: DramConfig) -> None:
+    """``SystemConfig.validate`` for the interconnect and DRAM timing.
+    A negative router latency delivers a packet in the past, an empty
+    packet cannot traverse the mesh, and a zero-cycle burst breaks the
+    data-bus serialisation the DRAM channel models."""
+    if noc.router_latency < 0:
+        raise ValueError(f"noc.router_latency must not be negative, got "
+                         f"{noc.router_latency}")
+    for name, value in (
+            ("noc.address_packet_flits", noc.address_packet_flits),
+            ("noc.data_packet_flits", noc.data_packet_flits),
+            ("dram.burst_cycles", dram.burst_cycles)):
+        if value < 1:
+            raise ValueError(f"{name} must be positive, got {value}")
 
 
 def _validate_clip(clip: ClipConfig) -> None:
@@ -460,9 +481,11 @@ class SystemConfig:
         Everything that would otherwise hang (zero retire width), stall
         into a deadlock (an empty ROB or DRAM read queue), crash deep in
         a component (an empty or zero-width branch table, a cache with
-        no ways or no capacity, a DRAM channel with no banks, an enabled
-        CLIP with an empty table or a negative counter width) or
-        silently simulate something else (negative warm-up or latencies)
+        no ways, capacity or MSHR registers, a DRAM channel with no
+        banks or a zero-cycle burst, an empty NoC packet, an enabled
+        CLIP with an empty table or a negative counter width), schedule
+        into the past (a negative cache or router latency) or silently
+        simulate something else (negative warm-up or core latencies)
         raises ``ValueError`` here.
         """
         if self.num_cores < 1:
@@ -479,6 +502,7 @@ class SystemConfig:
         _validate_cache("l1d", self.l1d)
         _validate_cache("l2", self.l2)
         _validate_cache("llc_slice", self.llc_slice)
+        _validate_noc_dram(self.noc, dram)
         if self.clip.enabled:
             # A disabled CLIP is never built, so its fields are not read.
             _validate_clip(self.clip)

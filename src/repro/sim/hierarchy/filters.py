@@ -158,8 +158,8 @@ class PrefetchFilterChain:
             return
         node.epoch_accesses = 0
         l1, l2 = node.l1, node.l2
-        late = (l1.port.mshr.late_prefetch_merges
-                + l2.port.mshr.late_prefetch_merges)
+        late = (l1.mshr.late_prefetch_merges
+                + l2.mshr.late_prefetch_merges)
         pollution = (l1.cache.stats.useless_evictions
                      + l2.cache.stats.useless_evictions)
         issued, useful, base_late, base_pollution = node.epoch_base
@@ -171,8 +171,8 @@ class PrefetchFilterChain:
         accuracy = d_useful / d_issued if d_issued else 0.0
         lateness = d_late / d_useful if d_useful else 0.0
         poll = d_pollution / d_issued if d_issued else 0.0
-        occupancy = ((len(l1.port.mshr.entries) + len(l2.port.mshr.entries))
-                     / (l1.port.mshr.capacity + l2.port.mshr.capacity))
+        occupancy = ((len(l1.mshr.entries) + len(l2.mshr.entries))
+                     / (l1.mshr.capacity + l2.mshr.capacity))
         snapshot = ThrottleSnapshot(
             accuracy=min(1.0, accuracy), lateness=min(1.0, lateness),
             pollution=min(1.0, poll),
@@ -193,9 +193,9 @@ class PrefetchFilterChain:
         let the policy digest them, apply any arm-switch action."""
         node = self.node
         l1, l2 = node.l1, node.l2
-        occupancy = ((len(l1.port.mshr.entries)
-                      + len(l2.port.mshr.entries)) * 1000
-                     // (l1.port.mshr.capacity + l2.port.mshr.capacity))
+        occupancy = ((len(l1.mshr.entries)
+                      + len(l2.mshr.entries)) * 1000
+                     // (l1.mshr.capacity + l2.mshr.capacity))
         features = PolicyFeatures(
             cycle=cycle,
             pf_issued=node.pf_issued,

@@ -1,12 +1,15 @@
 """L1D node: the hierarchy's issuing layer for one core.
 
-Owns the private L1D cache, its MSHR port, the L1 prefetcher, and the
-core-facing mechanisms that act at issue time: MMU translation, CLIP's
-access/miss observation, DSPatch's candidate generation, and Hermes'
-off-chip prediction.  Demands enter here (``issue_load`` /
-``issue_store``); filtered prefetch candidates re-enter through
-``issue_prefetch`` (the :class:`~repro.sim.hierarchy.filters.
-PrefetchFilterChain`'s issue hook) and descend the same miss path.
+Owns the private L1D cache, its MSHR file and port, the L1 prefetcher,
+and the core-facing mechanisms that act at issue time: MMU translation,
+CLIP's access/miss observation, DSPatch's candidate generation, and
+Hermes' off-chip prediction.  Demands enter here: ``issue_load`` /
+``issue_store`` translate first on a core with an MMU, and
+:class:`~repro.sim.hierarchy.wiring.Hierarchy` binds a core without
+one straight to ``_load_translated`` / ``_store_translated``.
+Filtered prefetch candidates re-enter through ``issue_prefetch`` (the
+:class:`~repro.sim.hierarchy.filters.PrefetchFilterChain`'s issue hook)
+and descend the same miss path.
 """
 
 from __future__ import annotations
@@ -16,7 +19,8 @@ from typing import Callable, Dict, List, Optional, TYPE_CHECKING
 from repro.cache.cache import Cache
 from repro.cpu.core_model import ServiceLevel
 from repro.prefetch.base import PrefetchRequest
-from repro.sim.hierarchy.messages import MemoryRequest, privatize
+from repro.sim.hierarchy.messages import (CORE_SPACE_SHIFT, LINE_SHIFT,
+                                          MemoryRequest)
 from repro.sim.hierarchy.port import Port
 from repro.sim.tracing import RequestRecord, RequestTrace
 
@@ -39,9 +43,10 @@ _MISS_LATENCY_LEVELS = (("l1d", ServiceLevel.L1), ("l2", ServiceLevel.L2),
 class L1Node:
     """Private L1D: cache + MSHR port + prefetcher + issue mechanisms."""
 
-    __slots__ = ("node", "core_id", "cache", "port", "prefetcher",
-                 "latency", "mmu", "clip", "hermes", "hermes_pending",
-                 "trace", "downstream", "offchip", "slices")
+    __slots__ = ("node", "core_id", "core_bits", "cache", "mshr", "port",
+                 "prefetcher", "latency", "mmu", "clip", "hermes",
+                 "hermes_pending", "trace", "downstream", "offchip",
+                 "slices")
 
     def __init__(self, node: "CoreNode", cache: Cache, port: Port,
                  prefetcher, latency: int,
@@ -49,7 +54,12 @@ class L1Node:
                  hermes=None) -> None:
         self.node = node
         self.core_id = node.core_id
+        #: This core's private address-space bits: a byte address's
+        #: line is ``(address >> LINE_SHIFT) | core_bits``, which is
+        #: :func:`~repro.sim.hierarchy.messages.privatize` inlined.
+        self.core_bits = node.core_id << CORE_SPACE_SHIFT
         self.cache = cache
+        self.mshr = port.mshr
         self.port = port
         self.prefetcher = prefetcher
         self.latency = latency
@@ -71,7 +81,7 @@ class L1Node:
         (``{l1d,l2,llc}_miss_latency_{sum,count}``)."""
         node = self.node
         values = self.cache.stats.counters()
-        values["late_prefetch_merges"] = self.port.mshr.late_prefetch_merges
+        values["late_prefetch_merges"] = self.mshr.late_prefetch_merges
         for prefix, level in _MISS_LATENCY_LEVELS:
             values[f"{prefix}_miss_latency_sum"] = node.lat_sum[level]
             values[f"{prefix}_miss_latency_count"] = node.lat_count[level]
@@ -83,6 +93,9 @@ class L1Node:
 
     def issue_load(self, address: int, ip: int, cycle: int,
                    callback: Callable) -> None:
+        """A demand load, translated first when the core has an MMU.
+        :class:`~repro.sim.hierarchy.wiring.Hierarchy` binds a core
+        without one straight to :meth:`_load_translated`."""
         if self.mmu is not None:
             translation = self.mmu.translate(address)
             if translation:
@@ -95,17 +108,19 @@ class L1Node:
 
     def _load_after_translation(self, address: int, ip: int,
                                 callback: Callable) -> None:
-        self._load_translated(address, ip, self.port.now, callback)
+        self._load_translated(address, ip, self.port.engine.now, callback)
 
     def _load_translated(self, address: int, ip: int, cycle: int,
                          callback: Callable) -> None:
-        node = self.node
-        chain = node.chain
+        chain = self.node.chain
         clip = self.clip
-        line = privatize(self.core_id, address)
+        line = (address >> LINE_SHIFT) | self.core_bits
         if clip is not None:
             clip.on_l1d_access(line, cycle)
-        chain.note_demand_access(cycle)
+        # Both read per access: ``chain.policy`` is the documented
+        # stubbing seam, and a stub may arrive after wiring.
+        if chain.policy is not None or chain.throttler is not None:
+            chain.note_demand_access(cycle)
         hit = self.cache.access(line, ip, cycle)
         prefetcher = self.prefetcher
         if prefetcher is not None:
@@ -139,6 +154,8 @@ class L1Node:
             cycle, callback)
 
     def issue_store(self, address: int, ip: int, cycle: int) -> None:
+        """A store, translated first when the core has an MMU (bound
+        like :meth:`issue_load`)."""
         if self.mmu is not None:
             translation = self.mmu.translate(address)
             if translation:
@@ -149,14 +166,15 @@ class L1Node:
         self._store_translated(address, ip, cycle)
 
     def _store_after_translation(self, address: int, ip: int) -> None:
-        self._store_translated(address, ip, self.port.now)
+        self._store_translated(address, ip, self.port.engine.now)
 
     def _store_translated(self, address: int, ip: int, cycle: int) -> None:
-        node = self.node
-        line = privatize(self.core_id, address)
+        chain = self.node.chain
+        line = (address >> LINE_SHIFT) | self.core_bits
         if self.clip is not None:
             self.clip.on_l1d_access(line, cycle)
-        node.chain.note_demand_access(cycle)
+        if chain.policy is not None or chain.throttler is not None:
+            chain.note_demand_access(cycle)
         hit = self.cache.access(line, ip, cycle, is_write=True)
         if hit:
             return
@@ -201,7 +219,7 @@ class L1Node:
     def issue_prefetch(self, request: PrefetchRequest, cycle: int,
                        crit: bool) -> None:
         node = self.node
-        line = privatize(self.core_id, request.address)
+        line = (request.address >> LINE_SHIFT) | self.core_bits
         # CLIP-selected prefetches from an L1 prefetcher always fill to L1
         # (section 4.2: the requests are known critical and accurate);
         # otherwise the prefetcher's requested fill level stands.
@@ -211,16 +229,16 @@ class L1Node:
             fill_level = request.fill_level
         l2 = self.downstream
         if (self.cache.probe(line) or l2.cache.probe(line)
-                or l2.port.lookup(line) is not None
-                or self.port.lookup(line) is not None):
+                or l2.mshr.lookup(line) is not None
+                or self.mshr.lookup(line) is not None):
             node.pf_dropped_duplicate += 1
             return
-        if fill_level == 1 and self.port.full:
+        if fill_level == 1 and self.mshr.full:
             # Demote to an L2 fill (Berti orchestrates fills across L1..L3;
             # a prefetch that cannot park at L1 still moves the line on
             # chip).
             fill_level = 2
-        if fill_level != 1 and l2.port.full:
+        if fill_level != 1 and l2.mshr.full:
             node.pf_dropped_mshr += 1
             return
         node.pf_issued += 1
@@ -247,11 +265,12 @@ class L1Node:
             # A demand fetched the line while this prefetch queued.
             node.pf_dropped_duplicate += 1
             return
-        mshr = self.port.lookup(line)
+        mshr_file = self.mshr
+        mshr = mshr_file.lookup(line)
         if mshr is not None:
             waiter = (callback, req.t0) if callback is not None else None
             was_late = mshr.is_prefetch and not mshr.demand_merged
-            self.port.merge(mshr, waiter, req.is_prefetch)
+            mshr_file.merge(mshr, waiter, req.is_prefetch)
             if was_late and not req.is_prefetch:
                 # Late but useful: the paper counts these as accurate
                 # (the MSHR counts them as late_prefetch_merges).
@@ -259,16 +278,16 @@ class L1Node:
             if req.is_store:
                 mshr.dirty = True
             return
-        if self.port.full:
+        if mshr_file.full:
             if req.is_prefetch:
                 # Lost a race with demand allocations since the issue-time
                 # check; fall back to the L2 fill path.
                 self.downstream.request(req, cycle, respond=None)
                 return
             self.port.defer(
-                lambda: self.request(req, self.port.now, callback))
+                lambda: self.request(req, self.port.engine.now, callback))
             return
-        mshr = self.port.allocate(line, req.is_prefetch, req.crit, req.ip,
+        mshr = mshr_file.allocate(line, req.is_prefetch, req.crit, req.ip,
                                   cycle)
         mshr.address = req.address
         mshr.dirty = req.is_store
@@ -281,13 +300,15 @@ class L1Node:
         self.port.schedule(cycle + self.latency, self._forward_to_l2, req)
 
     def _forward_to_l2(self, req: MemoryRequest) -> None:
-        self.downstream.request(req, self.port.now, respond=self._complete)
+        self.downstream.request(req, self.port.engine.now,
+                                respond=self._complete)
 
     def _complete(self, resp) -> None:
         """Fill from below: release the MSHR, fill the cache, wake waiters."""
         node = self.node
         line, t, level = resp.line, resp.at, resp.level
-        mshr = self.port.release(line)
+        mshr_file = self.mshr
+        mshr = mshr_file.release(line)
         prefetch_fill = mshr.is_prefetch and not mshr.demand_merged
         evicted = self.cache.fill(line, mshr.trigger_ip, t,
                                   dirty=mshr.dirty, prefetch=prefetch_fill,
@@ -313,4 +334,5 @@ class L1Node:
                     node.lat_sum[lvl] += latency
                     node.lat_count[lvl] += 1
             callback(t, level)
-        self.port.replay()
+        if mshr_file.pending:
+            self.port.replay()

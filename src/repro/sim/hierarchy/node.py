@@ -64,7 +64,7 @@ class CoreNode:
 
     @property
     def l1_mshr(self):
-        return self.l1.port.mshr
+        return self.l1.mshr
 
     @property
     def l2_cache(self):
@@ -72,7 +72,7 @@ class CoreNode:
 
     @property
     def l2_mshr(self):
-        return self.l2.port.mshr
+        return self.l2.mshr
 
     @property
     def l1_pf(self):

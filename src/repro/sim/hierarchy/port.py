@@ -4,78 +4,56 @@ A :class:`Port` bundles the two things every hierarchy component needs
 and nothing else may touch directly:
 
 * **latency scheduling** against the shared :class:`~repro.sim.engine.
-  Engine` -- components call :meth:`Port.schedule`; lint rule SIM008
-  flags any hierarchy component calling ``engine.schedule`` itself, so
-  the engine-facing surface stays in one reviewable place;
+  Engine` -- components call ``port.schedule``; lint rule SIM008 flags
+  any hierarchy component calling ``engine.schedule`` itself, so the
+  engine-facing surface stays in one reviewable place;
 * **MSHR back-pressure** -- when the component's
   :class:`~repro.cache.mshr.MshrFile` is full, requests are deferred
   into its FIFO pending queue (:meth:`defer`) and replayed in order as
   registers free up (:meth:`replay`).  This queueing is the mechanism
   that inflates miss latency under bandwidth constraint (paper Fig. 3).
 
-The port intentionally resolves ``engine.schedule`` and the MSHR
-methods *dynamically* (attribute lookup per call): the runtime
-sanitizer (:mod:`repro.analysis.sanitizer`) installs its checking shims
-as instance attributes after wiring, and a port holding bound methods
-would silently bypass them.
+``port.schedule`` *is* the engine's ``schedule``, bound once at
+construction, so a latency costs one call.  The runtime sanitizer
+(:mod:`repro.analysis.sanitizer`) installs its checking shim as an
+instance attribute of the engine, so :class:`~repro.sim.system.
+MulticoreSystem` wraps the engine *before* it builds the hierarchy and
+every port binds the shim.  The MSHR file belongs to the component
+that owns the port, which calls it directly; the sanitizer's MSHR shims
+are instance attributes of the file, so those calls find them.
+Components read the cycle as ``port.engine.now``.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Optional
 
-from repro.cache.mshr import Mshr, MshrFile
+from repro.cache.mshr import MshrFile
 from repro.sim.engine import Engine
 
 
 class Port:
     """One component's engine access plus (optional) MSHR back-pressure."""
 
-    __slots__ = ("engine", "mshr")
+    __slots__ = ("engine", "mshr", "schedule")
 
     def __init__(self, engine: Engine,
                  mshr: Optional[MshrFile] = None) -> None:
         self.engine = engine
         self.mshr = mshr
+        #: ``schedule(cycle, callback, *args)`` runs ``callback(*args)``
+        #: at ``cycle`` (the sanctioned latency path).  Passing ``args``
+        #: through the engine's bucketed queue keeps hot call sites
+        #: closure-free.
+        self.schedule: Callable[..., None] = engine.schedule
 
-    # -- time ----------------------------------------------------------
-
-    @property
-    def now(self) -> int:
-        return self.engine.now
-
-    def schedule(self, cycle: int, callback: Callable[..., None],
-                 *args) -> None:
-        """Run ``callback(*args)`` at ``cycle`` (the sanctioned latency
-        path).  Passing ``args`` through the engine's bucketed queue
-        keeps hot call sites closure-free."""
-        self.engine.schedule(cycle, callback, *args)
-
-    # -- MSHR back-pressure --------------------------------------------
+    # -- MSHR back-pressure (the cold path: only a full file defers) ---
 
     def _require_mshr(self) -> MshrFile:
         mshr = self.mshr
         if mshr is None:
             raise TypeError("port has no MSHR file attached")
         return mshr
-
-    @property
-    def full(self) -> bool:
-        return self._require_mshr().full
-
-    def lookup(self, line: int) -> Optional[Mshr]:
-        return self._require_mshr().lookup(line)
-
-    def allocate(self, line: int, is_prefetch: bool, crit: bool,
-                 trigger_ip: int, now: int) -> Mshr:
-        return self._require_mshr().allocate(line, is_prefetch, crit,
-                                             trigger_ip, now)
-
-    def merge(self, mshr: Mshr, waiter, is_prefetch: bool) -> None:
-        self._require_mshr().merge(mshr, waiter, is_prefetch)
-
-    def release(self, line: int) -> Mshr:
-        return self._require_mshr().release(line)
 
     def defer(self, thunk: Callable[[], None]) -> None:
         """Queue ``thunk`` until an MSHR register frees up (FIFO)."""
@@ -84,7 +62,8 @@ class Port:
     def replay(self) -> None:
         """Replay deferred requests in FIFO order while registers last.
 
-        A replayed request may re-fill the MSHR immediately; the loop
+        Callers invoke it only when the pending queue is non-empty.  A
+        replayed request may re-fill the MSHR immediately; the loop
         re-checks ``full`` before each pop so later entries keep their
         place in line instead of being dropped or reordered.
         """

@@ -62,6 +62,14 @@ class Hierarchy:
         self.nodes: List[CoreNode] = [
             self._build_node(core_id, trace)
             for core_id in range(config.num_cores)]
+        # Per-core demand entries, bound once: a core with an MMU
+        # translates first, one without enters its L1 translated.
+        self._load_entries: List[Callable[..., None]] = [
+            node.l1.issue_load if node.l1.mmu is not None
+            else node.l1._load_translated for node in self.nodes]
+        self._store_entries: List[Callable[..., None]] = [
+            node.l1.issue_store if node.l1.mmu is not None
+            else node.l1._store_translated for node in self.nodes]
         #: Typed per-component counter layer: one registered
         #: :class:`~repro.sim.counters.CounterGroup` per component,
         #: snapshotted into ``SimulationResult.counters`` at collection
@@ -86,20 +94,17 @@ class Hierarchy:
                 f"dram.ch{channel}",
                 partial(self.dram_port.channel_counters, channel))
 
-    def slice_of(self, line: int) -> int:
-        return line % self.num_slices
-
     # ------------------------------------------------------------------
     # Core-facing memory interface
     # ------------------------------------------------------------------
 
     def issue_load(self, core_id: int, address: int, ip: int, cycle: int,
                    callback: Callable) -> None:
-        self.nodes[core_id].l1.issue_load(address, ip, cycle, callback)
+        self._load_entries[core_id](address, ip, cycle, callback)
 
     def issue_store(self, core_id: int, address: int, ip: int,
                     cycle: int) -> None:
-        self.nodes[core_id].l1.issue_store(address, ip, cycle)
+        self._store_entries[core_id](address, ip, cycle)
 
     # ------------------------------------------------------------------
     # Construction
@@ -172,7 +177,7 @@ class Hierarchy:
         node.l1.slices = self.slices
         node.l2.link = self.link
         node.l2.slices = self.slices
-        node.l2.slice_of = self.slice_of
+        node.l2.num_slices = self.num_slices
         chain.issue = node.l1.issue_prefetch
         self._wire_feedback(node)
         return node

@@ -21,7 +21,8 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Dict, List, Optional, Tuple
 
-from repro.analysis.sanitizer import install_sanitizer, sanitize_enabled
+from repro.analysis.sanitizer import (Sanitizer, install_sanitizer,
+                                      sanitize_enabled)
 from repro.config import BranchPredictorConfig, SystemConfig
 from repro.cpu.branch import HashedPerceptronPredictor, outcome_stream
 from repro.cpu.core_model import Core
@@ -85,6 +86,15 @@ class MulticoreSystem:
         self.workload_names = list(workloads)
         self.label = label or self._default_label()
         self.engine = Engine()
+        # Opt-in runtime invariant sanitizer: the guard is evaluated once
+        # here, at wiring time -- a disabled run installs no wrappers and
+        # the hot paths stay untouched (repro.analysis.sanitizer).  The
+        # engine is wrapped before anything is built, because every
+        # hierarchy port binds ``engine.schedule`` at construction.
+        self.sanitizer: Optional[Sanitizer] = None
+        if sanitize_enabled(config):
+            self.sanitizer = Sanitizer()
+            self.sanitizer.wrap_engine(self.engine)
         self.noc = MeshNoc(config.mesh_dim, config.noc)
         self.dram = DramSystem(config.dram, self.engine,
                                config.l1d.line_size)
@@ -95,11 +105,8 @@ class MulticoreSystem:
                                    self.dram, self.request_trace)
         self.cores: List[Core] = []
         self._build_cores()
-        # Opt-in runtime invariant sanitizer: the guard is evaluated once
-        # here, at wiring time -- a disabled run installs no wrappers and
-        # the hot paths stay untouched (repro.analysis.sanitizer).
-        self.sanitizer = (install_sanitizer(self)
-                          if sanitize_enabled(config) else None)
+        if self.sanitizer is not None:
+            install_sanitizer(self, self.sanitizer)
 
     # -- flat views over the hierarchy ---------------------------------
 
@@ -117,7 +124,7 @@ class MulticoreSystem:
 
     @property
     def llc_mshr(self):
-        return [s.port.mshr for s in self.hierarchy.slices]
+        return [s.mshr for s in self.hierarchy.slices]
 
     def _default_label(self) -> str:
         parts = [self.config.l1_prefetcher.name]

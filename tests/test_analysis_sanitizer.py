@@ -282,6 +282,45 @@ def test_sanitized_golden_point(point):
     assert system.sanitizer.checks_by_category["rob"] == 2 * retired
 
 
+#: ``checks_by_category`` of three sanitized golden points: the bare
+#: demand path, CLIP over two prefetch levels, and the related-work
+#: hooks (Hermes, DSPatch, a throttle, the MMU).  Every scheduled event,
+#: MSHR operation, fill, DRAM service and NoC packet is one shim call,
+#: so a component that binds a method before the sanitizer wraps it --
+#: or skips one -- moves these counts.
+PINNED_CHECKS = {
+    "none_mcf": {"cache": 8400, "dram": 1257, "engine": 14280,
+                 "final": 15, "mshr": 5158, "noc": 2584, "rob": 10000},
+    "clip_berti_hetero": {"cache": 6633, "dram": 1056, "engine": 12934,
+                          "final": 15, "mshr": 4353, "noc": 2088,
+                          "rob": 10000},
+    "mechanisms_stride": {"cache": 14113, "dram": 2514, "engine": 20390,
+                          "final": 15, "mshr": 7379, "noc": 4536,
+                          "rob": 12000},
+}
+
+
+@pytest.mark.parametrize("point", sorted(PINNED_CHECKS))
+def test_sanitized_check_counts_pinned(point):
+    config, mix = POINTS[point]()
+    config.sanitize = True
+    system = MulticoreSystem(config, mix)
+    system.run()
+    assert system.sanitizer.checks_by_category == PINNED_CHECKS[point]
+
+
+def test_port_schedule_goes_through_the_engine_shim():
+    """Ports bind ``engine.schedule`` when the hierarchy is built, so the
+    sanitizer wraps the engine first: a past-cycle schedule through a
+    port trips the shim's check, not the plain engine's ``ValueError``."""
+    system = tiny_system(sanitize=True)
+    engine = system.engine
+    engine.now = 100
+    port = system.nodes[0].l1.port
+    with pytest.raises(SimulationInvariantError, match="past"):
+        port.schedule(50, lambda: None)
+
+
 class TestDramInvariants:
     def test_timing_tamper_caught(self):
         system = tiny_system(sanitize=True)

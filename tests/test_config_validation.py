@@ -100,6 +100,29 @@ NAMED = {
                                   "dram.read_queue_entries"),
 }
 
+#: Memory-path values that passed ``validate()`` and failed later: no
+#: MSHR registers (a bare "MSHR capacity must be positive" at build
+#: time), a negative cache or router latency (the engine's "cannot
+#: schedule at N, now is N+1" mid-run), an empty NoC packet (a
+#: ``SimulationInvariantError`` at the first packet) and a zero-cycle
+#: DRAM burst (the same error type, at build time).
+MEMORY_PATH_INVALID = {
+    **{f"{level}.mshr_entries=0": (_set(level, mshr_entries=0),
+                                   f"{level}.mshr_entries")
+       for level in ("l1d", "l2", "llc_slice")},
+    **{f"{level}.latency=-1": (_set(level, latency=-1), f"{level}.latency")
+       for level in ("l1d", "l2", "llc_slice")},
+    "noc.router_latency=-1": (_set("noc", router_latency=-1),
+                              "noc.router_latency"),
+    "noc.address_packet_flits=0": (_set("noc", address_packet_flits=0),
+                                   "noc.address_packet_flits"),
+    "noc.data_packet_flits=0": (_set("noc", data_packet_flits=0),
+                                "noc.data_packet_flits"),
+    "dram.burst_cycles=0": (_set("dram", burst_cycles=0),
+                            "dram.burst_cycles"),
+}
+NAMED.update(MEMORY_PATH_INVALID)
+
 #: CLIP edits that crash an enabled CLIP -> (field, value).
 CLIP_INVALID = {
     **{f"clip.{name}=0": (name, 0)
@@ -156,6 +179,19 @@ def test_zero_way_cache_config_is_a_value_error(level):
     config = _point()
     with pytest.raises(ValueError, match="ways must be positive"):
         dataclasses.replace(getattr(config, level), ways=0)
+
+
+@pytest.mark.parametrize("edit", [_set("l1d", latency=0),
+                                  _set("noc", router_latency=0)],
+                         ids=["l1d.latency=0", "noc.router_latency=0"])
+def test_zero_memory_latency_runs(edit):
+    """The latency bounds are "not negative": a zero-cycle cache or
+    router still schedules at ``now``, never in the past."""
+    config = _point()
+    edit(config)
+    config.validate()
+    result = run_system(config, ["605.mcf_s-1536B"])
+    assert result.total_instructions == 500
 
 
 def test_smallest_valid_config_finishes():

@@ -49,8 +49,9 @@ def _hierarchy(cores=2, **kw):
 
 class TestPort:
     def test_schedule_resolves_engine_dynamically(self):
-        # The sanitizer installs its shims as *instance* attributes after
-        # wiring; a port holding a bound method would bypass them.
+        # The port binds whatever ``engine.schedule`` resolves to when
+        # it is built, so an instance shim installed before wiring (the
+        # sanitizer's) is the one every port calls.
         engine = Engine()
         seen = []
         engine.schedule = lambda cycle, cb: seen.append(cycle)
@@ -58,26 +59,27 @@ class TestPort:
         assert seen == [7]
 
     def test_now_tracks_engine(self):
+        # Components read the cycle through their port's engine.
         engine = Engine()
         port = Port(engine)
         engine.now = 42
-        assert port.now == 42
+        assert port.engine.now == 42
 
     def test_mshr_operations_require_mshr(self):
         port = Port(Engine())
         with pytest.raises(TypeError, match="no MSHR"):
-            port.full
+            port.replay()
         with pytest.raises(TypeError, match="no MSHR"):
             port.defer(lambda: None)
 
     def test_replay_is_fifo(self):
         port = Port(Engine(), MshrFile(1))
-        port.allocate(0xA, False, False, 0, 0)
+        port.mshr.allocate(0xA, False, False, 0, 0)
         order = []
         for tag in (1, 2, 3):
             port.defer(lambda tag=tag: order.append(tag))
-        assert port.full and order == []
-        port.release(0xA)
+        assert port.mshr.full and order == []
+        port.mshr.release(0xA)
         port.replay()
         assert order == [1, 2, 3]
 
@@ -89,21 +91,21 @@ class TestPort:
         order = []
 
         def retry(line):
-            if port.full:
+            if port.mshr.full:
                 port.defer(lambda: retry(line))
                 return
-            port.allocate(line, False, False, 0, 0)
+            port.mshr.allocate(line, False, False, 0, 0)
             order.append(line)
 
-        port.allocate(0xA, False, False, 0, 0)
+        port.mshr.allocate(0xA, False, False, 0, 0)
         for line in (1, 2, 3):
             retry(line)
         assert order == []
-        port.release(0xA)
+        port.mshr.release(0xA)
         port.replay()
         assert order == [1]  # register refilled; 2 and 3 keep their place
         for expect in ((2,), (2, 3)):
-            port.release(order[-1])
+            port.mshr.release(order[-1])
             port.replay()
             assert tuple(order[1:]) == expect
 
@@ -111,7 +113,7 @@ class TestPort:
         # A replayed thunk that must defer again goes to the *back*; the
         # queue itself is never reordered while full.
         port = Port(Engine(), MshrFile(1))
-        port.allocate(0xA, False, False, 0, 0)
+        port.mshr.allocate(0xA, False, False, 0, 0)
         popped = []
         port.defer(lambda: popped.append("first"))
         port.defer(lambda: popped.append("second"))
@@ -208,13 +210,13 @@ class TestL1Node:
         node = hierarchy.nodes[0]
         port = node.l1.port
         for i in range(port.mshr.capacity):
-            port.allocate(0x9000 + i, False, False, 0, 0)
+            port.mshr.allocate(0x9000 + i, False, False, 0, 0)
         results = []
         hierarchy.issue_load(0, 0x4000, ip=0x11, cycle=0,
                              callback=lambda t, lvl: results.append(lvl))
         assert len(port.mshr.pending) == 1 and results == []
         for i in range(port.mshr.capacity):
-            port.release(0x9000 + i)
+            port.mshr.release(0x9000 + i)
         port.replay()
         engine.run([])
         assert results == [ServiceLevel.DRAM]
@@ -235,7 +237,7 @@ class TestL2Node:
         node = hierarchy.nodes[0]
         l2 = node.l2
         for i in range(l2.port.mshr.capacity):
-            l2.port.allocate(0x9000 + i, False, False, 0, 0)
+            l2.port.mshr.allocate(0x9000 + i, False, False, 0, 0)
         node.pf_issued = 1
         req = MemoryRequest(line=privatize(0, 0x4000), address=0x4000,
                             ip=0x11, core_id=0, is_prefetch=True)
@@ -287,7 +289,7 @@ class TestLlcSlice:
         # set 0: local = k * sets, global = local * num_slices.
         lines = [k * sets * hierarchy.num_slices for k in range(ways + 1)]
         for t, line in enumerate(lines):
-            assert hierarchy.slice_of(line) == 0
+            assert line % hierarchy.num_slices == 0
             slice_.fill(line, t, pc=0, prefetch=False, dirty=True)
         assert len(recorder.writes) == 1
         assert recorder.writes[0] in lines  # global address, not local
@@ -296,10 +298,10 @@ class TestLlcSlice:
         hierarchy, engine = _hierarchy()
         origin = hierarchy.nodes[0]
         line = privatize(0, 0x4000)
-        slice_ = hierarchy.slices[hierarchy.slice_of(line)]
+        slice_ = hierarchy.slices[line % hierarchy.num_slices]
         slice_.fill(line, 0, pc=0, prefetch=False)
         # Park an L2 MSHR entry so the returned data has a home.
-        mshr = origin.l2.port.allocate(line, False, False, 0x11, 0)
+        mshr = origin.l2.port.mshr.allocate(line, False, False, 0x11, 0)
         responses = []
         mshr.waiters.append(responses.append)
         req = MemoryRequest(line=line, address=0x4000, ip=0x11, core_id=0)
@@ -351,9 +353,9 @@ class TestCoreNode:
         hierarchy, _ = _hierarchy()
         node = hierarchy.nodes[0]
         assert node.l1d is node.l1.cache
-        assert node.l1_mshr is node.l1.port.mshr
+        assert node.l1_mshr is node.l1.mshr is node.l1.port.mshr
         assert node.l2_cache is node.l2.cache
-        assert node.l2_mshr is node.l2.port.mshr
+        assert node.l2_mshr is node.l2.mshr is node.l2.port.mshr
         assert node.l1_pf is node.l1.prefetcher
         assert node.l2_pf is node.l2.prefetcher
         assert node.dspatch is node.chain.dspatch
