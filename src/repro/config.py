@@ -15,6 +15,7 @@ paper's pivot ratio -- cores per DRAM channel -- intact.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -361,14 +362,82 @@ def _validate_cache(field_name: str, cache: CacheConfig) -> None:
                          f"{cache.latency}")
 
 
-def _validate_noc_dram(noc: NocConfig, dram: DramConfig) -> None:
+@functools.lru_cache(maxsize=None)
+def _component_choices() -> tuple[tuple[str, tuple[str, ...]], ...]:
+    """(config field, the names its factory accepts) for every
+    component picked by name, computed once."""
+    # Imported here: the component packages import this module.
+    from repro.cache.replacement import policy_names
+    from repro.criticality import predictor_names
+    from repro.prefetch.base import prefetcher_names
+    from repro.throttle import throttler_names
+
+    policies = tuple(policy_names())
+    prefetchers = tuple(prefetcher_names())
+    return (("l1d.replacement", policies),
+            ("l2.replacement", policies),
+            ("llc_slice.replacement", policies),
+            ("l1_prefetcher.name", prefetchers),
+            ("l2_prefetcher.name", prefetchers),
+            ("throttle.name", ("none", *throttler_names())),
+            ("criticality.name", ("none", *predictor_names())))
+
+
+def _validate_components(config: "SystemConfig") -> None:
+    """``SystemConfig.validate`` for the component names: an unknown
+    replacement policy, prefetcher, throttler or criticality predictor
+    fails in its factory at build time."""
+    for field_name, choices in _component_choices():
+        group, name = field_name.split(".")
+        value = getattr(getattr(config, group), name)
+        if value not in choices:
+            raise ValueError(f"unknown {field_name} {value!r}: choose "
+                             f"from {list(choices)}")
+
+
+def _validate_tlb(tlb: TlbConfig) -> None:
+    """``SystemConfig.validate`` for an enabled TLB.  An empty TLB, or
+    one whose entries do not fill whole sets, fails in the TLB's
+    construction; a negative page shift fails as a negative shift
+    count; a negative latency hands cycles back, silently or into the
+    past."""
+    for level in ("dtlb", "stlb"):
+        entries = getattr(tlb, f"{level}_entries")
+        ways = getattr(tlb, f"{level}_ways")
+        if ways < 1:
+            raise ValueError(f"tlb.{level}_ways must be positive, got "
+                             f"{ways}")
+        if entries < 1 or entries % ways:
+            raise ValueError(f"tlb.{level}_entries must be a positive "
+                             f"multiple of tlb.{level}_ways ({ways}), got "
+                             f"{entries}")
+    for name, value in (("stlb_latency", tlb.stlb_latency),
+                        ("page_walk_latency", tlb.page_walk_latency),
+                        ("page_shift", tlb.page_shift)):
+        if value < 0:
+            raise ValueError(f"tlb.{name} must not be negative, got "
+                             f"{value}")
+
+
+def _validate_noc_dram(noc: NocConfig, dram: DramConfig,
+                       line_size: int) -> None:
     """``SystemConfig.validate`` for the interconnect and DRAM timing.
-    A negative router latency delivers a packet in the past, an empty
-    packet cannot traverse the mesh, and a zero-cycle burst breaks the
-    data-bus serialisation the DRAM channel models."""
-    if noc.router_latency < 0:
-        raise ValueError(f"noc.router_latency must not be negative, got "
-                         f"{noc.router_latency}")
+    A negative router or link latency delivers a packet in the past (or
+    early, silently), an empty packet cannot traverse the mesh, a
+    zero-cycle burst or a negative array timing breaks the bank and
+    data-bus spacing the DRAM channel models, and a row buffer smaller
+    than a line maps no line to a row."""
+    for name, value in (("noc.router_latency", noc.router_latency),
+                        ("noc.link_latency", noc.link_latency),
+                        ("dram.trp_cycles", dram.trp_cycles),
+                        ("dram.trcd_cycles", dram.trcd_cycles),
+                        ("dram.cas_cycles", dram.cas_cycles)):
+        if value < 0:
+            raise ValueError(f"{name} must not be negative, got {value}")
+    if dram.row_buffer_bytes < line_size:
+        raise ValueError(f"dram.row_buffer_bytes must be at least the "
+                         f"line size ({line_size}), got "
+                         f"{dram.row_buffer_bytes}")
     for name, value in (
             ("noc.address_packet_flits", noc.address_packet_flits),
             ("noc.data_packet_flits", noc.data_packet_flits),
@@ -482,11 +551,14 @@ class SystemConfig:
         into a deadlock (an empty ROB or DRAM read queue), crash deep in
         a component (an empty or zero-width branch table, a cache with
         no ways, capacity or MSHR registers, a DRAM channel with no
-        banks or a zero-cycle burst, an empty NoC packet, an enabled
-        CLIP with an empty table or a negative counter width), schedule
-        into the past (a negative cache or router latency) or silently
-        simulate something else (negative warm-up or core latencies)
-        raises ``ValueError`` here.
+        banks, a zero-cycle burst, negative array timings or a row
+        buffer smaller than a line, an empty NoC packet, an enabled
+        CLIP with an empty table or a negative counter width, an enabled
+        TLB with no entries or whole sets, an unknown component name, a
+        negative request-trace capacity, a non-positive frequency),
+        schedule into the past (a negative cache, router, link, STLB or
+        page-walk latency) or silently simulate something else
+        (negative warm-up or core latencies) raises ``ValueError`` here.
         """
         if self.num_cores < 1:
             raise ValueError("num_cores must be positive")
@@ -502,10 +574,21 @@ class SystemConfig:
         _validate_cache("l1d", self.l1d)
         _validate_cache("l2", self.l2)
         _validate_cache("llc_slice", self.llc_slice)
-        _validate_noc_dram(self.noc, dram)
+        _validate_noc_dram(self.noc, dram, self.l1d.line_size)
+        _validate_components(self)
+        # A disabled CLIP or TLB is never built, so its fields are not
+        # read.
         if self.clip.enabled:
-            # A disabled CLIP is never built, so its fields are not read.
             _validate_clip(self.clip)
+        if self.tlb.enabled:
+            _validate_tlb(self.tlb)
+        if self.capture_request_trace < 0:
+            raise ValueError(f"capture_request_trace must not be negative, "
+                             f"got {self.capture_request_trace}")
+        if not self.core.frequency_ghz > 0:
+            # Energy and delay divide by the frequency after the run.
+            raise ValueError(f"core.frequency_ghz must be positive, got "
+                             f"{self.core.frequency_ghz}")
         if self.sim_instructions < 1:
             raise ValueError("sim_instructions must be positive")
         if self.warmup_instructions < 0:

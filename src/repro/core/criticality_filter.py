@@ -80,7 +80,6 @@ class CriticalityFilter:
         self._sets: List[Dict[int, FilterEntry]] = [
             dict() for _ in range(sets)
         ]
-        self.insertions = 0
         self.evictions = 0
 
     # ------------------------------------------------------------------
@@ -106,7 +105,6 @@ class CriticalityFilter:
                 self.evictions += 1
             entry = FilterEntry(tag)
             bucket[tag] = entry
-            self.insertions += 1
         if entry.crit_count < self.crit_count_max:
             entry.crit_count += 1
         if entry.crit_count >= self.effective_threshold \

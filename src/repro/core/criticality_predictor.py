@@ -40,8 +40,6 @@ class CriticalityPredictor:
         self._sets: List[Dict[int, _PredictorEntry]] = [
             dict() for _ in range(sets)
         ]
-        self.lookups = 0
-        self.misses = 0
 
     # ------------------------------------------------------------------
     # The signature's low part (modulo the set count) picks the set and
@@ -49,11 +47,9 @@ class CriticalityPredictor:
 
     def predict(self, signature: int) -> Optional[bool]:
         """MSB of the counter, or ``None`` on a table miss (drop)."""
-        self.lookups += 1
         tag, set_index = divmod(signature, self.num_sets)
         entry = self._sets[set_index].get(tag & self.tag_mask)
         if entry is None:
-            self.misses += 1
             return None
         entry.nru = True
         return entry.counter >= self.msb_threshold

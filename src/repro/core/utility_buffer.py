@@ -22,12 +22,9 @@ class UtilityBuffer:
             raise ValueError("utility buffer needs at least one entry")
         self.capacity = entries
         self._cam: "OrderedDict[int, int]" = OrderedDict()
-        self.insertions = 0
-        self.hits = 0
 
     def insert(self, line: int, trigger_ip: int) -> None:
         """Record a freshly issued prefetch (evicting the oldest pair)."""
-        self.insertions += 1
         if line in self._cam:
             self._cam.move_to_end(line)
             self._cam[line] = trigger_ip
@@ -38,10 +35,7 @@ class UtilityBuffer:
 
     def match(self, line: int) -> Optional[int]:
         """CAM lookup by demand line; returns and consumes the trigger IP."""
-        trigger_ip = self._cam.pop(line, None)
-        if trigger_ip is not None:
-            self.hits += 1
-        return trigger_ip
+        return self._cam.pop(line, None)
 
     def clear(self) -> None:
         self._cam.clear()

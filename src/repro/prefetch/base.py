@@ -10,7 +10,7 @@ candidates already resident or in flight are squashed.
 
 from __future__ import annotations
 
-from typing import List
+from typing import Dict, List
 
 
 class PrefetchRequest:
@@ -71,8 +71,8 @@ class NullPrefetcher(Prefetcher):
     name = "none"
 
 
-def make_prefetcher(name: str, degree: int = 4) -> Prefetcher:
-    """Instantiate a prefetcher by configuration name."""
+def _factories() -> Dict[str, type]:
+    """Prefetcher classes by configuration name."""
     # Imported here to avoid circular imports at package load.
     from repro.prefetch.berti import BertiPrefetcher
     from repro.prefetch.bingo import BingoPrefetcher
@@ -81,7 +81,7 @@ def make_prefetcher(name: str, degree: int = 4) -> Prefetcher:
     from repro.prefetch.stride import IpStridePrefetcher
     from repro.prefetch.streamer import StreamPrefetcher
 
-    factories = {
+    return {
         "none": NullPrefetcher,
         "berti": BertiPrefetcher,
         "ipcp": IpcpPrefetcher,
@@ -90,6 +90,15 @@ def make_prefetcher(name: str, degree: int = 4) -> Prefetcher:
         "stride": IpStridePrefetcher,
         "streamer": StreamPrefetcher,
     }
+
+
+def prefetcher_names() -> List[str]:
+    return sorted(_factories())
+
+
+def make_prefetcher(name: str, degree: int = 4) -> Prefetcher:
+    """Instantiate a prefetcher by configuration name."""
+    factories = _factories()
     try:
         factory = factories[name]
     except KeyError:

@@ -40,6 +40,12 @@ class TraceRecord:
     ``srcs`` lists the registers the instruction must wait for before it can
     execute; for loads these are the address-generation sources.  ``dst`` is
     the produced register (``NO_REG`` for stores and branches).
+
+    Records are immutable: a generated trace holds one record object per
+    distinct instruction and repeats it wherever that instruction recurs
+    (see :meth:`repro.trace.synthetic.SyntheticWorkload.generate`), so
+    one object stands for every occurrence.  Assigning or deleting a field
+    raises ``AttributeError``.
     """
 
     __slots__ = ("ip", "op", "address", "taken", "dst", "srcs")
@@ -47,12 +53,25 @@ class TraceRecord:
     def __init__(self, ip: int, op: Op, address: int = 0,
                  taken: bool = False, dst: int = NO_REG,
                  srcs: Tuple[int, ...] = ()) -> None:
-        self.ip = ip
-        self.op = op
-        self.address = address
-        self.taken = taken
-        self.dst = dst
-        self.srcs = srcs
+        init = object.__setattr__
+        init(self, "ip", ip)
+        init(self, "op", op)
+        init(self, "address", address)
+        init(self, "taken", taken)
+        init(self, "dst", dst)
+        init(self, "srcs", srcs)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"TraceRecord is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(
+            f"TraceRecord is immutable: cannot delete {name!r}")
+
+    def __reduce__(self) -> tuple:
+        # copy and pickle would restore the slots through __setattr__.
+        return (TraceRecord, (self.ip, self.op, self.address, self.taken,
+                              self.dst, self.srcs))
 
     @property
     def is_memory(self) -> bool:

@@ -34,7 +34,7 @@ import hashlib
 import itertools
 import random
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.trace.record import Op, TraceRecord
 
@@ -103,11 +103,21 @@ class WorkloadSpec:
 
 
 class _StreamState:
-    """Mutable per-stream generation state."""
+    """Mutable per-stream generation state, plus the stream's records.
+
+    Every record the stream emits is built on its first occurrence and
+    shared by every later one: a memory access's load (and a streaming
+    store's store) once per distinct (ip, address, dst, srcs), the
+    dependent ALUs after a load once per destination-register slot, and
+    each branch once per outcome and sources.  The state lives for one
+    :meth:`SyntheticWorkload.generate` call, so nothing outlives the
+    trace that references it.
+    """
 
     __slots__ = ("spec", "base_ip", "base_addr", "cursor", "last_dst",
                  "region_base", "region_offsets", "region_pos", "hot_base",
-                 "chase_reg", "pattern")
+                 "chase_reg", "accesses", "dep_alus", "loop_branches",
+                 "hotcold_branches")
 
     def __init__(self, spec: StreamSpec, index: int, base_ip: int,
                  rng: random.Random) -> None:
@@ -130,7 +140,40 @@ class _StreamState:
         wanted = max(1, int(lines_per_region * spec.spatial_density))
         self.region_offsets = sorted(
             rng.sample(range(lines_per_region), min(wanted, lines_per_region)))
-        self.pattern = 0
+        #: (ip, address, dst, srcs) -> that access's records.
+        self.accesses: Dict[Tuple, Tuple[TraceRecord, ...]] = {}
+        #: The load's destination-register slot -> the dependent ALUs.
+        self.dep_alus: List[Optional[Tuple[TraceRecord, ...]]] = (
+            [None] * _REG_POOL)
+        self.loop_branches = _branches(self.base_ip + 0x60, ())
+        #: Indexed by whether the branch has a source, then by outcome.
+        self.hotcold_branches = (
+            (_branches(self.base_ip + 0x4, ()),
+             _branches(self.base_ip + 0x4, (self.chase_reg,)))
+            if spec.kind == "hotcold" else ())
+
+    def access(self, ip: int, address: int, dst: int,
+               srcs: Tuple[int, ...]) -> Tuple[TraceRecord, ...]:
+        """One memory access's records: the load, then, on a streaming
+        store, the store of the loaded value."""
+        key = (ip, address, dst, srcs)
+        records = self.accesses.get(key)
+        if records is None:
+            load = TraceRecord(ip, Op.LOAD, address=address, dst=dst,
+                               srcs=srcs)
+            if self.spec.kind == "stream_store":
+                records = (load, TraceRecord(ip + 0x4, Op.STORE,
+                                             address=address, srcs=(dst,)))
+            else:
+                records = (load,)
+            self.accesses[key] = records
+        return records
+
+
+def _branches(ip: int, srcs: Tuple[int, ...]) -> Tuple[TraceRecord, ...]:
+    """The not-taken and the taken branch at ``ip``, indexed by outcome."""
+    return (TraceRecord(ip, Op.BRANCH, taken=False, srcs=srcs),
+            TraceRecord(ip, Op.BRANCH, taken=True, srcs=srcs))
 
 
 class SyntheticWorkload:
@@ -146,6 +189,11 @@ class SyntheticWorkload:
         stream; different cores get different interleavings (SPEC-rate runs
         start all copies at the same SimPoint, but queueing noise decorrelates
         them -- a different RNG stream per core models that).
+
+        The list holds one :class:`TraceRecord` object per distinct record
+        and repeats it wherever that instruction recurs.  Each record is
+        built on its first occurrence, from pools that live only for this
+        call; records are immutable, so sharing them is safe.
         """
         if length < 1:
             raise ValueError("length must be positive")
@@ -155,6 +203,12 @@ class SyntheticWorkload:
             _StreamState(spec, i, base_ip, rng)
             for i, spec in enumerate(self.spec.streams)
         ]
+        # The filler records, one per destination register and, for the
+        # branch, per outcome; streams keep their own (``_StreamState``).
+        filler_alus = [TraceRecord(base_ip + 0x8, Op.ALU, dst=reg)
+                       for reg in range(_REG_POOL)]
+        filler_branches = [_branches(base_ip + 0x10, (reg,))
+                           for reg in range(_REG_POOL)]
         out: List[TraceRecord] = []
         next_reg = 0
         phase = 0
@@ -174,7 +228,11 @@ class SyntheticWorkload:
             choice = bisect.bisect(cum_weights, rng.random() * total,
                                    0, num_streams)
             if choice == num_streams:
-                next_reg = self._emit_filler(out, rng, base_ip, next_reg)
+                dst = next_reg % _REG_POOL
+                next_reg += 1
+                out.append(filler_alus[dst])
+                if rng.random() < 0.2:
+                    out.append(filler_branches[dst][rng.random() < 0.97])
             else:
                 next_reg = self._emit_bundle(
                     states[choice], out, rng, next_reg)
@@ -207,80 +265,63 @@ class SyntheticWorkload:
             return rng.randrange(max(1, span // 16))
         return rng.randrange(span)
 
-    def _emit_filler(self, out: List[TraceRecord], rng: random.Random,
-                     base_ip: int, next_reg: int) -> int:
-        dst = next_reg % _REG_POOL
-        out.append(TraceRecord(base_ip + 0x8, Op.ALU, dst=dst))
-        if rng.random() < 0.2:
-            out.append(TraceRecord(base_ip + 0x10, Op.BRANCH,
-                                   taken=rng.random() < 0.97,
-                                   srcs=(dst,)))
-        return next_reg + 1
-
     def _emit_bundle(self, state: _StreamState, out: List[TraceRecord],
                      rng: random.Random, next_reg: int) -> int:
         spec = state.spec
+        kind = spec.kind
         footprint = spec.footprint_kib * 1024
         ip_slot = state.cursor % max(1, spec.ips)
         load_ip = state.base_ip + ip_slot * 0x20
-        dst = next_reg % _REG_POOL
-        next_reg += 1
+        base = state.base_addr
+        slot = dst = next_reg % _REG_POOL
+        srcs: Tuple[int, ...] = ()
 
-        if spec.kind == "stride":
-            address = state.base_addr + (state.cursor * spec.stride) % footprint
-            out.append(TraceRecord(load_ip, Op.LOAD, address=address, dst=dst))
-        elif spec.kind == "pointer":
-            address = state.base_addr + self._skewed_line(rng, footprint) * _LINE
-            srcs = (state.chase_reg,) if state.last_dst is not None else ()
-            dst = state.chase_reg
-            out.append(TraceRecord(load_ip, Op.LOAD, address=address,
-                                   dst=dst, srcs=srcs))
-            state.last_dst = dst
-        elif spec.kind == "spatial":
+        if kind == "stride" or kind == "stream_store":
+            address = base + (state.cursor * spec.stride) % footprint
+        elif kind == "pointer":
+            address = base + self._skewed_line(rng, footprint) * _LINE
+            if state.last_dst is not None:
+                srcs = (state.chase_reg,)
+            dst = state.last_dst = state.chase_reg
+        elif kind == "spatial":
             if state.region_pos >= len(state.region_offsets):
                 state.region_pos = 0
-                state.region_base = (state.base_addr
-                                     + rng.randrange(footprint // spec.region_bytes)
+                regions = footprint // spec.region_bytes
+                state.region_base = (base + rng.randrange(regions)
                                      * spec.region_bytes)
             offset = state.region_offsets[state.region_pos]
             state.region_pos += 1
             address = state.region_base + offset * _LINE
-            out.append(TraceRecord(load_ip, Op.LOAD, address=address, dst=dst))
-        elif spec.kind == "random":
-            address = state.base_addr + self._skewed_line(rng, footprint) * _LINE
-            out.append(TraceRecord(load_ip, Op.LOAD, address=address, dst=dst))
-        elif spec.kind == "hotcold":
+        elif kind == "random":
+            address = base + self._skewed_line(rng, footprint) * _LINE
+        elif kind == "hotcold":
             # Branch first; its outcome selects the hot or cold region for
             # the *same* load IP.  The branch is data-dependent (sourced from
             # the previous iteration's load) so it resolves late and its
             # outcome genuinely precedes the load in global branch history.
             take_hot = rng.random() < spec.hot_probability
-            branch_srcs = (state.chase_reg,) if state.last_dst is not None else ()
-            out.append(TraceRecord(state.base_ip + 0x4, Op.BRANCH,
-                                   taken=take_hot, srcs=branch_srcs))
+            out.append(state.hotcold_branches[state.last_dst is not None]
+                       [take_hot])
             if take_hot:
-                hot_bytes = spec.hot_footprint_kib * 1024
-                address = state.hot_base + rng.randrange(hot_bytes // _LINE) * _LINE
+                hot_lines = spec.hot_footprint_kib * 1024 // _LINE
+                address = state.hot_base + rng.randrange(hot_lines) * _LINE
             else:
-                address = state.base_addr + rng.randrange(footprint // _LINE) * _LINE
-            dst = state.chase_reg
-            out.append(TraceRecord(load_ip, Op.LOAD, address=address, dst=dst))
-            state.last_dst = dst
-        elif spec.kind == "stream_store":
-            address = state.base_addr + (state.cursor * spec.stride) % footprint
-            out.append(TraceRecord(load_ip, Op.LOAD, address=address, dst=dst))
-            out.append(TraceRecord(load_ip + 0x4, Op.STORE,
-                                   address=address, srcs=(dst,)))
+                address = base + rng.randrange(footprint // _LINE) * _LINE
+            dst = state.last_dst = state.chase_reg
         else:  # pragma: no cover - guarded by StreamSpec validation
-            raise AssertionError(spec.kind)
+            raise AssertionError(kind)
+        out.extend(state.access(load_ip, address, dst, srcs))
 
         state.cursor += 1
-        for i in range(spec.dep_alu):
-            alu_dst = next_reg % _REG_POOL
-            next_reg += 1
-            out.append(TraceRecord(state.base_ip + 0x40 + i * 4, Op.ALU,
-                                   dst=alu_dst, srcs=(dst,)))
+        # The dependent ALUs write the registers after ``slot`` and read
+        # the load's destination, which ``slot`` and the stream fix.
+        alus = state.dep_alus[slot]
+        if alus is None:
+            alus = state.dep_alus[slot] = tuple(
+                TraceRecord(state.base_ip + 0x40 + i * 4, Op.ALU,
+                            dst=(slot + 1 + i) % _REG_POOL, srcs=(dst,))
+                for i in range(spec.dep_alu))
+        out.extend(alus)
         # Loop branch closing the bundle (predictable, biased taken).
-        out.append(TraceRecord(state.base_ip + 0x60, Op.BRANCH,
-                               taken=rng.random() < spec.branch_bias))
-        return next_reg
+        out.append(state.loop_branches[rng.random() < spec.branch_bias])
+        return next_reg + 1 + spec.dep_alu

@@ -13,7 +13,14 @@ The CLIP values in ``CLIP_INVALID`` failed in a CLIP constructor at
 build time (an empty table or buffer, a zero-bit history or counter, no
 APC history, a phase threshold outside (0, 1)) or raised a bare
 "negative shift count" at build time or at the first prefetch issue or
-hit (a negative tag or counter width).
+hit (a negative tag or counter width).  The values in
+``COMPONENT_INVALID`` failed in a component's construction (an unknown
+component name, an enabled TLB with no entries or entries that fill no
+whole set, a row buffer smaller than a line, negative DRAM array timings,
+a negative request-trace capacity), mid-run (a negative page shift,
+page-walk latency or a link latency of -5), after the whole point (a
+zero frequency), or ran and silently changed the result (a negative
+STLB latency, a link latency of -1, a negative frequency).
 """
 
 from __future__ import annotations
@@ -151,6 +158,50 @@ NAMED.update({
     for case, (name, value) in CLIP_INVALID.items()})
 
 
+def _tlb(enabled: bool, **fields):
+    def apply(config):
+        config.tlb = dataclasses.replace(config.tlb, enabled=enabled,
+                                         **fields)
+    return apply
+
+
+#: TLB edits that break an enabled TLB -> (field, value).
+TLB_INVALID = {
+    **{f"tlb.{name}=0": (name, 0)
+       for name in ("dtlb_entries", "dtlb_ways", "stlb_entries",
+                    "stlb_ways")},
+    "tlb.dtlb_entries=7": ("dtlb_entries", 7),
+    "tlb.page_shift=-1": ("page_shift", -1),
+    "tlb.page_walk_latency=-500": ("page_walk_latency", -500),
+    "tlb.stlb_latency=-50": ("stlb_latency", -50),
+}
+
+COMPONENT_INVALID = {
+    **{f"{group}.name=bogus": (_set(group, name="bogus"), f"{group}.name")
+       for group in ("l1_prefetcher", "l2_prefetcher", "throttle",
+                     "criticality")},
+    **{f"{level}.replacement=bogus": (_set(level, replacement="bogus"),
+                                      f"{level}.replacement")
+       for level in ("l1d", "l2", "llc_slice")},
+    **{case: (_tlb(True, **{name: value}), f"tlb.{name}")
+       for case, (name, value) in TLB_INVALID.items()},
+    **{f"dram.row_buffer_bytes={size}": (_set("dram", row_buffer_bytes=size),
+                                         "dram.row_buffer_bytes")
+       for size in (0, 32)},
+    **{f"dram.{name}=-1": (_set("dram", **{name: -1}), f"dram.{name}")
+       for name in ("trp_cycles", "trcd_cycles", "cas_cycles")},
+    **{f"noc.link_latency={value}": (_set("noc", link_latency=value),
+                                     "noc.link_latency")
+       for value in (-5, -1)},
+    "capture_request_trace=-1": (_system(capture_request_trace=-1),
+                                 "capture_request_trace"),
+    **{f"core.frequency_ghz={value}": (_core(frequency_ghz=value),
+                                       "core.frequency_ghz")
+       for value in (0, -1)},
+}
+NAMED.update(COMPONENT_INVALID)
+
+
 @pytest.mark.parametrize("case", sorted(NAMED))
 def test_validate_rejects_and_names_field(case):
     edit, field_name = NAMED[case]
@@ -172,6 +223,18 @@ def test_disabled_clip_fields_are_not_validated():
     assert result.total_instructions == 500
 
 
+def test_disabled_tlb_fields_are_not_validated():
+    """A disabled TLB is never built either: every TLB value that
+    ``validate()`` rejects for an enabled TLB still runs with it off."""
+    config = _point()
+    for case in sorted(TLB_INVALID):
+        name, value = TLB_INVALID[case]
+        _tlb(False, **{name: value})(config)
+        config.validate()
+    result = run_system(config, ["605.mcf_s-1536B"])
+    assert result.total_instructions == 500
+
+
 @pytest.mark.parametrize("level", ["l1d", "l2", "llc_slice"])
 def test_zero_way_cache_config_is_a_value_error(level):
     """Building the level with no ways fails in ``CacheConfig`` itself,
@@ -181,12 +244,22 @@ def test_zero_way_cache_config_is_a_value_error(level):
         dataclasses.replace(getattr(config, level), ways=0)
 
 
-@pytest.mark.parametrize("edit", [_set("l1d", latency=0),
-                                  _set("noc", router_latency=0)],
-                         ids=["l1d.latency=0", "noc.router_latency=0"])
+ZERO_LATENCY = {
+    "l1d.latency=0": _set("l1d", latency=0),
+    "noc.router_latency=0": _set("noc", router_latency=0),
+    "noc.link_latency=0": _set("noc", link_latency=0),
+    "dram.array_timings=0": _set("dram", trp_cycles=0, trcd_cycles=0,
+                                 cas_cycles=0),
+    "tlb.latencies=0": _tlb(True, stlb_latency=0, page_walk_latency=0),
+}
+
+
+@pytest.mark.parametrize("edit", list(ZERO_LATENCY.values()),
+                         ids=list(ZERO_LATENCY))
 def test_zero_memory_latency_runs(edit):
-    """The latency bounds are "not negative": a zero-cycle cache or
-    router still schedules at ``now``, never in the past."""
+    """The latency bounds are "not negative": a zero-cycle cache,
+    router, link, DRAM array or TLB still schedules at ``now``, never in
+    the past."""
     config = _point()
     edit(config)
     config.validate()
@@ -203,6 +276,9 @@ def test_smallest_valid_config_finishes():
     config.branch = BranchPredictorConfig(
         history_bits=0, num_tables=1, table_entries=1, weight_bits=1,
         threshold=0)
+    config.dram.row_buffer_bytes = config.l1d.line_size
+    _tlb(True, dtlb_entries=1, dtlb_ways=1, stlb_entries=1, stlb_ways=1,
+         page_shift=0)(config)
     config.validate()
     result = run_system(config, ["605.mcf_s-1536B"] * 2)
     assert result.total_instructions == 2 * 500

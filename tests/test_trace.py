@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -28,6 +31,15 @@ class TestTraceRecord:
         assert a == b
         assert hash(a) == hash(b)
         assert a != c
+
+    def test_copy_and_pickle_round_trip(self):
+        # Records are immutable, so copy and pickle rebuild them through
+        # the constructor rather than by assigning slots.
+        record = TraceRecord(0x400, Op.LOAD, address=0x1000, dst=1,
+                             srcs=(2,))
+        assert copy.copy(record) == record
+        assert copy.deepcopy(record) == record
+        assert pickle.loads(pickle.dumps(record)) == record
 
     def test_validate_rejects_memory_without_address(self):
         with pytest.raises(ValueError, match="without address"):
