@@ -86,7 +86,6 @@ class Cache:
         self.config = config
         self.num_sets = config.num_sets
         self.ways = config.ways
-        self.line_shift = config.line_size.bit_length() - 1
         self.policy = make_policy(config.replacement, self.num_sets,
                                   self.ways)
         # Per-set tag -> way map plus way-indexed line state.

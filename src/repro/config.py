@@ -17,23 +17,63 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
+import typing
 from dataclasses import dataclass, field
+from typing import Annotated
+
+#: log2 of the cache line size: every address maps to a 64-byte line.
+LINE_SHIFT = 6
+
+
+@dataclass(frozen=True)
+class Bound:
+    """The valid range of a numeric config field.
+
+    Declared next to the field (``issue_width: Positive``, or
+    ``Annotated[float, FRACTION]``) and checked by
+    :meth:`SystemConfig.validate`, whose message reads
+    ``<field> <rule>, got <value>``.
+    """
+
+    #: The lowest valid value, itself invalid when ``strict``.
+    low: float
+    strict: bool
+    rule: str
+    #: Exclusive upper end.
+    high: float = math.inf
+
+    def admits(self, value: float) -> bool:
+        return ((value > self.low if self.strict else value >= self.low)
+                and value < self.high)
+
+
+POSITIVE = Bound(0, True, "must be positive")
+NOT_NEGATIVE = Bound(0, False, "must not be negative")
+FRACTION = Bound(0, True, "must be a fraction in (0, 1)", high=1)
+
+
+def at_least(low: int) -> Bound:
+    """An explicit minimum, such as the perceptron's two weight bits."""
+    return Bound(low, False, f"must be at least {low}")
+
+
+Positive = Annotated[int, POSITIVE]
+NotNegative = Annotated[int, NOT_NEGATIVE]
 
 
 @dataclass
 class CoreConfig:
     """Out-of-order core parameters (Table 3, row "Core")."""
 
-    frequency_ghz: float = 4.0
-    issue_width: int = 6
-    retire_width: int = 4
-    rob_entries: int = 512
-    load_queue_entries: int = 128
-    store_queue_entries: int = 72
+    #: Energy and delay divide by the frequency after the run.
+    frequency_ghz: Annotated[float, POSITIVE] = 4.0
+    issue_width: Positive = 6
+    retire_width: Positive = 4
+    rob_entries: Positive = 512
     #: Fixed pipeline refill penalty after a branch mispredict, in cycles.
-    mispredict_penalty: int = 15
+    mispredict_penalty: NotNegative = 15
     #: Execution latency of non-memory instructions, in cycles.
-    alu_latency: int = 1
+    alu_latency: NotNegative = 1
 
 
 def little_core(frequency_ghz: float = 4.0) -> CoreConfig:
@@ -44,8 +84,7 @@ def little_core(frequency_ghz: float = 4.0) -> CoreConfig:
     help more when cores are asymmetric?).
     """
     return CoreConfig(frequency_ghz=frequency_ghz, issue_width=3,
-                      retire_width=2, rob_entries=128,
-                      load_queue_entries=64, store_queue_entries=36)
+                      retire_width=2, rob_entries=128)
 
 
 def big_little_overrides(num_cores: int, big_cores: int,
@@ -65,10 +104,10 @@ def big_little_overrides(num_cores: int, big_cores: int,
 class BranchPredictorConfig:
     """Hashed perceptron branch predictor (Table 3 cites Jimenez & Lin)."""
 
-    history_bits: int = 24
-    num_tables: int = 8
-    table_entries: int = 1024
-    weight_bits: int = 8
+    history_bits: NotNegative = 24
+    num_tables: Positive = 8
+    table_entries: Positive = 1024
+    weight_bits: Positive = 8
     threshold: int = 18
 
 
@@ -77,37 +116,30 @@ class CacheConfig:
     """Geometry and latency of one cache level."""
 
     name: str = "L1D"
-    size_kib: int = 48
-    ways: int = 12
-    line_size: int = 64
-    latency: int = 5
-    mshr_entries: int = 16
+    size_kib: Positive = 48
+    ways: Positive = 12
+    #: A negative latency schedules a response in the past.
+    latency: NotNegative = 5
+    mshr_entries: Positive = 16
     replacement: str = "lru"
 
     @property
     def num_sets(self) -> int:
-        total_lines = self.size_kib * 1024 // self.line_size
-        return total_lines // self.ways
+        return self.num_lines // self.ways
 
     @property
     def num_lines(self) -> int:
-        return self.size_kib * 1024 // self.line_size
+        return self.size_kib * 1024 >> LINE_SHIFT
 
     def __post_init__(self) -> None:
         if self.ways < 1:
             raise ValueError(f"{self.name}: ways must be positive, got "
                              f"{self.ways}")
-        total_lines = self.size_kib * 1024 // self.line_size
-        if total_lines % self.ways:
+        if self.num_lines % self.ways:
             raise ValueError(
-                f"{self.name}: {total_lines} lines not divisible by "
+                f"{self.name}: {self.num_lines} lines not divisible by "
                 f"{self.ways} ways"
             )
-
-
-def _default_l1i() -> CacheConfig:
-    return CacheConfig(name="L1I", size_kib=32, ways=8, latency=4,
-                       mshr_entries=8, replacement="lru")
 
 
 def _default_l1d() -> CacheConfig:
@@ -132,15 +164,15 @@ class TlbConfig:
     benchmark scale; see ``repro.mmu.tlb`` for the rationale."""
 
     enabled: bool = False
-    dtlb_entries: int = 64
-    dtlb_ways: int = 4
-    stlb_entries: int = 2048
-    stlb_ways: int = 16
+    dtlb_entries: Positive = 64
+    dtlb_ways: Positive = 4
+    stlb_entries: Positive = 2048
+    stlb_ways: Positive = 16
     #: STLB lookup latency in cycles (Table 3: 8 cycles).
-    stlb_latency: int = 8
+    stlb_latency: NotNegative = 8
     #: Charge for a full page walk on an STLB miss.
-    page_walk_latency: int = 100
-    page_shift: int = 12
+    page_walk_latency: NotNegative = 100
+    page_shift: NotNegative = 12
 
 
 @dataclass
@@ -148,15 +180,13 @@ class NocConfig:
     """8x8 mesh wormhole NoC (Table 3, rows "Network Router"/"Topology")."""
 
     #: Router pipeline depth in cycles (2-stage wormhole router).
-    router_latency: int = 2
+    router_latency: NotNegative = 2
     #: Link traversal latency in cycles.
-    link_latency: int = 1
+    link_latency: NotNegative = 1
     #: Flits per data packet (64B line over 8-byte flits).
-    data_packet_flits: int = 8
+    data_packet_flits: Positive = 8
     #: Flits per address/request packet.
-    address_packet_flits: int = 1
-    virtual_channels: int = 6
-    flit_buffer_depth: int = 5
+    address_packet_flits: Positive = 1
 
 
 @dataclass
@@ -168,16 +198,18 @@ class DramConfig:
     occupies the data bus for 2.5 ns = 10 CPU cycles at 4 GHz.
     """
 
-    channels: int = 8
-    banks_per_channel: int = 16
+    channels: Positive = 8
+    banks_per_channel: Positive = 16
+    #: At least one line (a cross-field rule of ``validate``).
     row_buffer_bytes: int = 4096
     #: tRP = tRCD = CAS = 12.5 ns (Table 3) = 50 cycles at 4 GHz.
-    trp_cycles: int = 50
-    trcd_cycles: int = 50
-    cas_cycles: int = 50
+    trp_cycles: NotNegative = 50
+    trcd_cycles: NotNegative = 50
+    cas_cycles: NotNegative = 50
     #: Data-bus occupancy of one 64B burst (burst length 16).
-    burst_cycles: int = 10
-    read_queue_entries: int = 64
+    burst_cycles: Positive = 10
+    #: An empty read queue deadlocks the channel.
+    read_queue_entries: Positive = 64
     write_queue_entries: int = 64
     #: Writes drain once the write queue passes this fill fraction (7/8).
     write_watermark: float = 7.0 / 8.0
@@ -185,7 +217,6 @@ class DramConfig:
     write_drain_batch: int = 16
     #: PADC-style prefetch-aware scheduling (demand-first).
     prefetch_aware: bool = True
-    page_policy: str = "open"
 
 
 @dataclass
@@ -196,8 +227,6 @@ class PrefetcherConfig:
     #: "streamer".
     name: str = "berti"
     degree: int = 4
-    #: Max in-flight prefetches queued at the issuing cache level.
-    queue_entries: int = 32
 
 
 @dataclass
@@ -206,32 +235,32 @@ class ClipConfig:
 
     enabled: bool = False
     # Criticality filter: 32 sets x 4 ways = 128 entries.
-    filter_sets: int = 32
-    filter_ways: int = 4
-    ip_tag_bits: int = 6
-    criticality_count_bits: int = 2
-    hit_count_bits: int = 6
-    issue_count_bits: int = 6
+    filter_sets: Positive = 32
+    filter_ways: Positive = 4
+    ip_tag_bits: NotNegative = 6
+    criticality_count_bits: NotNegative = 2
+    hit_count_bits: NotNegative = 6
+    issue_count_bits: NotNegative = 6
     #: ROB-stall occurrences before an IP is considered critical.
     criticality_count_threshold: int = 4
     # Criticality predictor: 128 sets x 4 ways = 512 entries.
-    predictor_sets: int = 128
-    predictor_ways: int = 4
-    predictor_tag_bits: int = 6
-    saturating_counter_bits: int = 3
+    predictor_sets: Positive = 128
+    predictor_ways: Positive = 4
+    predictor_tag_bits: NotNegative = 6
+    saturating_counter_bits: Positive = 3
     # Utility buffer CAM.
-    utility_buffer_entries: int = 64
+    utility_buffer_entries: Positive = 64
     # Global histories feeding the critical signature.
-    branch_history_bits: int = 32
-    criticality_history_bits: int = 32
+    branch_history_bits: Positive = 32
+    criticality_history_bits: Positive = 32
     #: Exploration window, in L1D misses (just above 768 L1D lines).
     exploration_window_misses: int = 1024
     #: Per-IP prefetch hit rate needed to keep prefetching for an IP.
     accuracy_threshold: float = 0.90
     #: APC deviation that signals an application phase change.
-    phase_change_threshold: float = 0.15
+    phase_change_threshold: Annotated[float, FRACTION] = 0.15
     #: Number of past windows averaged for the APC baseline.
-    apc_history_windows: int = 16
+    apc_history_windows: Positive = 16
     #: Send the criticality flag to the NoC and DRAM scheduler.
     criticality_conscious_noc_dram: bool = True
     #: Stage-II per-IP accuracy filter (ablation knob).
@@ -320,7 +349,7 @@ class LearnedConfig:
     #: Root of the per-core deterministic exploration streams.
     seed: int = 0xC11F
     #: Demand L1D accesses per policy epoch (observe cadence).
-    epoch_accesses: int = 128
+    epoch_accesses: Positive = 128
     #: Bandit arms (L1 prefetcher names; "none" keeps the no-prefetch
     #: option competitive under bandwidth pressure).
     arms: tuple[str, ...] = ("none", "berti", "stride", "streamer")
@@ -329,9 +358,10 @@ class LearnedConfig:
     #: Use the UCB rule instead of epsilon-greedy exploration.
     ucb: bool = False
     #: Perceptron geometry (branch.py-style lanes).
-    tables: int = 4
-    table_entries: int = 256
-    weight_bits: int = 6
+    tables: Positive = 4
+    table_entries: Positive = 256
+    #: A sign bit and at least one magnitude bit.
+    weight_bits: Annotated[int, at_least(2)] = 6
     #: Base admission threshold (idle bus).
     threshold: int = 0
     #: Raise the admission bar with DRAM bus pressure.
@@ -340,26 +370,15 @@ class LearnedConfig:
     #: probe, so the filter keeps a training signal even when the
     #: adaptive bar exceeds the cold-start weights (CLIP's
     #: exploration-window idea, counter-deterministic).
-    probe_interval: int = 8
+    probe_interval: Positive = 8
     #: Bound on in-flight admissions awaiting fate feedback.
-    pending_entries: int = 512
+    pending_entries: Positive = 512
 
 
-def _validate_cache(field_name: str, cache: CacheConfig) -> None:
-    """``SystemConfig.validate`` for one cache level; ``field_name`` is
-    the config field (``l1d``, ``l2``, ``llc_slice``) named in messages.
-    Zero ways or zero capacity would divide by zero in the cache, no
-    MSHR registers fail the MSHR file's construction, and a negative
-    latency schedules a response in the past."""
-    for name, value in (("ways", cache.ways),
-                        ("size_kib", cache.size_kib),
-                        ("mshr_entries", cache.mshr_entries)):
-        if value < 1:
-            raise ValueError(f"{field_name}.{name} must be positive, got "
-                             f"{value}")
-    if cache.latency < 0:
-        raise ValueError(f"{field_name}.latency must not be negative, got "
-                         f"{cache.latency}")
+#: ``LearnedConfig`` fields only the perceptron reads.
+_PERCEPTRON_FIELDS = frozenset(
+    f"learned.{name}" for name in ("tables", "table_entries", "weight_bits",
+                                   "probe_interval", "pending_entries"))
 
 
 @functools.lru_cache(maxsize=None)
@@ -380,123 +399,52 @@ def _component_choices() -> tuple[tuple[str, tuple[str, ...]], ...]:
             ("l1_prefetcher.name", prefetchers),
             ("l2_prefetcher.name", prefetchers),
             ("throttle.name", ("none", *throttler_names())),
-            ("criticality.name", ("none", *predictor_names())))
+            ("criticality.name", ("none", *predictor_names())),
+            ("learned.policy", ("none", "bandit", "perceptron")))
 
 
-def _validate_components(config: "SystemConfig") -> None:
-    """``SystemConfig.validate`` for the component names: an unknown
-    replacement policy, prefetcher, throttler or criticality predictor
-    fails in its factory at build time."""
-    for field_name, choices in _component_choices():
-        group, name = field_name.split(".")
-        value = getattr(getattr(config, group), name)
-        if value not in choices:
-            raise ValueError(f"unknown {field_name} {value!r}: choose "
-                             f"from {list(choices)}")
+@functools.lru_cache(maxsize=None)
+def _checked_fields(cls: type) -> tuple[tuple[str, Bound | None], ...]:
+    """(field, its declared bound) for each bounded field of config class
+    ``cls``, and (field, None) for each nested config or map of configs,
+    computed once per class."""
+    hints = typing.get_type_hints(cls, include_extras=True)
+    checked: list[tuple[str, Bound | None]] = []
+    for item in dataclasses.fields(cls):
+        hint = hints[item.name]
+        bound = next((meta for meta in getattr(hint, "__metadata__", ())
+                      if isinstance(meta, Bound)), None)
+        if (bound is not None or dataclasses.is_dataclass(hint)
+                or typing.get_origin(hint) is dict):
+            checked.append((item.name, bound))
+    return tuple(checked)
 
 
-def _validate_tlb(tlb: TlbConfig) -> None:
-    """``SystemConfig.validate`` for an enabled TLB.  An empty TLB, or
-    one whose entries do not fill whole sets, fails in the TLB's
-    construction; a negative page shift fails as a negative shift
-    count; a negative latency hands cycles back, silently or into the
-    past."""
-    for level in ("dtlb", "stlb"):
-        entries = getattr(tlb, f"{level}_entries")
-        ways = getattr(tlb, f"{level}_ways")
-        if ways < 1:
-            raise ValueError(f"tlb.{level}_ways must be positive, got "
-                             f"{ways}")
-        if entries < 1 or entries % ways:
-            raise ValueError(f"tlb.{level}_entries must be a positive "
-                             f"multiple of tlb.{level}_ways ({ways}), got "
-                             f"{entries}")
-    for name, value in (("stlb_latency", tlb.stlb_latency),
-                        ("page_walk_latency", tlb.page_walk_latency),
-                        ("page_shift", tlb.page_shift)):
-        if value < 0:
-            raise ValueError(f"tlb.{name} must not be negative, got "
-                             f"{value}")
-
-
-def _validate_noc_dram(noc: NocConfig, dram: DramConfig,
-                       line_size: int) -> None:
-    """``SystemConfig.validate`` for the interconnect and DRAM timing.
-    A negative router or link latency delivers a packet in the past (or
-    early, silently), an empty packet cannot traverse the mesh, a
-    zero-cycle burst or a negative array timing breaks the bank and
-    data-bus spacing the DRAM channel models, and a row buffer smaller
-    than a line maps no line to a row."""
-    for name, value in (("noc.router_latency", noc.router_latency),
-                        ("noc.link_latency", noc.link_latency),
-                        ("dram.trp_cycles", dram.trp_cycles),
-                        ("dram.trcd_cycles", dram.trcd_cycles),
-                        ("dram.cas_cycles", dram.cas_cycles)):
-        if value < 0:
-            raise ValueError(f"{name} must not be negative, got {value}")
-    if dram.row_buffer_bytes < line_size:
-        raise ValueError(f"dram.row_buffer_bytes must be at least the "
-                         f"line size ({line_size}), got "
-                         f"{dram.row_buffer_bytes}")
-    for name, value in (
-            ("noc.address_packet_flits", noc.address_packet_flits),
-            ("noc.data_packet_flits", noc.data_packet_flits),
-            ("dram.burst_cycles", dram.burst_cycles)):
-        if value < 1:
-            raise ValueError(f"{name} must be positive, got {value}")
-
-
-def _validate_clip(clip: ClipConfig) -> None:
-    """``SystemConfig.validate`` for an enabled CLIP.  Empty structures
-    and a zero-bit history or counter fail in the CLIP constructors; a
-    negative tag or counter width fails as a negative shift, at build
-    time or at the first prefetch issue or hit."""
-    for name, value in (
-            ("filter_sets", clip.filter_sets),
-            ("filter_ways", clip.filter_ways),
-            ("predictor_sets", clip.predictor_sets),
-            ("predictor_ways", clip.predictor_ways),
-            ("utility_buffer_entries", clip.utility_buffer_entries),
-            ("branch_history_bits", clip.branch_history_bits),
-            ("criticality_history_bits", clip.criticality_history_bits),
-            ("saturating_counter_bits", clip.saturating_counter_bits),
-            ("apc_history_windows", clip.apc_history_windows)):
-        if value < 1:
-            raise ValueError(f"clip.{name} must be positive, got {value}")
-    for name, value in (
-            ("ip_tag_bits", clip.ip_tag_bits),
-            ("predictor_tag_bits", clip.predictor_tag_bits),
-            ("criticality_count_bits", clip.criticality_count_bits),
-            ("hit_count_bits", clip.hit_count_bits),
-            ("issue_count_bits", clip.issue_count_bits)):
-        if value < 0:
-            raise ValueError(f"clip.{name} must not be negative, got "
-                             f"{value}")
-    if not 0 < clip.phase_change_threshold < 1:
-        raise ValueError(f"clip.phase_change_threshold must be a fraction "
-                         f"in (0, 1), got {clip.phase_change_threshold}")
-
-
-def _validate_core(prefix: str, core: CoreConfig) -> None:
-    """``SystemConfig.validate`` for one core (base or override);
-    ``prefix`` names the core in messages."""
-    if core.issue_width < 1 or core.retire_width < 1:
-        raise ValueError(f"{prefix}issue and retire widths must be "
-                         f"positive")
-    if core.retire_width > core.issue_width:
-        raise ValueError(f"{prefix}retire width wider than issue width")
-    if core.rob_entries < 1:
-        raise ValueError(f"{prefix}rob_entries must be positive")
-    if core.alu_latency < 0 or core.mispredict_penalty < 0:
-        raise ValueError(f"{prefix}alu_latency and mispredict_penalty "
-                         f"must not be negative")
+def _check_bounds(config: object, prefix: str, skip: set[str]) -> None:
+    """Raise ``ValueError`` for the first field of ``config`` or of its
+    nested configs outside its declared bound.  ``prefix`` names
+    ``config`` in messages; a field or group named in ``skip`` is not
+    checked."""
+    for name, bound in _checked_fields(type(config)):
+        value = getattr(config, name)
+        if bound is None:
+            path = prefix + name
+            if path in skip:
+                continue
+            if isinstance(value, dict):
+                for key, nested in value.items():
+                    _check_bounds(nested, f"{path}[{key}].", skip)
+            else:
+                _check_bounds(value, path + ".", skip)
+        elif not bound.admits(value) and prefix + name not in skip:
+            raise ValueError(f"{prefix}{name} {bound.rule}, got {value}")
 
 
 @dataclass
 class SystemConfig:
     """Complete multi-core system configuration (Table 3 defaults)."""
 
-    num_cores: int = 64
+    num_cores: Positive = 64
     core: CoreConfig = field(default_factory=CoreConfig)
     #: Per-core deviations from :attr:`core` (big/little mixes): maps a
     #: core id to the full :class:`CoreConfig` that core runs with.
@@ -504,7 +452,6 @@ class SystemConfig:
     core_overrides: dict[int, CoreConfig] = field(default_factory=dict)
     branch: BranchPredictorConfig = field(default_factory=BranchPredictorConfig)
     tlb: TlbConfig = field(default_factory=TlbConfig)
-    l1i: CacheConfig = field(default_factory=_default_l1i)
     l1d: CacheConfig = field(default_factory=_default_l1d)
     l2: CacheConfig = field(default_factory=_default_l2)
     llc_slice: CacheConfig = field(default_factory=_default_llc_slice)
@@ -519,17 +466,17 @@ class SystemConfig:
     related: RelatedConfig = field(default_factory=RelatedConfig)
     learned: LearnedConfig = field(default_factory=LearnedConfig)
     #: Instructions simulated per core before statistics are collected.
-    warmup_instructions: int = 0
+    warmup_instructions: NotNegative = 0
     #: When > 0, record up to this many per-demand-load latency records
     #: (see ``repro.sim.tracing``); 0 disables tracing.
-    capture_request_trace: int = 0
+    capture_request_trace: NotNegative = 0
     #: Install the runtime invariant sanitizer
     #: (``repro.analysis.sanitizer``).  Also enabled by the
     #: ``REPRO_SANITIZE=1`` environment variable; the flag is consulted
     #: once at system construction, so a disabled run pays nothing.
     sanitize: bool = False
     #: Instructions simulated per core with statistics on.
-    sim_instructions: int = 20_000
+    sim_instructions: Positive = 20_000
 
     @property
     def mesh_dim(self) -> int:
@@ -547,66 +494,57 @@ class SystemConfig:
     def validate(self) -> None:
         """Reject configurations the simulator cannot run as asked.
 
-        Everything that would otherwise hang (zero retire width), stall
-        into a deadlock (an empty ROB or DRAM read queue), crash deep in
-        a component (an empty or zero-width branch table, a cache with
-        no ways, capacity or MSHR registers, a DRAM channel with no
-        banks, a zero-cycle burst, negative array timings or a row
-        buffer smaller than a line, an empty NoC packet, an enabled
-        CLIP with an empty table or a negative counter width, an enabled
-        TLB with no entries or whole sets, an unknown component name, a
-        negative request-trace capacity, a non-positive frequency),
-        schedule into the past (a negative cache, router, link, STLB or
-        page-walk latency) or silently simulate something else
-        (negative warm-up or core latencies) raises ``ValueError`` here.
+        Every numeric field declares its bound next to itself (see
+        :class:`Bound`).  A value outside it would hang (zero retire
+        width), deadlock (an empty ROB or DRAM read queue), crash deep
+        in a component (an empty table, cache, MSHR file or packet, a
+        zero-cycle burst, a negative counter width or page shift),
+        schedule into the past (a negative latency) or silently
+        simulate something else (a negative warm-up), so it raises
+        ``ValueError`` here, naming the field.  The rules that tie
+        fields together follow the bounds, as code.
         """
-        if self.num_cores < 1:
-            raise ValueError("num_cores must be positive")
-        if self.dram.channels < 1:
-            raise ValueError("at least one DRAM channel is required")
-        dram = self.dram
-        if dram.banks_per_channel < 1:
-            raise ValueError(f"dram.banks_per_channel must be positive, "
-                             f"got {dram.banks_per_channel}")
-        if dram.read_queue_entries < 1:
-            raise ValueError(f"dram.read_queue_entries must be positive, "
-                             f"got {dram.read_queue_entries}")
-        _validate_cache("l1d", self.l1d)
-        _validate_cache("l2", self.l2)
-        _validate_cache("llc_slice", self.llc_slice)
-        _validate_noc_dram(self.noc, dram, self.l1d.line_size)
-        _validate_components(self)
-        # A disabled CLIP or TLB is never built, so its fields are not
-        # read.
-        if self.clip.enabled:
-            _validate_clip(self.clip)
+        # A disabled CLIP, TLB or learner is never built, so its fields
+        # are not read.
+        skip = set()
+        if not self.clip.enabled:
+            skip.add("clip")
+        if not self.tlb.enabled:
+            skip.add("tlb")
+        if self.learned.policy == "none":
+            skip.add("learned")
+        elif self.learned.policy != "perceptron":
+            skip |= _PERCEPTRON_FIELDS
+        _check_bounds(self, "", skip)
+        line_bytes = 1 << LINE_SHIFT
+        if self.dram.row_buffer_bytes < line_bytes:
+            raise ValueError(f"dram.row_buffer_bytes must be at least the "
+                             f"line size ({line_bytes}), got "
+                             f"{self.dram.row_buffer_bytes}")
         if self.tlb.enabled:
-            _validate_tlb(self.tlb)
-        if self.capture_request_trace < 0:
-            raise ValueError(f"capture_request_trace must not be negative, "
-                             f"got {self.capture_request_trace}")
-        if not self.core.frequency_ghz > 0:
-            # Energy and delay divide by the frequency after the run.
-            raise ValueError(f"core.frequency_ghz must be positive, got "
-                             f"{self.core.frequency_ghz}")
-        if self.sim_instructions < 1:
-            raise ValueError("sim_instructions must be positive")
-        if self.warmup_instructions < 0:
-            raise ValueError("warmup_instructions must not be negative")
-        branch = self.branch
-        if branch.table_entries < 1 or branch.num_tables < 1:
-            raise ValueError("branch predictor needs at least one table "
-                             "with at least one entry")
-        if branch.weight_bits < 1 or branch.history_bits < 0:
-            raise ValueError("branch weight_bits must be positive and "
-                             "history_bits not negative")
-        _validate_core("", self.core)
+            for level in ("dtlb", "stlb"):
+                entries = getattr(self.tlb, f"{level}_entries")
+                ways = getattr(self.tlb, f"{level}_ways")
+                if entries % ways:
+                    raise ValueError(
+                        f"tlb.{level}_entries must be a positive multiple "
+                        f"of tlb.{level}_ways ({ways}), got {entries}")
+        for field_name, choices in _component_choices():
+            group, name = field_name.split(".")
+            value = getattr(getattr(self, group), name)
+            if value not in choices:
+                raise ValueError(f"unknown {field_name} {value!r}: choose "
+                                 f"from {list(choices)}")
+        if self.core.retire_width > self.core.issue_width:
+            raise ValueError("retire width wider than issue width")
         for core_id, override in self.core_overrides.items():
             if not 0 <= core_id < self.num_cores:
                 raise ValueError(
                     f"core override for core {core_id} outside "
                     f"[0, {self.num_cores})")
-            _validate_core(f"core {core_id}: ", override)
+            if override.retire_width > override.issue_width:
+                raise ValueError(
+                    f"core {core_id}: retire width wider than issue width")
             if override.frequency_ghz != self.core.frequency_ghz:
                 # Uncore latencies are expressed in core cycles, so the
                 # model supports one clock domain for all cores.
@@ -615,12 +553,6 @@ class SystemConfig:
                     f"base core ({override.frequency_ghz} != "
                     f"{self.core.frequency_ghz})")
         learned = self.learned
-        if learned.policy not in ("none", "bandit", "perceptron"):
-            raise ValueError(
-                f"unknown learned policy {learned.policy!r}: expected "
-                f"'none', 'bandit' or 'perceptron'")
-        if learned.policy != "none" and learned.epoch_accesses < 1:
-            raise ValueError("learned.epoch_accesses must be positive")
         if learned.policy == "bandit":
             if self.l1_prefetcher.name != "none":
                 raise ValueError(
@@ -634,15 +566,6 @@ class SystemConfig:
                     raise ValueError(
                         f"unknown bandit arm {arm!r}: choose from "
                         f"{LEARNED_ARM_CHOICES}")
-        if learned.policy == "perceptron":
-            if learned.tables < 1 or learned.table_entries < 1:
-                raise ValueError(
-                    "perceptron needs at least one table and entry")
-            if learned.weight_bits < 2:
-                raise ValueError("perceptron weights need >= 2 bits")
-            if learned.probe_interval < 1:
-                raise ValueError(
-                    "perceptron probe_interval must be positive")
 
     def replace(self, **changes: object) -> "SystemConfig":
         """Return a shallow-copied config with top-level fields replaced."""
@@ -689,7 +612,7 @@ class SystemConfig:
 def scaled_config(num_cores: int = 16,
                   channels: int = 2,
                   sim_instructions: int = 12_000,
-                  warmup_instructions: int = 0) -> SystemConfig:
+                  warmup_instructions: NotNegative = 0) -> SystemConfig:
     """A benchmark-scale configuration preserving cores-per-channel ratios.
 
     The paper's headline point is the ratio of cores to DDR4-3200 channels
@@ -708,7 +631,6 @@ def scaled_config(num_cores: int = 16,
                           sim_instructions=sim_instructions,
                           warmup_instructions=warmup_instructions)
     config.dram = dataclasses.replace(config.dram, channels=channels)
-    config.l1i = dataclasses.replace(config.l1i, size_kib=8, ways=8)
     config.l1d = dataclasses.replace(config.l1d, size_kib=12, ways=12)
     config.l2 = dataclasses.replace(config.l2, size_kib=64, ways=8)
     config.llc_slice = dataclasses.replace(config.llc_slice,

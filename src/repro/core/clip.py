@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Tuple
 
-from repro.config import ClipConfig
+from repro.config import LINE_SHIFT, ClipConfig
 from repro.core.criticality_filter import CriticalityFilter
 from repro.core.criticality_predictor import CriticalityPredictor
 from repro.core.history import ShiftRegister
@@ -27,7 +27,6 @@ from repro.core.signature import (closed_form_signature, history_term,
 from repro.core.utility_buffer import UtilityBuffer
 from repro.cpu.core_model import Core, RobEntry, ServiceLevel
 
-_LINE_SHIFT = 6
 _LEVEL_L2 = ServiceLevel.L2
 
 
@@ -140,7 +139,7 @@ class Clip:
 
     def _on_load_response(self, core: Core, entry: RobEntry, cycle: int,
                           rob_stalled: bool, self_stalled: bool) -> None:
-        line = entry.address >> _LINE_SHIFT
+        line = entry.address >> LINE_SHIFT
         beyond_l1 = entry.service_level >= _LEVEL_L2
         # Ground truth: this load itself blocked the ROB head.
         critical = self_stalled and beyond_l1
@@ -274,7 +273,7 @@ class Clip:
             # _signature under the live histories, inlined: this runs for
             # most candidates.
             signature = closed_form_signature(
-                key, address >> _LINE_SHIFT,
+                key, address >> LINE_SHIFT,
                 history_term(self.branch_history.value,
                              self.criticality_history.value,
                              self._branch_mask, self._criticality_mask),
@@ -296,7 +295,7 @@ class Clip:
 
     def on_prefetch_issued(self, line: int, trigger_ip: int) -> None:
         """An allowed prefetch left for the hierarchy (Fig. 8 step 3)."""
-        key = self._key(trigger_ip, line << _LINE_SHIFT)
+        key = self._key(trigger_ip, line << LINE_SHIFT)
         self.stats.utility_cam_accesses += 1
         self.utility_buffer.insert(line, key)
         self.stats.filter_accesses += 1

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from repro.config import DramConfig
+from repro.config import LINE_SHIFT, DramConfig
 
 
 class DramCoordinates(NamedTuple):
@@ -25,9 +25,9 @@ class DramCoordinates(NamedTuple):
 class AddressMapping:
     """line address -> (channel, bank, row)."""
 
-    def __init__(self, config: DramConfig, line_size: int = 64) -> None:
+    def __init__(self, config: DramConfig) -> None:
         self.config = config
-        self.lines_per_row = config.row_buffer_bytes // line_size
+        self.lines_per_row = config.row_buffer_bytes >> LINE_SHIFT
         if self.lines_per_row < 1:
             raise ValueError("row buffer smaller than a cache line")
         # Geometry is fixed at construction; locate() reads locals, not

@@ -262,10 +262,9 @@ def _ignore_completion(done_cycle: int) -> None:
 class DramSystem:
     """All channels plus the address mapping."""
 
-    def __init__(self, config: DramConfig, engine,
-                 line_size: int = 64) -> None:
+    def __init__(self, config: DramConfig, engine) -> None:
         self.config = config
-        self.mapping = AddressMapping(config, line_size)
+        self.mapping = AddressMapping(config)
         self.channels = [DramChannel(i, config, engine)
                          for i in range(config.channels)]
 

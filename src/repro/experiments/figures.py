@@ -761,7 +761,6 @@ def table3(quiet: bool = False) -> Dict:
         "llc_replacement": config.llc_slice.replacement,
         "dram_channels": config.dram.channels,
         "mesh_dim": config.mesh_dim,
-        "noc_virtual_channels": config.noc.virtual_channels,
         "dram_trp_cycles": config.dram.trp_cycles,
         "write_watermark": config.dram.write_watermark,
     }

@@ -23,9 +23,8 @@ from __future__ import annotations
 from collections import deque
 from typing import Deque, Dict, List, Tuple
 
+from repro.config import LINE_SHIFT
 from repro.prefetch.base import Prefetcher, PrefetchRequest
-
-_LINE_SHIFT = 6
 
 
 class _IpState:
@@ -85,7 +84,7 @@ class BertiPrefetcher(Prefetcher):
 
     def on_access(self, ip: int, address: int, hit: bool,
                   cycle: int) -> List[PrefetchRequest]:
-        line = address >> _LINE_SHIFT
+        line = address >> LINE_SHIFT
         state = self._state(ip)
         state.history.append((line, cycle))
         degree = self._effective_degree
@@ -96,7 +95,7 @@ class BertiPrefetcher(Prefetcher):
             best = best[:degree]
         requests: List[PrefetchRequest] = []
         for delta, coverage in best:
-            target = (line + delta) << _LINE_SHIFT
+            target = (line + delta) << LINE_SHIFT
             if target <= 0:
                 continue
             fill_level = 1 if coverage >= self.HIGH_WATERMARK else 2
@@ -112,7 +111,7 @@ class BertiPrefetcher(Prefetcher):
         state = self._table.get(ip)
         if state is None:
             return []
-        line = address >> _LINE_SHIFT
+        line = address >> LINE_SHIFT
         latency = max(1, cycle - issued_at)
         # Votes: Berti's timeliness test -- a prefetch issued when the
         # history entry was seen would have arrived by this fill's time

@@ -13,11 +13,11 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import List, Optional
 
+from repro.config import LINE_SHIFT
 from repro.prefetch.base import Prefetcher, PrefetchRequest
 
-_LINE_SHIFT = 6
 _REGION_SHIFT = 11  # 2 KiB regions, as in the original proposal
-_LINES_PER_REGION = 1 << (_REGION_SHIFT - _LINE_SHIFT)
+_LINES_PER_REGION = 1 << (_REGION_SHIFT - LINE_SHIFT)
 
 
 class _Generation:
@@ -66,7 +66,7 @@ class BingoPrefetcher(Prefetcher):
     def on_access(self, ip: int, address: int, hit: bool,
                   cycle: int) -> List[PrefetchRequest]:
         region = address >> _REGION_SHIFT
-        offset = (address >> _LINE_SHIFT) & (_LINES_PER_REGION - 1)
+        offset = (address >> LINE_SHIFT) & (_LINES_PER_REGION - 1)
         generation = self._generations.get(region)
         if generation is not None:
             generation.footprint |= 1 << offset
@@ -92,7 +92,7 @@ class BingoPrefetcher(Prefetcher):
                 continue
             if footprint & (1 << line_offset):
                 target = ((region << _REGION_SHIFT)
-                          | (line_offset << _LINE_SHIFT))
+                          | (line_offset << LINE_SHIFT))
                 requests.append(PrefetchRequest(
                     address=target, fill_level=2, trigger_ip=ip,
                     confidence=0.8))

@@ -18,9 +18,9 @@ from __future__ import annotations
 from collections import OrderedDict, deque
 from typing import Deque, Dict, List
 
+from repro.config import LINE_SHIFT
 from repro.prefetch.base import Prefetcher, PrefetchRequest
 
-_LINE_SHIFT = 6
 _REGION_SHIFT = 11  # 2 KiB GS tracking regions
 
 
@@ -70,7 +70,7 @@ class IpcpPrefetcher(Prefetcher):
 
     def on_access(self, ip: int, address: int, hit: bool,
                   cycle: int) -> List[PrefetchRequest]:
-        line = address >> _LINE_SHIFT
+        line = address >> LINE_SHIFT
         entry = self._ips.get(ip)
         degree = max(0, int(round(self.degree * self._scale)))
         if entry is None:
@@ -115,7 +115,7 @@ class IpcpPrefetcher(Prefetcher):
                                      fill_level=1, confidence=0.75)
         prediction = self._cplx.get(entry.signature)
         if prediction is not None and prediction[1] >= 2:
-            target = (line + prediction[0]) << _LINE_SHIFT
+            target = (line + prediction[0]) << LINE_SHIFT
             if target > 0:
                 return [PrefetchRequest(address=target, fill_level=2,
                                         trigger_ip=ip,
@@ -132,7 +132,7 @@ class IpcpPrefetcher(Prefetcher):
             self._regions[region] = touched
         else:
             self._regions.move_to_end(region)
-        touched.add((address >> _LINE_SHIFT) & 0x1F)
+        touched.add((address >> LINE_SHIFT) & 0x1F)
         return len(touched) >= self.GS_DENSITY
 
     @staticmethod
@@ -141,7 +141,7 @@ class IpcpPrefetcher(Prefetcher):
                      ) -> List[PrefetchRequest]:
         requests = []
         for distance in range(1, degree + 1):
-            target = (line + stride * distance) << _LINE_SHIFT
+            target = (line + stride * distance) << LINE_SHIFT
             if target <= 0:
                 break
             requests.append(PrefetchRequest(

@@ -13,11 +13,11 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Dict, List, Optional, Tuple
 
+from repro.config import LINE_SHIFT
 from repro.prefetch.base import Prefetcher, PrefetchRequest
 
-_LINE_SHIFT = 6
 _PAGE_SHIFT = 12
-_LINES_PER_PAGE = 1 << (_PAGE_SHIFT - _LINE_SHIFT)
+_LINES_PER_PAGE = 1 << (_PAGE_SHIFT - LINE_SHIFT)
 _SIG_MASK = 0xFFF
 
 
@@ -108,7 +108,7 @@ class SppPpfPrefetcher(Prefetcher):
     def on_access(self, ip: int, address: int, hit: bool,
                   cycle: int) -> List[PrefetchRequest]:
         page = address >> _PAGE_SHIFT
-        offset = (address >> _LINE_SHIFT) & (_LINES_PER_PAGE - 1)
+        offset = (address >> LINE_SHIFT) & (_LINES_PER_PAGE - 1)
         state = self._pages.get(page)
         if state is None:
             if len(self._pages) >= self.MAX_PAGES:
@@ -149,14 +149,14 @@ class SppPpfPrefetcher(Prefetcher):
             current_offset += delta
             if not 0 <= current_offset < _LINES_PER_PAGE:
                 break  # SPP stops at page boundaries.
-            target = (page << _PAGE_SHIFT) | (current_offset << _LINE_SHIFT)
+            target = (page << _PAGE_SHIFT) | (current_offset << LINE_SHIFT)
             score = self._perceptron.score(current_signature, ip,
                                            current_offset, delta)
             if score >= _Perceptron.ISSUE_THRESHOLD:
                 requests.append(PrefetchRequest(
                     address=target, fill_level=2, trigger_ip=ip,
                     confidence=path_confidence))
-                self._remember(target >> _LINE_SHIFT,
+                self._remember(target >> LINE_SHIFT,
                                (current_signature, ip, current_offset, delta))
             current_signature = _advance_signature(current_signature, delta)
         return requests
@@ -168,7 +168,7 @@ class SppPpfPrefetcher(Prefetcher):
             self._issued.popitem(last=False)
 
     def on_prefetch_feedback(self, address: int, useful: bool) -> None:
-        features = self._issued.pop(address >> _LINE_SHIFT, None)
+        features = self._issued.pop(address >> LINE_SHIFT, None)
         if features is None:
             return
         signature, ip, offset, delta = features

@@ -9,9 +9,9 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import List
 
+from repro.config import LINE_SHIFT
 from repro.prefetch.base import Prefetcher, PrefetchRequest
 
-_LINE_SHIFT = 6
 _REGION_SHIFT = 12  # 4 KiB tracking regions
 
 
@@ -42,7 +42,7 @@ class StreamPrefetcher(Prefetcher):
 
     def on_access(self, ip: int, address: int, hit: bool,
                   cycle: int) -> List[PrefetchRequest]:
-        line = address >> _LINE_SHIFT
+        line = address >> LINE_SHIFT
         region = address >> _REGION_SHIFT
         stream = self._regions.get(region)
         if stream is None:
@@ -66,7 +66,7 @@ class StreamPrefetcher(Prefetcher):
         degree = max(0, int(round(self.degree * self._scale)))
         requests = []
         for distance in range(1, degree + 1):
-            target = (line + direction * distance) << _LINE_SHIFT
+            target = (line + direction * distance) << LINE_SHIFT
             if target <= 0:
                 break
             requests.append(PrefetchRequest(

@@ -19,11 +19,11 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Callable, List
 
+from repro.config import LINE_SHIFT
 from repro.prefetch.base import PrefetchRequest
 
-_LINE_SHIFT = 6
 _PAGE_SHIFT = 12
-_LINES_PER_PAGE = 1 << (_PAGE_SHIFT - _LINE_SHIFT)
+_LINES_PER_PAGE = 1 << (_PAGE_SHIFT - LINE_SHIFT)
 
 
 class _PagePatterns:
@@ -70,7 +70,7 @@ class DspatchModulator:
         channel that owns ``address`` -- the deliberately myopic signal.
         """
         page = address >> _PAGE_SHIFT
-        offset = (address >> _LINE_SHIFT) & (_LINES_PER_PAGE - 1)
+        offset = (address >> LINE_SHIFT) & (_LINES_PER_PAGE - 1)
         self._tick += 1
         state = self._active.get(page)
         if state is not None:
@@ -103,7 +103,7 @@ class DspatchModulator:
         requests = []
         for line_offset in range(_LINES_PER_PAGE):
             if line_offset != offset and bitmap & (1 << line_offset):
-                target = (page << _PAGE_SHIFT) | (line_offset << _LINE_SHIFT)
+                target = (page << _PAGE_SHIFT) | (line_offset << LINE_SHIFT)
                 requests.append(PrefetchRequest(
                     address=target, fill_level=2, trigger_ip=ip,
                     confidence=confidence))

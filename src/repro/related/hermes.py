@@ -12,8 +12,9 @@ from __future__ import annotations
 
 from typing import List
 
+from repro.config import LINE_SHIFT
+
 _PAGE_SHIFT = 12
-_LINE_SHIFT = 6
 
 
 class HermesPredictor:
@@ -32,7 +33,7 @@ class HermesPredictor:
 
     def _indices(self, ip: int, address: int) -> List[int]:
         page = address >> _PAGE_SHIFT
-        offset = (address >> _LINE_SHIFT) & 0x3F
+        offset = (address >> LINE_SHIFT) & 0x3F
         return [
             (ip >> 2) % self.TABLE,
             ((ip >> 2) ^ page) % self.TABLE,

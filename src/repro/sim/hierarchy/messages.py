@@ -13,10 +13,9 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
+from repro.config import LINE_SHIFT
 from repro.cpu.core_model import ServiceLevel
 
-#: 64 B lines.
-LINE_SHIFT = 6
 #: High bits carving a private physical address space per core
 #: (SPEC-rate style: 64 copies share nothing).
 CORE_SPACE_SHIFT = 40

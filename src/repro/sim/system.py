@@ -101,8 +101,7 @@ class MulticoreSystem:
             self.sanitizer = Sanitizer()
             self.sanitizer.wrap_engine(self.engine)
         self.noc = MeshNoc(config.mesh_dim, config.noc)
-        self.dram = DramSystem(config.dram, self.engine,
-                               config.l1d.line_size)
+        self.dram = DramSystem(config.dram, self.engine)
         self.request_trace: Optional[RequestTrace] = (
             RequestTrace(config.capture_request_trace)
             if config.capture_request_trace else None)

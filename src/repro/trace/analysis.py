@@ -13,9 +13,8 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence
 
+from repro.config import LINE_SHIFT
 from repro.trace.record import Op, TraceRecord
-
-_LINE_SHIFT = 6
 
 
 @dataclass
@@ -86,7 +85,7 @@ def profile_trace(records: Sequence[TraceRecord]) -> WorkloadProfile:
         elif record.op == Op.BRANCH:
             profile.branches += 1
         if record.is_memory:
-            lines.add(record.address >> _LINE_SHIFT)
+            lines.add(record.address >> LINE_SHIFT)
             addresses.append(record.address)
     profile.unique_lines = len(lines)
     if addresses:
@@ -95,7 +94,7 @@ def profile_trace(records: Sequence[TraceRecord]) -> WorkloadProfile:
     counts = []
     for ip, ip_addresses in per_ip_addresses.items():
         ip_profile = IpProfile(ip=ip, accesses=len(ip_addresses))
-        ip_profile.unique_lines = len({a >> _LINE_SHIFT
+        ip_profile.unique_lines = len({a >> LINE_SHIFT
                                        for a in ip_addresses})
         if len(ip_addresses) > 1:
             deltas = Counter(b - a for a, b in zip(ip_addresses,

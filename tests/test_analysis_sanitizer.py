@@ -189,7 +189,7 @@ class TestMshrInvariants:
 class TestCacheInvariants:
     def wrapped(self) -> Cache:
         cache = Cache(CacheConfig(name="toy", size_kib=4, ways=2,
-                                  line_size=64, mshr_entries=4))
+                                  mshr_entries=4))
         Sanitizer().wrap_cache(cache, "toy cache")
         return cache
 

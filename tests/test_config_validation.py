@@ -30,7 +30,7 @@ import re
 
 import pytest
 
-from repro.config import BranchPredictorConfig, scaled_config
+from repro.config import LINE_SHIFT, BranchPredictorConfig, scaled_config
 from repro.sim.system import run_system
 
 
@@ -176,6 +176,19 @@ TLB_INVALID = {
     "tlb.stlb_latency=-50": ("stlb_latency", -50),
 }
 
+
+def _learned(policy: str, **fields):
+    def apply(config):
+        config.learned = dataclasses.replace(config.learned, policy=policy,
+                                             **fields)
+    return apply
+
+
+#: A perceptron with no room for pending admissions passed ``validate()``
+#: and raised a bare ``StopIteration`` at its first admission.
+NAMED["learned.pending_entries=0"] = (
+    _learned("perceptron", pending_entries=0), "learned.pending_entries")
+
 COMPONENT_INVALID = {
     **{f"{group}.name=bogus": (_set(group, name="bogus"), f"{group}.name")
        for group in ("l1_prefetcher", "l2_prefetcher", "throttle",
@@ -276,7 +289,7 @@ def test_smallest_valid_config_finishes():
     config.branch = BranchPredictorConfig(
         history_bits=0, num_tables=1, table_entries=1, weight_bits=1,
         threshold=0)
-    config.dram.row_buffer_bytes = config.l1d.line_size
+    config.dram.row_buffer_bytes = 1 << LINE_SHIFT
     _tlb(True, dtlb_entries=1, dtlb_ways=1, stlb_entries=1, stlb_ways=1,
          page_shift=0)(config)
     config.validate()

@@ -167,3 +167,16 @@ def test_golden_views_derive_from_counter_snapshot(point):
                                **views).to_dict()
     for name in VIEWS:
         assert rebuilt[name] == tree[name], name
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "CacheStats.writebacks is never incremented: dirty evictions are "
+    "written back down the hierarchy, but every result reports 0, and "
+    "counting them would move pinned result leaves"))
+def test_l1d_writebacks_are_counted():
+    """The ``bandit_selector`` point evicts dirty L1D lines, so its L1D
+    writeback counters cannot all read 0."""
+    config, mix = POINTS["bandit_selector"]()
+    counters = run_system(config, mix).counters
+    assert sum(counters[f"core{core}.l1d"]["writebacks"]
+               for core in range(config.num_cores)) > 0

@@ -38,7 +38,7 @@ def _hierarchy(cores=2, **kw):
     config = _config(cores=cores, **kw)
     engine = Engine()
     noc = MeshNoc(config.mesh_dim, config.noc)
-    dram = DramSystem(config.dram, engine, config.l1d.line_size)
+    dram = DramSystem(config.dram, engine)
     hierarchy = Hierarchy(config, engine, noc, dram, trace=None)
     return hierarchy, engine
 

@@ -37,26 +37,28 @@ def test_result_dict_roundtrip_is_lossless(point):
 
 #: (RunSpec factory kwargs, sha256 hex) captured at schema version 4
 #: (the counter snapshot became the source of every result view and
-#: grew the counters those views read; the materialised config is the
-#: one version 3 hashed); see the module docstring before editing.
+#: grew the counters those views read), re-pinned when the materialised
+#: config lost its 17 dead or fixed settings: no older key can be
+#: reached, so the version stayed; see the module docstring before
+#: editing.
 _PINNED_KEYS = [
     (dict(scheme="berti+clip", mix=("605.mcf_s-1536B",) * 4,
           channels=1, num_cores=4, sim_instructions=8000),
-     "c6accde998617c030fb7ce86e5788e7c830ba8219e57e9eda1dbac6f8f009e6d"),
+     "33babcbfde2861f98dd916d559299bb0343369ec63b2a8556998abfc9ddd3014"),
     (dict(scheme="none", mix=("623.xalancbmk_s-10B", "tc-14"),
           channels=1, num_cores=2, sim_instructions=2500),
-     "5b8555658424d2dcf3e69387417adcbcc55dec1c1018b1874b3506b57fcf61cc"),
+     "19cb1082a89b470f8b20c228ef2babb30467c1d98161e0f6d30a25637f4ff6b3"),
     (dict(scheme="spp_ppf+clip+fdp",
           mix=("619.lbm_s-2676B", "605.mcf_s-1536B"),
           channels=2, num_cores=2, sim_instructions=2500),
-     "f0b59ff1d928c3db5418578a39114f12333af1f70cb34a090e02c980fdfbf409"),
+     "8525fb45a0417dcd63c8ff81e77d1cd7354d38f10e2f9c7238e2e3dc68bba87d"),
     (dict(scheme="bandit", mix=("605.mcf_s-1536B", "619.lbm_s-2676B"),
           channels=1, num_cores=2, sim_instructions=4000),
-     "61bf999022a296f315e0314af60fb4ff8913035659fff0054452669b21718351"),
+     "d225bf8def426d1812f70b784d81df6ef2937531904ad61e488319dff25ac283"),
     (dict(scheme="berti+perceptron",
           mix=("605.mcf_s-1536B", "623.xalancbmk_s-10B"),
           channels=1, num_cores=2, sim_instructions=4000),
-     "83f5c08ec538edc544879d9cd43997507cb607a22caddcc49e9088931a7b2458"),
+     "25c48008eefe6a2bcf6a2aa33bb8a24a6b9dc57838ef5a060fe9e2cf6aef1147"),
 ]
 
 
