@@ -363,11 +363,11 @@ class WallClockRule(Rule):
     behaviour (or worse, a result) depend on host speed and run order.
     Simulated time comes from the engine (``engine.now``); host-time
     measurement belongs in the benchmark harness, not the model --
-    which is why ``experiments/hotpath.py`` (the wall-clock benchmark
-    suite behind ``repro bench``) is exempt, as is the distributed
-    sweep coordinator (``serve/coordinator.py``), whose lease deadlines
-    and progress cadence are genuinely host time: it schedules worker
-    processes, never simulated events.
+    which is why ``experiments/hotpath.py`` (the engine and cache
+    microbenchmarks that ``bench/run.py`` reports) is exempt, as is the
+    distributed sweep coordinator (``serve/coordinator.py``), whose
+    lease deadlines and progress cadence are genuinely host time: it
+    schedules worker processes, never simulated events.
     """
 
     id = "SIM007"

@@ -221,20 +221,6 @@ def build_parser() -> argparse.ArgumentParser:
         "characterize", help="static characterisation of a workload model")
     characterize.add_argument("--workload", default="605.mcf_s-1536B")
     characterize.add_argument("--instructions", type=int, default=20_000)
-
-    bench = sub.add_parser(
-        "bench", help="run the hot-path performance benchmarks")
-    bench.add_argument("--repeats", type=int, default=3,
-                       help="end-to-end point repeats (best is reported)")
-    bench.add_argument("-o", "--output", metavar="JSON",
-                       help="write the results payload to this file")
-    bench.add_argument("--check", metavar="BASELINE",
-                       help="compare against a baseline JSON "
-                            "(e.g. BENCH_PR7.json); exit 1 when the "
-                            "end-to-end point regresses past --tolerance")
-    bench.add_argument("--tolerance", type=float, default=0.25,
-                       help="allowed end-to-end slowdown vs the baseline "
-                            "(default 0.25 = 25%%)")
     return parser
 
 
@@ -468,37 +454,10 @@ def _cmd_worker(args: argparse.Namespace) -> int:
                        progress=print if args.verbose else None)
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from pathlib import Path
-
-    from repro.experiments import hotpath
-
-    payload = hotpath.run_suite(repeats=args.repeats)
-    if args.output:
-        hotpath.write_payload(payload, Path(args.output))
-        print(f"wrote {args.output}")
-    if args.check:
-        baseline = hotpath.load_baseline(Path(args.check))
-        if baseline is None:
-            print(f"no baseline at {args.check}; nothing to check against")
-            return 1
-        failures = hotpath.compare_to_baseline(payload, baseline,
-                                               args.tolerance)
-        for failure in failures:
-            print(failure)
-        if failures:
-            return 1
-        print(f"end-to-end point within +{args.tolerance:.0%} of "
-              f"{args.check}")
-    return 0
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     if args.command == "run":
         return _cmd_run(args)
-    if args.command == "bench":
-        return _cmd_bench(args)
     if args.command == "figure":
         return _cmd_figure(args)
     if args.command == "sweep":
@@ -524,16 +483,14 @@ def main(argv: Optional[List[str]] = None) -> int:
         experiments.table2()
         return 0
     if args.command == "compare":
+        from repro import api
         from repro.experiments.report import comparison_report
-        from repro.experiments.runner import ExperimentRunner, BenchScale
-        from repro.experiments.sweep import Scheme
-        runner = ExperimentRunner(BenchScale(
-            num_cores=args.cores, sim_instructions=args.instructions))
-        results = {
-            scheme: runner.run_homogeneous(Scheme.parse(scheme),
-                                           args.workload, args.channels)
-            for scheme in args.schemes
-        }
+        swept = api.sweep(args.schemes,
+                          homogeneous_mix(args.workload, args.cores),
+                          channels=args.channels, num_cores=args.cores,
+                          sim_instructions=args.instructions, cache=False)
+        results = {scheme: swept.only(scheme=scheme)
+                   for scheme in args.schemes}
         baseline = "none" if "none" in results else args.schemes[0]
         print(comparison_report(
             results, baseline=baseline,

@@ -116,6 +116,7 @@ class CacheConfig:
     """Geometry and latency of one cache level."""
 
     name: str = "L1D"
+    #: A multiple of ``ways`` lines (a cross-field rule of ``validate``).
     size_kib: Positive = 48
     ways: Positive = 12
     #: A negative latency schedules a response in the past.
@@ -516,6 +517,13 @@ class SystemConfig:
         elif self.learned.policy != "perceptron":
             skip |= _PERCEPTRON_FIELDS
         _check_bounds(self, "", skip)
+        for level in ("l1d", "l2", "llc_slice"):
+            cache = getattr(self, level)
+            if cache.num_lines % cache.ways:
+                raise ValueError(
+                    f"{level}.size_kib must hold a multiple of "
+                    f"{level}.ways ({cache.ways}) lines, got "
+                    f"{cache.size_kib} KiB ({cache.num_lines} lines)")
         line_bytes = 1 << LINE_SHIFT
         if self.dram.row_buffer_bytes < line_bytes:
             raise ValueError(f"dram.row_buffer_bytes must be at least the "

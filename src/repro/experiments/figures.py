@@ -25,12 +25,11 @@ from repro.core.storage import storage_overhead, storage_table
 from repro.criticality import predictor_names
 from repro.energy import dynamic_energy
 from repro.experiments.report import print_figure
-from repro.experiments.runner import BenchScale, ExperimentRunner
+from repro.experiments.runner import ExperimentRunner
 from repro.experiments.statistics import arithmetic_mean, geometric_mean
 from repro.experiments.sweep import Scheme
 from repro.sim.stats import weighted_speedup
 from repro.throttle import throttler_names
-from repro.trace.workloads import SPEC_HOMOGENEOUS_MIXES
 
 #: Prefetchers compared throughout the evaluation (paper Figs. 1, 2, 9, 19).
 PREFETCHER_SCHEMES = ["berti", "ipcp", "bingo", "spp_ppf"]
@@ -860,11 +859,6 @@ def core_count_sensitivity(runner: Optional[ExperimentRunner] = None,
         print_figure("Core-count sensitivity",
                      ["config", "Berti", "Berti+CLIP"], rows)
     return out
-
-
-def all_spec_workloads() -> List[str]:
-    """The full 45-mix list for full-scale per-mix figures."""
-    return list(SPEC_HOMOGENEOUS_MIXES)
 
 
 def ablation_study(runner: Optional[ExperimentRunner] = None,

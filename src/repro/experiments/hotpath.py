@@ -1,42 +1,23 @@
-"""Hot-path microbenchmark suite behind ``repro bench``.
-
-Three benchmarks pin the simulator's performance baseline:
+"""Wall-clock microbenchmarks of two simulator primitives.
 
 * ``engine_drain`` -- raw event throughput of the bucketed
   :class:`repro.sim.engine.Engine` (schedule + drain, the shape the
   hierarchy produces: many same-cycle events at fixed latencies);
 * ``cache_access`` -- the per-set tag->way fast path of
-  :class:`repro.cache.cache.Cache` under a mixed hit/miss stream;
-* ``end_to_end`` -- one full simulated point (heterogeneous 4-core mix,
-  Berti + CLIP, 10k instructions/core at 2 scaled channels); this is the
-  number the perf-smoke CI job guards against regression.
+  :class:`repro.cache.cache.Cache` under a mixed hit/miss stream.
 
-The committed baseline lives in ``BENCH_PR7.json`` at the repo root.
-Regenerate it with ``repro bench -o BENCH_PR7.json`` on an otherwise
-idle machine, and commit the result only alongside intentional
-performance work: wall-clock numbers are machine-dependent, which is why
-the regression check (:func:`compare_to_baseline`) only gates the
-end-to-end points and allows a generous tolerance.
+``bench/run.py`` reports them as ``engine.drain_events_per_s`` and
+``cache.accesses_per_s``; see ``bench/README.md``.
 """
 
 from __future__ import annotations
 
-import dataclasses
-import json
-import sys
 import time
-from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict
 
 from repro.cache.cache import Cache
-from repro.config import CacheConfig, scaled_config
+from repro.config import CacheConfig
 from repro.sim.engine import Engine
-from repro.sim.system import run_system
-
-#: The end-to-end reference point: one memory-bound, one irregular, one
-#: graph and one streaming workload sharing 2 scaled channels.
-END_TO_END_MIX = ["605.mcf_s-1536B", "623.xalancbmk_s-10B", "tc-14",
-                  "619.lbm_s-2676B"]
 
 
 def bench_engine_drain(events: int = 200_000) -> Dict:
@@ -91,68 +72,3 @@ def bench_cache_access(accesses: int = 200_000) -> Dict:
     return {"accesses": accesses, "seconds": seconds,
             "accesses_per_sec": accesses / seconds,
             "hit_rate": cache.stats.hits / cache.stats.accesses}
-
-
-def bench_end_to_end(repeats: int = 3) -> Dict:
-    """Best-of-``repeats`` wall clock for the reference simulated point."""
-    config = scaled_config(num_cores=4, channels=2,
-                           sim_instructions=10_000)
-    config.l1_prefetcher = dataclasses.replace(config.l1_prefetcher,
-                                               name="berti")
-    config.clip.enabled = True
-    result = run_system(config, END_TO_END_MIX)  # warm-up run
-    best = float("inf")
-    for _ in range(max(1, repeats)):
-        start = time.perf_counter()
-        result = run_system(config, END_TO_END_MIX)
-        best = min(best, time.perf_counter() - start)
-    instructions = result.total_instructions
-    return {"seconds_best": best, "repeats": max(1, repeats),
-            "instructions": instructions,
-            "total_cycles": result.total_cycles,
-            "instructions_per_sec": instructions / best,
-            "scheme": "berti+clip", "num_cores": 4, "channels": 2}
-
-
-def run_suite(repeats: int = 3, quiet: bool = False) -> Dict:
-    """Run all benchmarks; returns the ``BENCH_PR7.json`` payload."""
-    payload: Dict = {
-        "bench": "hotpath",
-        "python": ".".join(str(part) for part in sys.version_info[:3]),
-    }
-    for name, bench in (("engine_drain", bench_engine_drain),
-                        ("cache_access", bench_cache_access)):
-        payload[name] = bench()
-        if not quiet:
-            print(f"{name:>14}: {payload[name]['seconds']:.3f}s")
-    end = payload["end_to_end"] = bench_end_to_end(repeats)
-    if not quiet:
-        print(f"{'end_to_end':>14}: {end['seconds_best']:.3f}s best of "
-              f"{end['repeats']} ({end['instructions_per_sec']:,.0f} "
-              f"instructions/s)")
-    return payload
-
-
-def compare_to_baseline(payload: Dict, baseline: Dict,
-                        tolerance: float = 0.25) -> List[str]:
-    """Regression check: the end-to-end point may be at most
-    ``tolerance`` slower than the baseline.  The microbenchmarks are
-    informational only (they are too machine-sensitive to gate on)."""
-    current = payload["end_to_end"]["seconds_best"]
-    base = baseline["end_to_end"]["seconds_best"]
-    limit = base * (1.0 + tolerance)
-    if current > limit:
-        return [f"end_to_end regressed: {current:.3f}s vs baseline "
-                f"{base:.3f}s (limit {limit:.3f}s at +{tolerance:.0%})"]
-    return []
-
-
-def load_baseline(path: Path) -> Optional[Dict]:
-    """The committed baseline payload, or ``None`` when absent."""
-    if not path.exists():
-        return None
-    return json.loads(path.read_text())
-
-
-def write_payload(payload: Dict, path: Path) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")

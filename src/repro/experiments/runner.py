@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import (Dict, Iterable, List, Mapping, Optional, Sequence,
                     Tuple, Union)
 
-from repro.config import SystemConfig
 from repro.experiments.sweep import (ResultStore, RunSpec, Scheme, Sweep,
                                      run_sweep)
 from repro.sim.stats import SimulationResult, weighted_speedup
@@ -131,25 +130,6 @@ class ExperimentRunner:
         self._memo.update(outcome.results)
         self.runs += outcome.simulated
         return outcome.results
-
-    # ------------------------------------------------------------------
-    # Legacy surface (thin shims over the spec layer)
-    # ------------------------------------------------------------------
-
-    def config_for(self, scheme: SchemeLike, channels: int,
-                   **overrides) -> SystemConfig:
-        spec_scheme = self.coerce_scheme(scheme, overrides)
-        return spec_scheme.build_config(channels, self.scale.num_cores,
-                                        self.scale.sim_instructions)
-
-    def run_mix(self, scheme: SchemeLike, mix: Sequence[str],
-                channels: int, **overrides) -> SimulationResult:
-        return self.run(self.spec(scheme, mix, channels, **overrides))
-
-    def run_homogeneous(self, scheme: SchemeLike, workload: str,
-                        channels: int, **overrides) -> SimulationResult:
-        return self.run(self.spec_homogeneous(scheme, workload, channels,
-                                              **overrides))
 
     # ------------------------------------------------------------------
 

@@ -525,12 +525,15 @@ def run_sweep(sweep: Iterable[RunSpec], *, jobs: int = 1,
     specs = list(Sweep(sweep))
     outcome = SweepOutcome(results={})
     pending: List[RunSpec] = []
+    # Each store-backed point's key, computed once for load and save.
+    keys: Dict[RunSpec, str] = {}
     for spec in specs:
         if known is not None and spec in known:
             outcome.results[spec] = known[spec]
             continue
         if store is not None:
-            cached = store.load(spec.cache_key())
+            key = keys[spec] = spec.cache_key()
+            cached = store.load(key)
             if cached is not None:
                 outcome.results[spec] = cached
                 outcome.cache_hits += 1
@@ -549,7 +552,7 @@ def run_sweep(sweep: Iterable[RunSpec], *, jobs: int = 1,
         outcome.simulated += 1
         outcome.provenance[spec] = LOCAL_PRODUCER
         if store is not None:
-            store.save(spec.cache_key(), spec, result)
+            store.save(keys[spec], spec, result)
         if on_result is not None:
             on_result(spec, result)
 

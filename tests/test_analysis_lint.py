@@ -12,8 +12,6 @@ import json
 import textwrap
 from pathlib import Path
 
-import pytest
-
 from repro.analysis.baseline import Baseline
 from repro.analysis.framework import ProjectIndex, lint_source
 from repro.analysis.lint import main as lint_main
@@ -796,24 +794,3 @@ class TestSelftestScript:
             capture_output=True, text=True)
         assert proc.returncode == 0, proc.stdout + proc.stderr
         assert "self-test OK: all 13 rules fired" in proc.stdout
-
-
-# ----------------------------------------------------------------------
-# Retired module (repro.experiments.reporting)
-# ----------------------------------------------------------------------
-
-class TestReportingModuleRemoved:
-    def test_import_raises_with_migration_directions(self):
-        import importlib
-        import sys
-
-        sys.modules.pop("repro.experiments.reporting", None)
-        with pytest.raises(ImportError) as excinfo:
-            importlib.import_module("repro.experiments.reporting")
-        message = str(excinfo.value)
-        # The error must name every new home so the fix is mechanical.
-        assert "repro.experiments.statistics" in message
-        assert "repro.experiments.report" in message
-        assert "repro.api" in message
-        # A failed import must not leave a broken half-module cached.
-        assert sys.modules.get("repro.experiments.reporting") is None

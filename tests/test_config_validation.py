@@ -9,7 +9,8 @@ warm-up).  Negative latencies and penalties were accepted as given.
 The cache and DRAM zeros in ``NAMED`` crashed with a bare
 ``ZeroDivisionError`` (no ways or no capacity in a cache, no banks in a
 DRAM channel) or deadlocked only after simulating (no DRAM read queue).
-The CLIP values in ``CLIP_INVALID`` failed in a CLIP constructor at
+A 1 KiB, 12-way L1D, set by assignment, ran as one set of 12 ways and
+silently dropped 4 of its 16 lines.  The CLIP values in ``CLIP_INVALID`` failed in a CLIP constructor at
 build time (an empty table or buffer, a zero-bit history or counter, no
 APC history, a phase threshold outside (0, 1)) or raised a bare
 "negative shift count" at build time or at the first prefetch issue or
@@ -101,6 +102,7 @@ NAMED = {
     **{f"{level}.{name}=0": (_set(level, **{name: 0}), f"{level}.{name}")
        for level in ("l1d", "l2", "llc_slice")
        for name in ("ways", "size_kib")},
+    "l1d.size_kib=1": (_set("l1d", size_kib=1), "l1d.size_kib"),
     "dram.banks_per_channel=0": (_set("dram", banks_per_channel=0),
                                  "dram.banks_per_channel"),
     "dram.read_queue_entries=0": (_set("dram", read_queue_entries=0),

@@ -35,29 +35,15 @@ class TestReporting:
         assert len(lines) == 4
         assert all(len(line) == len(lines[0]) or True for line in lines)
 
-    def test_reporting_module_removed_with_directions(self):
-        # The PR 2 re-export shim finished its deprecation cycle: the
-        # import now fails with a message naming both new homes and the
-        # repro.api facade.
-        import importlib
-        import sys
-        sys.modules.pop("repro.experiments.reporting", None)
-        with pytest.raises(ImportError) as excinfo:
-            importlib.import_module("repro.experiments.reporting")
-        message = str(excinfo.value)
-        assert "repro.experiments.statistics" in message
-        assert "repro.experiments.report" in message
-        assert "repro.api" in message
-
 
 class TestRunner:
-    def test_all_schemes_build_configs(self, tiny_runner):
+    def test_all_schemes_build_configs(self):
         for scheme in ("none", "berti", "ipcp", "bingo", "spp_ppf",
                        "stride", "streamer", "berti+clip", "ipcp+clip",
                        "bingo+clip", "spp_ppf+clip", "berti+hermes",
                        "berti+dspatch"):
-            config = tiny_runner.config_for(Scheme.parse(scheme),
-                                            channels=1)
+            config = Scheme.parse(scheme).build_config(
+                1, TINY.num_cores, TINY.sim_instructions)
             config.validate()
 
     def test_unknown_scheme(self):
@@ -68,7 +54,7 @@ class TestRunner:
         # The legacy string/**overrides path was removed after its
         # deprecation cycle; the error routes users to both migrations.
         with pytest.raises(TypeError) as excinfo:
-            tiny_runner.config_for("berti", channels=1)
+            tiny_runner.spec_homogeneous("berti", "605.mcf_s-1536B", 1)
         message = str(excinfo.value)
         assert "Scheme.parse('berti')" in message
         assert "repro.api" in message
@@ -76,15 +62,17 @@ class TestRunner:
 
     def test_string_scheme_with_overrides_raises(self, tiny_runner):
         with pytest.raises(TypeError, match="removed"):
-            tiny_runner.config_for("berti", channels=1,
-                                   criticality="fvp", crit_gate=False)
+            tiny_runner.spec_homogeneous("berti", "605.mcf_s-1536B", 1,
+                                         criticality="fvp",
+                                         crit_gate=False)
 
     def test_caching(self, tiny_runner):
         scheme = Scheme.parse("none")
         before = tiny_runner.runs
-        a = tiny_runner.run_homogeneous(scheme, "605.mcf_s-1536B", 1)
+        spec = tiny_runner.spec_homogeneous(scheme, "605.mcf_s-1536B", 1)
+        a = tiny_runner.run(spec)
         mid = tiny_runner.runs
-        b = tiny_runner.run_homogeneous(scheme, "605.mcf_s-1536B", 1)
+        b = tiny_runner.run(spec)
         assert tiny_runner.runs == mid == before + 1
         assert a is b
 
@@ -93,18 +81,18 @@ class TestRunner:
             Scheme.parse("none"), "605.mcf_s-1536B", 1)
         assert value == pytest.approx(1.0)
 
-    def test_clip_override_plumbed(self, tiny_runner):
-        config = tiny_runner.config_for(
-            Scheme.parse("berti",
-                         clip_overrides={"use_accuracy_filter": False}),
-            1)
+    def test_clip_override_plumbed(self):
+        config = Scheme.parse(
+            "berti", clip_overrides={"use_accuracy_filter": False},
+        ).build_config(1, TINY.num_cores, TINY.sim_instructions)
         assert config.clip.enabled
         assert not config.clip.use_accuracy_filter
 
     def test_typed_scheme_rejects_kwargs(self, tiny_runner):
         with pytest.raises(TypeError, match="typed Scheme"):
-            tiny_runner.config_for(Scheme.parse("berti"), 1,
-                                   criticality="fvp")
+            tiny_runner.spec_homogeneous(Scheme.parse("berti"),
+                                         "605.mcf_s-1536B", 1,
+                                         criticality="fvp")
 
     def test_sample_homogeneous_size(self):
         assert len(TINY.sample_homogeneous()) == 2

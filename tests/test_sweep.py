@@ -176,6 +176,25 @@ class TestExecutor:
         assert ({s: r.to_dict() for s, r in cold.results.items()}
                 == {s: r.to_dict() for s, r in warm.results.items()})
 
+    def test_one_cache_key_per_point(self, tmp_path, monkeypatch):
+        """A key materialises and validates the whole config, so a
+        store-backed point computes it once: the cold pass reuses the
+        lookup's key for the save."""
+        calls = []
+        cache_key = RunSpec.cache_key
+
+        def counted(spec):
+            calls.append(spec)
+            return cache_key(spec)
+
+        monkeypatch.setattr(RunSpec, "cache_key", counted)
+        store = ResultStore(tmp_path)
+        cold = run_sweep(self.SPECS[:1], store=store)
+        assert cold.simulated == 1 and len(calls) == 1
+        calls.clear()
+        warm = run_sweep(self.SPECS[:1], store=store)
+        assert warm.cache_hits == 1 and len(calls) == 1
+
     def test_store_rejects_other_schema_version(self, tmp_path,
                                                 monkeypatch):
         store = ResultStore(tmp_path)
