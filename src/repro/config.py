@@ -634,19 +634,20 @@ def scaled_config(num_cores: int = 16,
     5.2), where the constrained-bandwidth effects are most visible.  CLIP's
     exploration window shrinks in proportion to the L1D size, following the
     paper's rule (window just above the number of L1D lines).
+
+    The config comes back unvalidated: a caller edits it further, and
+    validates the finished config (``Scheme.build_config()`` does, and
+    so does ``MulticoreSystem`` before it builds anything).
     """
     config = SystemConfig(num_cores=num_cores,
                           sim_instructions=sim_instructions,
                           warmup_instructions=warmup_instructions)
-    config.dram = dataclasses.replace(config.dram, channels=channels)
-    config.l1d = dataclasses.replace(config.l1d, size_kib=12, ways=12)
-    config.l2 = dataclasses.replace(config.l2, size_kib=64, ways=8)
-    config.llc_slice = dataclasses.replace(config.llc_slice,
-                                           size_kib=128, ways=16)
-    config.clip = dataclasses.replace(
-        config.clip,
-        exploration_window_misses=128,
-        apc_history_windows=6,
-        utility_buffer_entries=256)
-    config.validate()
+    # Each group is a fresh default, so it is edited in place.
+    config.dram.channels = channels
+    config.l1d.size_kib, config.l1d.ways = 12, 12
+    config.l2.size_kib, config.l2.ways = 64, 8
+    config.llc_slice.size_kib, config.llc_slice.ways = 128, 16
+    config.clip.exploration_window_misses = 128
+    config.clip.apc_history_windows = 6
+    config.clip.utility_buffer_entries = 256
     return config

@@ -28,6 +28,7 @@ serially.  Cache entries are invalidated wholesale by bumping
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import os
@@ -212,45 +213,45 @@ class Scheme:
         """Materialise the :class:`SystemConfig` for this scheme.
 
         ``num_cores`` / ``sim_instructions`` are the sweep-level defaults;
-        the scheme's own structural fields take precedence.
+        the scheme's own structural fields take precedence.  The finished
+        config is validated here, once.
         """
         config = scaled_config(
             num_cores=self.num_cores or num_cores,
             channels=channels,
             sim_instructions=self.sim_instructions or sim_instructions)
-        config.l1_prefetcher = dataclasses.replace(
-            config.l1_prefetcher, name=self.l1)
-        config.l2_prefetcher = dataclasses.replace(
-            config.l2_prefetcher, name=self.l2)
+        # Every group of a fresh ``scaled_config()`` is its own object,
+        # so the scheme's knobs are set in place.
+        config.l1_prefetcher.name = self.l1
+        config.l2_prefetcher.name = self.l2
+        clip = config.clip
         if self.clip:
-            config.clip = dataclasses.replace(config.clip, enabled=True)
+            clip.enabled = True
         if self.criticality:
             config.criticality.name = self.criticality
         config.criticality.gate = self.crit_gate
         if self.throttle:
             config.throttle.name = self.throttle
         if self.learned:
-            config.learned = dataclasses.replace(config.learned,
-                                                 policy=self.learned)
+            config.learned.policy = self.learned
         if self.hermes or self.dspatch:
-            config.related = dataclasses.replace(
-                config.related, hermes=self.hermes, dspatch=self.dspatch)
+            config.related.hermes = self.hermes
+            config.related.dspatch = self.dspatch
         if self.clip_filter_scale is not None:
-            config.clip = dataclasses.replace(
-                config.clip, enabled=True,
-                filter_sets=max(1, int(config.clip.filter_sets
-                                       * self.clip_filter_scale)))
+            clip.enabled = True
+            clip.filter_sets = max(1, int(clip.filter_sets
+                                          * self.clip_filter_scale))
         if self.clip_predictor_scale is not None:
-            config.clip = dataclasses.replace(
-                config.clip, enabled=True,
-                predictor_sets=max(1, int(config.clip.predictor_sets
-                                          * self.clip_predictor_scale)))
+            clip.enabled = True
+            clip.predictor_sets = max(1, int(clip.predictor_sets
+                                             * self.clip_predictor_scale))
         if self.clip_overrides:
+            # ``replace`` rejects a name that is not a ClipConfig field,
+            # where an assignment would quietly add an attribute.
             config.clip = dataclasses.replace(
-                config.clip, enabled=True, **dict(self.clip_overrides))
+                clip, enabled=True, **dict(self.clip_overrides))
         if self.llc_kib is not None:
-            config.llc_slice = dataclasses.replace(
-                config.llc_slice, size_kib=self.llc_kib)
+            config.llc_slice.size_kib = self.llc_kib
         if self.big_cores is not None:
             config.core_overrides = big_little_overrides(
                 config.num_cores, self.big_cores)
@@ -300,15 +301,42 @@ class RunSpec:
         scheme's surface syntax), the workload mix, and
         :data:`CACHE_SCHEMA_VERSION`; two specs that simulate the same
         system on the same mix share one key however they were written.
+        ``json.dumps`` encodes the config objects themselves through
+        :func:`_key_fields`, so the key is the one a
+        ``dataclasses.asdict`` copy would give, without the copy.
         """
         payload = {
             "schema": CACHE_SCHEMA_VERSION,
-            "config": dataclasses.asdict(self.config()),
+            "config": self.config(),
             "mix": list(self.mix),
         }
         blob = json.dumps(payload, sort_keys=True, separators=(",", ":"),
-                          default=repr)
+                          default=_key_fields)
         return hashlib.sha256(blob.encode()).hexdigest()
+
+
+@functools.lru_cache(maxsize=None)
+def _field_names(cls: type) -> Optional[Tuple[str, ...]]:
+    """The declared field names of dataclass ``cls``, or ``None`` for any
+    other type; computed once per class."""
+    if not dataclasses.is_dataclass(cls):
+        return None
+    return tuple(item.name for item in dataclasses.fields(cls))
+
+
+def _key_fields(value: object) -> object:
+    """``json.dumps`` hook of :meth:`RunSpec.cache_key`.
+
+    A config dataclass encodes as the dict of its declared fields, the
+    same dict ``dataclasses.asdict`` would build, without copying what
+    the encoder walks anyway; an attribute set outside the fields (a
+    benchmark's ``config.backend``) stays out of the key.  Anything else
+    encodes as its ``repr``.
+    """
+    names = _field_names(type(value))
+    if names is None:
+        return repr(value)
+    return {name: getattr(value, name) for name in names}
 
 
 # ---------------------------------------------------------------------------
@@ -403,18 +431,19 @@ class ResultStore:
 
         Reads only ``schema`` and ``result``: other fields are
         provenance, and entries written by older releases may carry
-        more of it (e.g. the removed simulation-backend name).
+        more of it (e.g. the removed simulation-backend name).  An
+        unreadable entry, or valid JSON of another shape, is a miss.
         """
         path = self.path_for(key)
         try:
             payload = json.loads(path.read_text())
         except (OSError, ValueError):
             return None
-        if payload.get("schema") != CACHE_SCHEMA_VERSION:
-            return None
         try:
+            if payload.get("schema") != CACHE_SCHEMA_VERSION:
+                return None
             return SimulationResult.from_dict(payload["result"])
-        except (KeyError, TypeError):
+        except (AttributeError, KeyError, TypeError, ValueError):
             return None
 
     def save(self, key: str, spec: RunSpec,

@@ -3,10 +3,12 @@ executor, the on-disk result store, and result serialisation."""
 
 from __future__ import annotations
 
+import collections
 import json
 
 import pytest
 
+from repro.config import SystemConfig
 from repro.experiments import BenchScale, ExperimentRunner
 from repro.experiments.sweep import (CACHE_SCHEMA_VERSION, ResultStore,
                                      RunSpec, Scheme, Sweep, execute_spec,
@@ -21,6 +23,24 @@ TINY = dict(num_cores=2, sim_instructions=1_000)
 def tiny_spec(scheme: Scheme, channels: int = 1,
               mix=MIX) -> RunSpec:
     return RunSpec(scheme=scheme, mix=mix, channels=channels, **TINY)
+
+
+def _with_result(entry: dict, **fields) -> dict:
+    return {**entry, "result": {**entry["result"], **fields}}
+
+
+#: Store entries that are valid JSON of the wrong shape, each built from
+#: a good entry; ``ResultStore.load`` must read every one as a miss.
+WRONG_SHAPES = {
+    "top-level-list": lambda entry: [entry],
+    "top-level-string": lambda entry: "entry",
+    "levels-a-list": lambda entry: _with_result(
+        entry, levels=list(entry["result"]["levels"].values())),
+    "counters-a-list": lambda entry: _with_result(
+        entry, counters=list(entry["result"]["counters"].values())),
+    "counter-group-a-list-of-strings": lambda entry: _with_result(
+        entry, counters={"core0.l1d": ["abc"]}),
+}
 
 
 class TestScheme:
@@ -195,6 +215,32 @@ class TestExecutor:
         warm = run_sweep(self.SPECS[:1], store=store)
         assert warm.cache_hits == 1 and len(calls) == 1
 
+    def test_config_work_per_point(self, tmp_path, monkeypatch):
+        """A cold point builds its config twice (the key, the run) and
+        validates it three times (each build, then ``MulticoreSystem``);
+        a warm point builds and validates it once, for its key."""
+        calls = collections.Counter()
+
+        def count(owner, name):
+            method = getattr(owner, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return method(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, counted)
+
+        count(Scheme, "build_config")
+        count(SystemConfig, "validate")
+        store = ResultStore(tmp_path)
+        cold = run_sweep(self.SPECS[:1], store=store)
+        assert cold.simulated == 1
+        assert calls == {"build_config": 2, "validate": 3}
+        calls.clear()
+        warm = run_sweep(self.SPECS[:1], store=store)
+        assert warm.cache_hits == 1
+        assert calls == {"build_config": 1, "validate": 1}
+
     def test_store_rejects_other_schema_version(self, tmp_path,
                                                 monkeypatch):
         store = ResultStore(tmp_path)
@@ -240,6 +286,25 @@ class TestExecutor:
         assert store.load(key) is None
         outcome = run_sweep([spec], store=store)
         assert outcome.simulated == 1
+
+    @pytest.mark.parametrize("shape", sorted(WRONG_SHAPES))
+    def test_store_reads_wrong_shape_as_miss(self, tmp_path, shape):
+        """Valid JSON of another shape used to raise ``AttributeError``
+        (``payload.get`` on a list or string, ``.items()`` on a list) or
+        ``ValueError`` (``dict()`` of a list of strings) out of
+        ``run_sweep``; it is a miss, and the point is re-simulated."""
+        store = ResultStore(tmp_path)
+        spec = self.SPECS[0]
+        key = spec.cache_key()
+        fresh = run_sweep([spec], store=store)
+        entry = json.loads(store.path_for(key).read_text())
+        store.path_for(key).write_text(
+            json.dumps(WRONG_SHAPES[shape](entry)))
+        assert store.load(key) is None
+        outcome = run_sweep([spec], store=store)
+        assert outcome.simulated == 1 and outcome.cache_hits == 0
+        assert (outcome.results[spec].to_dict()
+                == fresh.results[spec].to_dict())
 
     def test_concurrent_writers_never_corrupt_an_entry(self, tmp_path):
         """Regression: ``save`` used to write through one fixed temp
