@@ -31,9 +31,9 @@ and ``docs/api.md`` teach, and what deprecation policy covers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import (Callable, Dict, Iterable, Iterator, List, Mapping,
-                    Optional, Sequence, Tuple, Union)
+from dataclasses import dataclass
+from typing import (Dict, Iterable, Iterator, List, Mapping, Optional,
+                    Sequence, Tuple, Union)
 
 from repro.config import SystemConfig, scaled_config
 from repro.energy import dynamic_energy, package_power_w
@@ -68,7 +68,7 @@ def simulate(config: SystemConfig, workloads: Sequence[str],
 
 @dataclass(frozen=True)
 class SweepResult:
-    """What :func:`sweep` ran: every point's result plus provenance.
+    """What :func:`sweep` ran: every point's result plus cache accounting.
 
     Iterating yields :class:`SimulationResult` objects in sweep order;
     ``items()`` pairs them with their :class:`RunSpec` for filtering.
@@ -80,9 +80,6 @@ class SweepResult:
     simulated: int
     #: Points served from the on-disk cache.
     cache_hits: int
-    #: Per-point producer: ``"cache"``, ``"local"``, or the distributed
-    #: worker id that simulated the point (``executor="distributed"``).
-    provenance: Mapping[RunSpec, str] = field(default_factory=dict)
 
     def __len__(self) -> int:
         return len(self.specs)
@@ -95,11 +92,6 @@ class SweepResult:
 
     def items(self) -> Iterator[Tuple[RunSpec, SimulationResult]]:
         return ((spec, self.results[spec]) for spec in self.specs)
-
-    def producer(self, spec: RunSpec) -> str:
-        """Who produced a point: ``"cache"``, ``"local"``, or a
-        distributed worker id."""
-        return self.provenance[spec]
 
     def find(self, scheme: Optional[SchemeLike] = None,
              mix: Optional[Sequence[str]] = None,
@@ -141,6 +133,16 @@ def _as_mixes(workloads: WorkloadsLike) -> List[Tuple[str, ...]]:
     return [tuple(mix) for mix in items]
 
 
+def _store(cache: Union[bool, str, ResultStore]) -> Optional[ResultStore]:
+    """The store a ``cache`` argument names: ``True`` the default
+    directory, a path that directory, ``False`` none."""
+    if isinstance(cache, ResultStore):
+        return cache
+    if cache is True:
+        return ResultStore()
+    return ResultStore(cache) if cache else None
+
+
 def sweep(schemes: Union[SchemeLike, Iterable[SchemeLike]],
           workloads: WorkloadsLike, *,
           channels: Union[int, Sequence[int]] = 1,
@@ -148,10 +150,7 @@ def sweep(schemes: Union[SchemeLike, Iterable[SchemeLike]],
           sim_instructions: int = 10_000,
           baselines: bool = False,
           jobs: int = 1,
-          cache: Union[bool, str, ResultStore] = True,
-          executor: str = "local",
-          on_result: Optional[Callable[[RunSpec, SimulationResult],
-                                       None]] = None) -> SweepResult:
+          cache: Union[bool, str, ResultStore] = True) -> SweepResult:
     """Simulate the cross product of schemes x workload mixes x channels.
 
     ``schemes`` accepts typed :class:`Scheme` objects or legacy-style
@@ -163,12 +162,10 @@ def sweep(schemes: Union[SchemeLike, Iterable[SchemeLike]],
     a :class:`ResultStore`); fresh points fan out across ``jobs``
     processes.
 
-    ``executor="distributed"`` fans the misses out through the
-    :mod:`repro.serve` coordinator/worker service instead of a local
-    process pool (``jobs`` worker subprocesses; bit-identical results;
-    transparent fallback to local execution when the service cannot
-    start); :attr:`SweepResult.provenance` then records which worker
-    produced each point.  See ``docs/serving.md``.
+    A campaign run with ``repro serve`` and ``repro worker`` writes the
+    same store under the same keys: ``cache=<its cache dir>`` over the
+    campaign's grid reads every point as a hit.  See
+    ``docs/serving.md``.
     """
     grid = Sweep.product(_as_schemes(schemes), _as_mixes(workloads),
                          [channels] if isinstance(channels, int)
@@ -177,20 +174,10 @@ def sweep(schemes: Union[SchemeLike, Iterable[SchemeLike]],
                          sim_instructions=sim_instructions)
     if baselines:
         grid = grid.with_baselines()
-    if isinstance(cache, ResultStore):
-        store: Optional[ResultStore] = cache
-    elif cache is True:
-        store = ResultStore()
-    elif cache:
-        store = ResultStore(cache)
-    else:
-        store = None
-    outcome = run_sweep(grid, jobs=jobs, store=store, executor=executor,
-                        on_result=on_result)
+    outcome = run_sweep(grid, jobs=jobs, store=_store(cache))
     return SweepResult(specs=tuple(grid), results=outcome.results,
                        simulated=outcome.simulated,
-                       cache_hits=outcome.cache_hits,
-                       provenance=dict(outcome.provenance))
+                       cache_hits=outcome.cache_hits)
 
 
 def power_budget(budget_w: Optional[float] = None, *,
@@ -213,18 +200,10 @@ def power_budget(budget_w: Optional[float] = None, *,
     from repro.experiments.power_budget import (DEFAULT_BUDGET_W,
                                                 power_budget_study)
     from repro.experiments.runner import BenchScale, ExperimentRunner
-    if isinstance(cache, ResultStore):
-        store: Optional[ResultStore] = cache
-    elif cache is True:
-        store = ResultStore()
-    elif cache:
-        store = ResultStore(cache)
-    else:
-        store = None
     runner = ExperimentRunner(
         BenchScale(num_cores=num_cores,
                    sim_instructions=sim_instructions),
-        store=store, jobs=jobs)
+        store=_store(cache), jobs=jobs)
     return power_budget_study(
         runner,
         budget_w=DEFAULT_BUDGET_W if budget_w is None else budget_w,

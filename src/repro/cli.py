@@ -50,7 +50,7 @@ TABLES = {"table2": experiments.table2, "table3": experiments.table3}
 
 
 def _add_grid_arguments(parser: argparse.ArgumentParser) -> None:
-    """Grid + cache options shared by ``sweep`` and ``serve``."""
+    """Grid + cache-directory options shared by ``sweep`` and ``serve``."""
     parser.add_argument("--schemes", nargs="+", default=None,
                         help="scheme names, e.g. berti berti+clip "
                              "(default: the Fig. 19-20 comparison "
@@ -66,8 +66,6 @@ def _add_grid_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--cache-dir", default=None,
                         help="result cache directory (default: "
                              ".repro-cache/, or $REPRO_CACHE_DIR)")
-    parser.add_argument("--no-cache", action="store_true",
-                        help="do not read or write the on-disk cache")
 
 
 def _build_grid(args: argparse.Namespace):
@@ -154,11 +152,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_grid_arguments(sweep)
     sweep.add_argument("--jobs", "-j", type=int, default=1,
                        help="worker processes for independent points")
-    sweep.add_argument("--executor", choices=["local", "distributed"],
-                       default="local",
-                       help="how misses run: a local process pool, or "
-                            "the repro.serve coordinator + worker "
-                            "subprocesses (bit-identical results)")
+    sweep.add_argument("--no-cache", action="store_true",
+                       help="do not read or write the on-disk cache")
     sweep.add_argument("--csv", metavar="PATH", default=None,
                        help="also export the speedup series as CSV")
 
@@ -315,8 +310,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     schemes, mixes, channels, sweep = _build_grid(args)
     workloads = args.workloads or [mix[0] for mix in mixes]
     store = None if args.no_cache else ResultStore(args.cache_dir)
-    outcome = run_sweep(sweep, jobs=args.jobs, store=store,
-                        executor=args.executor)
+    outcome = run_sweep(sweep, jobs=args.jobs, store=store)
 
     def speedup(scheme, mix, ch) -> float:
         spec = experiments.RunSpec(scheme=scheme, mix=tuple(mix),
@@ -351,7 +345,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     SIGTERM/SIGINT trigger a graceful shutdown: in-flight jobs get a
     short drain window, the campaign manifest is persisted, and every
     completed point is already durable in the result store -- so a
-    rerun (``--resume`` or the same grid) recomputes nothing.
+    rerun (``--resume`` or the same grid) recomputes nothing.  Values
+    the campaign cannot run with are usage errors (exit 2), reported
+    before a port is bound.
     """
     import asyncio
     import json as json_mod
@@ -362,22 +358,27 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.serve.manifest import load_manifest
     from repro.serve.queue import QueuePolicy
 
+    try:
+        if args.resume and not args.manifest:
+            raise ValueError("--resume requires --manifest PATH")
+        if args.workers < 0:
+            raise ValueError(f"workers must be at least 0, got "
+                             f"{args.workers}")
+        policy = QueuePolicy(lease_timeout=args.lease_timeout,
+                             max_attempts=args.max_attempts)
+    except ValueError as exc:
+        print(f"repro serve: error: {exc}", file=sys.stderr)
+        return 2
     quarantined = {}
     if args.resume:
-        if not args.manifest:
-            print("--resume requires --manifest PATH")
-            return 2
         state = load_manifest(args.manifest)
         specs = state["specs"]
         quarantined = state["quarantined"]
     else:
         specs = list(_build_grid(args)[3])
-    store = None if args.no_cache else ResultStore(args.cache_dir)
-    settings = ServeSettings(
-        host=args.host, port=args.port,
-        policy=QueuePolicy(lease_timeout=args.lease_timeout,
-                           max_attempts=args.max_attempts))
-    coordinator = Coordinator(specs, store=store, settings=settings,
+    settings = ServeSettings(host=args.host, port=args.port, policy=policy)
+    coordinator = Coordinator(specs, store=ResultStore(args.cache_dir),
+                              settings=settings,
                               manifest_path=args.manifest,
                               quarantined=quarantined,
                               progress=print)
@@ -408,7 +409,7 @@ async def _serve_campaign(coordinator, local_workers: int) -> bool:
     import asyncio
     import signal
 
-    from repro.serve.executor import spawn_worker
+    from repro.serve.worker import spawn_worker
 
     loop = asyncio.get_running_loop()
     stop = asyncio.Event()

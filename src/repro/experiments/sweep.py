@@ -33,12 +33,11 @@ import hashlib
 import json
 import os
 import tempfile
-import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import (Callable, Dict, Iterable, Iterator, List, Mapping,
-                    Optional, Sequence, Tuple, Union)
+from typing import (Dict, Iterable, Iterator, List, Mapping, Optional,
+                    Sequence, Tuple, Union)
 
 from repro.config import SystemConfig, big_little_overrides, scaled_config
 from repro.sim.stats import SimulationResult
@@ -412,10 +411,10 @@ class ResultStore:
     Each file records the schema version, the spec's human-readable
     label, and the serialised result; writes go through a *unique* temp
     file + atomic rename, so a crashed run never leaves a truncated
-    entry behind and any number of concurrent writers (pool processes,
-    distributed-sweep workers landing the same key, threads sharing a
-    pid) may race on one shard without corrupting it -- last rename
-    wins, every intermediate state is a complete entry.
+    entry behind and any number of concurrent writers (``repro sweep``
+    runs and ``repro serve`` coordinators sharing one store, threads
+    sharing a pid) may race on one shard without corrupting it -- last
+    rename wins, every intermediate state is a complete entry.
     """
 
     def __init__(self, root: Union[str, Path, None] = None) -> None:
@@ -429,9 +428,9 @@ class ResultStore:
     def load(self, key: str) -> Optional[SimulationResult]:
         """The stored result for ``key``, or ``None`` on a miss.
 
-        Reads only ``schema`` and ``result``: other fields are
-        provenance, and entries written by older releases may carry
-        more of it (e.g. the removed simulation-backend name).  An
+        Reads only ``schema`` and ``result``: other fields only describe
+        the point, and entries written by older releases may carry more
+        of them (e.g. the removed simulation-backend name).  An
         unreadable entry, or valid JSON of another shape, is a miss.
         """
         path = self.path_for(key)
@@ -458,9 +457,9 @@ class ResultStore:
             "result": result.to_dict(),
         }
         # A mkstemp-unique temp file per call: a pid-suffixed name is
-        # not enough once threads (or a coordinator and its workers)
-        # share a process -- two writers interleaving on one temp path
-        # used to land a truncated/corrupt shard.
+        # not enough once threads share a process -- two writers
+        # interleaving on one temp path used to land a truncated/corrupt
+        # shard.
         handle, tmp = tempfile.mkstemp(dir=path.parent,
                                        prefix=f".{key[:16]}.",
                                        suffix=".tmp")
@@ -497,14 +496,6 @@ def execute_spec(spec: RunSpec) -> Dict:
     return result.to_dict()
 
 
-#: Producer label (``SweepOutcome.provenance``) for disk-cache hits.
-CACHE_PRODUCER = "cache"
-#: Producer label for points simulated in this process / its pool.
-LOCAL_PRODUCER = "local"
-
-EXECUTORS = ("local", "distributed")
-
-
 @dataclass
 class SweepOutcome:
     """What :func:`run_sweep` did: the results plus cache accounting."""
@@ -514,9 +505,6 @@ class SweepOutcome:
     simulated: int = 0
     #: Points served from the disk store.
     cache_hits: int = 0
-    #: Who produced each point: ``"cache"``, ``"local"``, or the id of
-    #: the distributed worker that simulated it.
-    provenance: Dict[RunSpec, str] = field(default_factory=dict)
 
     def __getitem__(self, spec: RunSpec) -> SimulationResult:
         return self.results[spec]
@@ -524,10 +512,8 @@ class SweepOutcome:
 
 def run_sweep(sweep: Iterable[RunSpec], *, jobs: int = 1,
               store: Optional[ResultStore] = None,
-              known: Optional[Mapping[RunSpec, SimulationResult]] = None,
-              on_result: Optional[Callable[[RunSpec, SimulationResult],
-                                           None]] = None,
-              executor: str = "local") -> SweepOutcome:
+              known: Optional[Mapping[RunSpec, SimulationResult]] = None
+              ) -> SweepOutcome:
     """Execute every point of ``sweep``, in parallel when ``jobs > 1``.
 
     ``known`` points (e.g. an in-process memo) are returned as-is; the
@@ -536,21 +522,14 @@ def run_sweep(sweep: Iterable[RunSpec], *, jobs: int = 1,
     ``ProcessPoolExecutor`` with ``jobs`` workers.  Both paths round-trip
     results through ``to_dict``/``from_dict``, so the executed results
     are identical regardless of ``jobs``.  Fresh results are written back
-    to ``store`` and reported through ``on_result`` as they arrive.
+    to ``store`` as they arrive.
 
-    ``executor="distributed"`` runs the misses through a localhost
-    coordinator + ``jobs`` worker subprocesses speaking the
-    :mod:`repro.serve` protocol instead of a process pool — same
-    ``to_dict`` round trip, so still bit-identical — and records which
-    worker produced each point in :attr:`SweepOutcome.provenance`.
-    When the distributed service cannot start (or loses every worker
-    mid-campaign), execution falls back transparently to the local
-    path; points whose jobs were quarantined (failed repeatedly on
-    real workers) raise :class:`repro.serve.QuarantinedError`.
+    This is the one in-process fan-out.  A campaign spread over
+    processes that share only a URL runs through ``repro serve`` and
+    ``repro worker`` (:mod:`repro.serve`); its results land in the
+    same store under the same keys, so a ``run_sweep`` over that store
+    reads every finished point as a hit.
     """
-    if executor not in EXECUTORS:
-        raise ValueError(f"unknown executor {executor!r}: expected one "
-                         f"of {', '.join(EXECUTORS)}")
     specs = list(Sweep(sweep))
     outcome = SweepOutcome(results={})
     pending: List[RunSpec] = []
@@ -566,24 +545,14 @@ def run_sweep(sweep: Iterable[RunSpec], *, jobs: int = 1,
             if cached is not None:
                 outcome.results[spec] = cached
                 outcome.cache_hits += 1
-                outcome.provenance[spec] = CACHE_PRODUCER
-                if on_result is not None:
-                    on_result(spec, cached)
                 continue
         pending.append(spec)
-
-    if executor == "distributed" and pending:
-        pending = _run_distributed_pending(pending, outcome, jobs=jobs,
-                                           store=store, on_result=on_result)
 
     def record(spec: RunSpec, result: SimulationResult) -> None:
         outcome.results[spec] = result
         outcome.simulated += 1
-        outcome.provenance[spec] = LOCAL_PRODUCER
         if store is not None:
             store.save(keys[spec], spec, result)
-        if on_result is not None:
-            on_result(spec, result)
 
     if jobs <= 1 or len(pending) <= 1:
         for spec in pending:
@@ -594,39 +563,3 @@ def run_sweep(sweep: Iterable[RunSpec], *, jobs: int = 1,
             for spec, data in zip(pending, pool.map(execute_spec, pending)):
                 record(spec, SimulationResult.from_dict(data))
     return outcome
-
-
-def _run_distributed_pending(pending: List[RunSpec],
-                             outcome: SweepOutcome, *, jobs: int,
-                             store: Optional[ResultStore],
-                             on_result) -> List[RunSpec]:
-    """Run the cache misses through :func:`repro.serve.run_distributed`.
-
-    Folds whatever the campaign finished into ``outcome`` and returns
-    the points still pending (normally none; the fallback remainder
-    when the service degraded), which the caller executes locally.
-    """
-    from repro.serve.executor import (DistributedUnavailable,
-                                      run_distributed)
-    try:
-        dist = run_distributed(pending, jobs=jobs, store=store)
-    except DistributedUnavailable as exc:
-        warnings.warn(
-            f"distributed sweep executor unavailable ({exc}); falling "
-            f"back to local execution", RuntimeWarning, stacklevel=3)
-        return pending
-    for spec in pending:
-        if spec not in dist.results:
-            continue
-        outcome.results[spec] = dist.results[spec]
-        outcome.provenance[spec] = dist.provenance[spec]
-        if on_result is not None:
-            on_result(spec, dist.results[spec])
-    outcome.simulated += dist.simulated
-    outcome.cache_hits += dist.cache_hits
-    if dist.remaining:
-        warnings.warn(
-            f"distributed sweep lost its workers with "
-            f"{len(dist.remaining)} point(s) outstanding; finishing "
-            f"them locally", RuntimeWarning, stacklevel=3)
-    return dist.remaining

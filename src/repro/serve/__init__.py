@@ -1,7 +1,11 @@
-"""Distributed sweep service: coordinator, workers, and campaigns.
+"""Sweep service: coordinator, workers, and campaigns.
 
-``repro.serve`` promotes the single-host :func:`repro.experiments.sweep.
-run_sweep` into a serving system (see ``docs/serving.md``):
+``repro serve`` runs one campaign -- a grid of sweep points -- behind a
+stdlib-only HTTP/JSON protocol, and any number of ``repro worker``
+processes, local or on other hosts, pull its points and post results
+back (see ``docs/serving.md``).  It is the one fan-out across processes
+that share only a URL; :func:`repro.experiments.sweep.run_sweep` with
+``jobs > 1`` is the one fan-out inside a host.
 
 * :mod:`repro.serve.queue`       -- the pure job-queue state machine
   (lease timeouts, heartbeat renewal, exponential-backoff retries,
@@ -12,23 +16,22 @@ run_sweep` into a serving system (see ``docs/serving.md``):
 * :mod:`repro.serve.manifest`    -- the resumable campaign manifest a
   coordinator persists on shutdown.
 * :mod:`repro.serve.coordinator` -- the asyncio coordinator serving the
-  stdlib-only HTTP/JSON worker protocol (``/claim``, ``/complete``,
-  ``/fail``, ``/heartbeat``, ``/status``).
+  worker protocol (``/claim``, ``/complete``, ``/fail``,
+  ``/heartbeat``, ``/status``) and writing each accepted result to the
+  campaign's :class:`ResultStore`.
 * :mod:`repro.serve.worker`      -- the synchronous worker loop that
   pulls jobs, renews its leases from a heartbeat thread, and posts
-  results (or failures) back.
-* :mod:`repro.serve.executor`    -- the in-process glue behind
-  ``run_sweep(executor="distributed")``: coordinator thread + N worker
-  subprocesses, with transparent fallback to local execution.
+  results (or failures) back; ``spawn_worker`` starts one as a
+  subprocess for ``repro serve --workers N``.
 
 Everything here is standard library only; simulation results cross the
 wire via the stable ``SimulationResult.to_dict``/``from_dict`` round
-trip, so a distributed point is bit-identical to a serial one.
+trip, so a served point is bit-identical to a serial one.  Python reads
+a campaign's results back with ``api.sweep(..., cache=<its cache
+dir>)``, which serves every finished point from the store.
 """
 
 from repro.serve.coordinator import Coordinator, ServeSettings
-from repro.serve.executor import (DistributedUnavailable, QuarantinedError,
-                                  run_distributed)
 from repro.serve.manifest import load_manifest, write_manifest
 from repro.serve.queue import (DONE, LEASED, PENDING, QUARANTINED, Job,
                                JobQueue, QueuePolicy)
@@ -36,9 +39,7 @@ from repro.serve.wire import spec_from_dict, spec_to_dict
 from repro.serve.worker import worker_loop
 
 __all__ = [
-    "Coordinator", "ServeSettings", "DistributedUnavailable",
-    "QuarantinedError", "run_distributed", "load_manifest",
-    "write_manifest", "Job", "JobQueue", "QueuePolicy", "PENDING",
-    "LEASED", "DONE", "QUARANTINED", "spec_from_dict", "spec_to_dict",
-    "worker_loop",
+    "Coordinator", "ServeSettings", "load_manifest", "write_manifest",
+    "Job", "JobQueue", "QueuePolicy", "PENDING", "LEASED", "DONE",
+    "QUARANTINED", "spec_from_dict", "spec_to_dict", "worker_loop",
 ]

@@ -1,8 +1,10 @@
 """The asyncio sweep coordinator and its HTTP/JSON worker protocol.
 
 The coordinator owns a campaign: a :class:`JobQueue` of content-keyed
-sweep points, a :class:`ResultStore` primed for TTL-free dedup, and a
-tiny stdlib-only HTTP server workers pull jobs from.  All queue
+sweep points, the :class:`ResultStore` its results land in (also primed
+for TTL-free dedup), and a tiny stdlib-only HTTP server workers pull
+jobs from.  It keeps counts, not results: Python reads a campaign back
+through ``api.sweep(..., cache=<its cache dir>)``.  All queue
 mutations happen on the event loop, so the state machine needs no
 locks.  Protocol (all bodies JSON, ``Connection: close``):
 
@@ -30,10 +32,9 @@ shutdown (see :mod:`repro.serve.manifest`) records the campaign itself,
 and a resumed coordinator serves every previously completed point as a
 cache hit.
 
-This module (with :mod:`repro.serve.worker` and
-:mod:`repro.serve.executor`) legitimately reads the wall clock -- lease
-deadlines are host time, not simulated time -- and is exempted from the
-SIM007 lint accordingly.  Simulated time never appears here.
+This module legitimately reads the wall clock -- lease deadlines are
+host time, not simulated time -- and is exempted from the SIM007 lint
+accordingly.  Simulated time never appears here.
 """
 
 from __future__ import annotations
@@ -76,25 +77,19 @@ class Coordinator:
     """One campaign: queue + store + protocol server + manifest."""
 
     def __init__(self, specs: Iterable[RunSpec], *,
-                 store: Optional[ResultStore] = None,
+                 store: ResultStore,
                  settings: Optional[ServeSettings] = None,
                  manifest_path: Union[str, None] = None,
                  quarantined: Optional[Dict[str, Dict]] = None,
-                 progress: Optional[Callable[[str], None]] = None,
-                 on_result: Optional[Callable[[RunSpec, SimulationResult],
-                                              None]] = None) -> None:
+                 progress: Optional[Callable[[str], None]] = None) -> None:
         self.settings = settings or ServeSettings()
         self.store = store
         self.manifest_path = manifest_path
         self.queue = JobQueue(self.settings.policy)
         self.specs_by_key: Dict[str, RunSpec] = {}
-        self.results: Dict[RunSpec, SimulationResult] = {}
-        #: spec -> "cache" or the id of the worker that simulated it.
-        self.provenance: Dict[RunSpec, str] = {}
         self.cache_hits = 0
         self.simulated = 0
         self._progress = progress
-        self._on_result = on_result
         self._workers: Dict[str, Dict] = {}
         self._clock = time.monotonic
         self._last_line = ""
@@ -118,11 +113,8 @@ class Coordinator:
                 continue
             self.specs_by_key[key] = spec
             self.queue.add(key, spec_to_dict(spec))
-            cached = self.store.load(key) if self.store else None
-            if cached is not None:
+            if self.store.load(key) is not None:
                 self.queue.mark_done(key, CACHE_PRODUCER)
-                self.results[spec] = cached
-                self.provenance[spec] = CACHE_PRODUCER
                 self.cache_hits += 1
             elif key in quarantined:
                 record = quarantined[key]
@@ -308,15 +300,9 @@ class Coordinator:
         accepted = self.queue.complete(worker, key)
         if accepted:
             record["completed"] += 1
-            spec = self.specs_by_key[key]
             result = SimulationResult.from_dict(body["result"])
-            self.results[spec] = result
-            self.provenance[spec] = worker
             self.simulated += 1
-            if self.store is not None:
-                self.store.save(key, spec, result)
-            if self._on_result is not None:
-                self._on_result(spec, result)
+            self.store.save(key, self.specs_by_key[key], result)
             self._check_finished()
             self._emit_progress()
         return {"accepted": accepted, "done": self.queue.finished}

@@ -51,6 +51,17 @@ class QueuePolicy:
     backoff_base: float = 0.5
     backoff_cap: float = 30.0
 
+    def __post_init__(self) -> None:
+        # A lease that expires as it is granted is reaped by the next
+        # expire(), so a healthy job would burn its attempts into
+        # quarantine and its worker's completion would be refused.
+        if not self.lease_timeout > 0:
+            raise ValueError(f"lease_timeout must be positive, got "
+                             f"{self.lease_timeout}")
+        if self.max_attempts < 1:
+            raise ValueError(f"max_attempts must be at least 1, got "
+                             f"{self.max_attempts}")
+
     def backoff(self, attempts: int) -> float:
         """Delay before the next attempt after ``attempts`` failures."""
         return min(self.backoff_cap,

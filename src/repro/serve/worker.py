@@ -27,6 +27,8 @@ from __future__ import annotations
 import json
 import os
 import socket
+import subprocess
+import sys
 import threading
 import time
 import traceback
@@ -97,6 +99,12 @@ class _Heartbeat(threading.Thread):
 
     def stop(self) -> None:
         self._stop.set()
+
+
+def spawn_worker(url: str, worker_id: str) -> subprocess.Popen:
+    """Start one ``repro worker`` subprocess pointed at ``url``."""
+    return subprocess.Popen([sys.executable, "-m", "repro", "worker",
+                             "--url", url, "--id", worker_id])
 
 
 def worker_loop(url: str, *,

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import asyncio
+
 import pytest
 
 from repro.cli import FIGURES, TABLES, build_parser, main
@@ -117,3 +119,37 @@ class TestSweepCommand:
         header = path.read_text().splitlines()[0]
         assert header.startswith("channels,")
         assert "berti+clip" in header
+
+
+class TestServeCommand:
+    ARGS = ["serve", "--schemes", "berti", "--workloads", "605.mcf_s-1536B",
+            "--channels", "1", "--cores", "2", "--instructions", "800"]
+
+    @pytest.fixture(autouse=True)
+    def refuse_to_bind(self, monkeypatch):
+        """Each case must stop before the coordinator binds a port."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("bound a port")
+        monkeypatch.setattr(asyncio, "start_server", refuse)
+
+    def test_no_cache_is_a_usage_error(self, tmp_path, capsys):
+        """A campaign keeps its results only in its store."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(self.ARGS + ["--cache-dir", str(tmp_path / "cache"),
+                              "--no-cache"])
+        assert exit_info.value.code == 2
+        assert "--no-cache" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("option, value, field", [
+        ("--lease-timeout", "0", "lease_timeout"),
+        ("--lease-timeout", "-1", "lease_timeout"),
+        ("--max-attempts", "0", "max_attempts"),
+        ("--workers", "-1", "workers"),
+    ])
+    def test_bad_value_is_a_usage_error(self, tmp_path, capsys, option,
+                                        value, field):
+        code = main(self.ARGS + ["--cache-dir", str(tmp_path / "cache"),
+                                 option, value])
+        assert code == 2
+        assert f"repro serve: error: {field} must be" in \
+            capsys.readouterr().err

@@ -1,11 +1,12 @@
-"""Fault-injection tests for the distributed sweep service.
+"""Fault-injection tests for the sweep service (``repro.serve``).
 
 Three failure modes, each exercised with real processes:
 
 * a worker SIGKILLed mid-job -- its lease expires and the job is
   reassigned to a healthy worker;
 * a worker whose executor always raises -- the job is retried, then
-  quarantined, and the injected error shows up in ``/status``;
+  quarantined, and the injected error shows up in ``/status`` and in
+  ``repro serve``'s output, which then exits 2;
 * the coordinator itself SIGTERMed mid-campaign -- it persists a
   manifest, exits 130, and a ``--resume`` run completes the campaign
   with every already-finished point served from the cache (zero
@@ -14,12 +15,14 @@ Three failure modes, each exercised with real processes:
 
 from __future__ import annotations
 
+import asyncio
 import json
 import os
 import signal
 import subprocess
 import sys
 import textwrap
+import threading
 import time
 from pathlib import Path
 
@@ -27,9 +30,8 @@ import pytest
 
 from repro.experiments.sweep import ResultStore, RunSpec, Scheme
 from repro.serve.coordinator import Coordinator, ServeSettings
-from repro.serve.executor import _CoordinatorThread, spawn_worker
 from repro.serve.queue import QueuePolicy
-from repro.serve.worker import fetch_status
+from repro.serve.worker import fetch_status, spawn_worker
 from repro.trace.mixes import homogeneous_mix
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -41,16 +43,45 @@ def tiny_spec(scheme: Scheme) -> RunSpec:
                    sim_instructions=800)
 
 
+class CoordinatorThread(threading.Thread):
+    """Serves a coordinator from its own asyncio loop until the campaign
+    is terminal or :meth:`request_stop` is called.  The fixtures need
+    ``QueuePolicy``/``ServeSettings`` values ``repro serve`` does not
+    expose (sub-second leases, backoff and ticks)."""
+
+    def __init__(self, coordinator: Coordinator) -> None:
+        super().__init__(daemon=True)
+        self.coordinator = coordinator
+        self.ready = threading.Event()
+        self._stop_requested = threading.Event()
+
+    def run(self) -> None:
+        try:
+            asyncio.run(self._serve())
+        finally:
+            self.ready.set()
+
+    async def _serve(self) -> None:
+        await self.coordinator.start()
+        self.ready.set()
+        while not (self._stop_requested.is_set()
+                   or await self.coordinator.wait_finished(timeout=0.1)):
+            pass
+        await self.coordinator.stop()
+
+    def request_stop(self) -> None:
+        self._stop_requested.set()
+
+
 def start_coordinator(tmp_path, specs, policy):
-    """Coordinator in a background thread, like run_distributed does."""
     coordinator = Coordinator(
         specs, store=ResultStore(tmp_path / "cache"),
         settings=ServeSettings(policy=policy, tick=0.1,
                                drain_timeout=0.2))
-    thread = _CoordinatorThread(coordinator)
+    thread = CoordinatorThread(coordinator)
     thread.start()
     thread.ready.wait(timeout=30.0)
-    assert thread.error is None and coordinator.url is not None
+    assert coordinator.url is not None
     return coordinator, thread
 
 
@@ -121,7 +152,8 @@ class TestWorkerSigkill:
             processes.append(spawn_worker(coordinator.url, "rescuer"))
             # The coordinator closes its server once the campaign is
             # terminal, so wait in-process rather than over HTTP.
-            assert thread.done.wait(timeout=60.0)
+            thread.join(timeout=60.0)
+            assert not thread.is_alive()
             status = coordinator.status()
             assert status["done"] == 1
             assert status["quarantine"] == []
@@ -171,28 +203,43 @@ class TestPoisonJob:
         finally:
             stop_coordinator(thread, processes)
 
-    def test_quarantine_surfaces_through_run_sweep(self, tmp_path,
-                                                   monkeypatch):
-        """run_sweep(executor=...) raises QuarantinedError rather than
-        silently dropping poison points."""
-        from repro.experiments import sweep as sweep_mod
-        from repro.serve import QuarantinedError
-        from repro.serve import executor as serve_executor
-
-        poison = write_worker_script(
-            tmp_path, "poison2", 'raise RuntimeError("injected-failure")\n')
-
-        def spawn_poison(url, worker_id):
-            return subprocess.Popen(
-                [sys.executable, str(poison), url])
-
-        monkeypatch.setattr(serve_executor, "spawn_worker",
-                            spawn_poison)
-        with pytest.raises(QuarantinedError, match="injected-failure"):
-            sweep_mod.run_sweep(
-                [tiny_spec(Scheme())], jobs=1,
-                store=ResultStore(tmp_path / "cache"),
-                executor="distributed")
+    def test_quarantine_fails_the_served_campaign(self, tmp_path):
+        """``repro serve`` names a quarantined job and exits 2 rather
+        than finishing as if every point had run."""
+        log = tmp_path / "serve.txt"
+        env = dict(os.environ, PYTHONPATH=SRC, PYTHONUNBUFFERED="1")
+        with open(log, "w") as stdout:
+            serve = subprocess.Popen(
+                [sys.executable, "-m", "repro", "serve",
+                 "--schemes", "none", "--workloads", MIX[0],
+                 "--channels", "1", "--cores", "2",
+                 "--instructions", "800", "--workers", "0",
+                 "--max-attempts", "1",
+                 "--cache-dir", str(tmp_path / "cache")],
+                stdout=stdout, env=env, cwd=str(tmp_path))
+        processes = [serve]
+        try:
+            url = None
+            until = time.monotonic() + 60.0
+            while url is None and time.monotonic() < until:
+                for line in log.read_text().splitlines():
+                    if line.startswith("serving campaign on "):
+                        url = line.split()[3]
+                time.sleep(0.05)
+            assert url is not None, log.read_text()
+            poison = write_worker_script(
+                tmp_path, "poison",
+                'raise RuntimeError("injected-failure")\n')
+            processes.append(subprocess.Popen(
+                [sys.executable, str(poison), url]))
+            assert serve.wait(timeout=60.0) == 2, log.read_text()
+            assert ("quarantined: none after 1 attempt(s): "
+                    "RuntimeError: injected-failure") in log.read_text()
+        finally:
+            for process in processes:
+                if process.poll() is None:
+                    process.kill()
+                    process.wait(timeout=10.0)
 
 
 class TestCoordinatorSigterm:

@@ -128,6 +128,32 @@ class TestLifecycle:
         assert queue.next_runnable_at() == POLICY.backoff_base
 
 
+class TestPolicy:
+    """A lease that expires as it is granted would reap a healthy job
+    on the next ``expire()`` and quarantine it after ``max_attempts``
+    claims, refusing its worker's completion."""
+
+    @pytest.mark.parametrize("lease_timeout", [0.0, -1.0, float("nan")])
+    def test_rejects_non_positive_lease(self, lease_timeout):
+        with pytest.raises(ValueError, match="^lease_timeout must be "
+                                             "positive"):
+            QueuePolicy(lease_timeout=lease_timeout)
+
+    @pytest.mark.parametrize("max_attempts", [0, -1])
+    def test_rejects_fewer_than_one_attempt(self, max_attempts):
+        with pytest.raises(ValueError, match="^max_attempts must be at "
+                                             "least 1"):
+            QueuePolicy(max_attempts=max_attempts)
+
+    def test_smallest_valid_policy_completes_a_healthy_job(self):
+        queue = make_queue(1, QueuePolicy(lease_timeout=1e-9,
+                                          max_attempts=1))
+        queue.claim("w1", now=0.0)
+        assert queue.expire(now=0.0) == []
+        assert queue.complete("w1", "job0")
+        assert queue.get("job0").state == DONE
+
+
 class TestFuzz:
     """Seeded random claim/complete/timeout/steal sequences."""
 
