@@ -6,7 +6,8 @@ Two halves (docs/static_analysis.md has the full catalogue):
 * :mod:`repro.analysis.lint` -- AST passes enforcing simulator
   discipline (determinism, integral time, registered counters, ...),
   run as ``python -m repro.analysis`` or ``repro lint`` and gated in CI
-  against the ``analysis-baseline.toml`` suppression file;
+  at zero findings (a sanctioned line carries an inline
+  ``# sim-lint: ignore[SIMxxx]``);
 * :mod:`repro.analysis.sanitizer` -- an opt-in
   (``REPRO_SANITIZE=1`` / ``SystemConfig.sanitize``) checker layer that
   wraps the engine, MSHRs, caches, DRAM channels, NoC, and cores with

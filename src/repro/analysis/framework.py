@@ -12,11 +12,13 @@ The framework is two-phase:
 Rules (see :mod:`repro.analysis.rules`) are small classes with an ``id``,
 a one-line ``summary``, and a ``visit`` hook yielding
 :class:`Violation` objects.  Violations carry a line-number-independent
-*fingerprint* (``path::scope``) so the baseline file keeps suppressing a
-known violation while unrelated edits move it around the file.
+*fingerprint* (``path::scope``), which the JSON and SARIF outputs
+report so code-scanning tools can track a finding while unrelated
+edits move it around the file.
 
-Inline escapes: a line ending in ``# sim-lint: ignore`` suppresses every
-rule on that line; ``# sim-lint: ignore[SIM001]`` suppresses one rule.
+Inline escapes, the one way to silence a finding: a line carrying
+``# sim-lint: ignore`` suppresses every rule on that line;
+``# sim-lint: ignore[SIM001]`` suppresses one rule.
 """
 
 from __future__ import annotations
@@ -50,7 +52,8 @@ class Violation:
 
     @property
     def fingerprint(self) -> str:
-        """Line-number-independent identity used by the baseline file."""
+        """Line-number-independent identity (``path::scope``) that the
+        JSON and SARIF outputs carry."""
         return f"{self.path}::{self.scope or '<module>'}"
 
     def format(self) -> str:

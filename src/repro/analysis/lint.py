@@ -1,13 +1,15 @@
-"""Lint driver: file collection, project pass, baseline, CLI.
+"""Lint driver: file collection, project pass, CLI.
 
 Entry points:
 
 * ``python -m repro.analysis`` (see :mod:`repro.analysis.__main__`);
-* ``repro lint`` (see :mod:`repro.cli`);
+* ``repro lint`` (see :mod:`repro.cli`), which hands its arguments to
+  :func:`main` unchanged;
 * :func:`run_lint` for programmatic use (tests, CI glue).
 
-Exit status is 0 when every violation is either fixed or listed in the
-baseline file, 1 otherwise -- the contract CI relies on.
+Exit status is 0 when no violation is reported, 1 otherwise -- the
+contract CI relies on.  A sanctioned line is silenced where it stands,
+with an inline ``# sim-lint: ignore[SIMxxx]`` comment.
 """
 
 from __future__ import annotations
@@ -17,15 +19,12 @@ import ast
 from pathlib import Path
 from typing import List, Optional, Sequence
 
-from repro.analysis.baseline import Baseline
 from repro.analysis.framework import (ProjectIndex, iter_python_files,
                                       lint_tree)
 from repro.analysis.report import (LintReport, render_github, render_json,
                                    render_rule_catalogue, render_sarif,
                                    render_text)
 from repro.analysis.rules import default_rules
-
-DEFAULT_BASELINE = "analysis-baseline.toml"
 
 
 def _default_paths() -> List[Path]:
@@ -38,7 +37,7 @@ def _default_paths() -> List[Path]:
 
 
 def _display_path(path: Path, root: Path) -> str:
-    """Stable, baseline-friendly path: root-relative POSIX when possible."""
+    """Stable display path: root-relative POSIX when possible."""
     try:
         return path.resolve().relative_to(root.resolve()).as_posix()
     except ValueError:
@@ -46,16 +45,14 @@ def _display_path(path: Path, root: Path) -> str:
 
 
 def run_lint(paths: Optional[Sequence[Path]] = None,
-             root: Optional[Path] = None,
-             baseline: Optional[Baseline] = None) -> LintReport:
-    """Lint ``paths`` (defaults to ``src/repro``) against ``baseline``."""
+             root: Optional[Path] = None) -> LintReport:
+    """Lint ``paths`` (defaults to ``src/repro``)."""
     root = root or Path.cwd()
     targets = list(paths) if paths else _default_paths()
     for target in targets:
         if not target.exists():
             raise SystemExit(f"no such file or directory: {target}")
     files = iter_python_files(targets)
-    baseline = baseline or Baseline()
     rules = default_rules()
     report = LintReport()
     project = ProjectIndex()
@@ -73,14 +70,9 @@ def run_lint(paths: Optional[Sequence[Path]] = None,
     # before any whole-program rule fires.
     project.finalize()
     for display, tree, source in parsed:
-        for violation in lint_tree(display, tree, source, rules, project):
-            if baseline.is_suppressed(violation):
-                report.suppressed.append(violation)
-            else:
-                report.violations.append(violation)
+        report.violations.extend(
+            lint_tree(display, tree, source, rules, project))
     report.checked_files = len(parsed)
-    report.unused_suppressions = baseline.unused(
-        report.violations + report.suppressed)
     return report
 
 
@@ -97,22 +89,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="output format (github = GitHub Actions "
                              "::error annotations, sarif = SARIF 2.1.0 "
                              "JSON for code-scanning upload)")
-    parser.add_argument("--baseline", type=Path,
-                        default=Path(DEFAULT_BASELINE),
-                        help=f"baseline suppression file "
-                             f"(default: {DEFAULT_BASELINE})")
-    parser.add_argument("--no-baseline", action="store_true",
-                        help="report every violation, ignoring the "
-                             "baseline file")
-    parser.add_argument("--write-baseline", action="store_true",
-                        help="write all current violations to the "
-                             "baseline file and exit 0")
-    parser.add_argument("--update-baseline", action="store_true",
-                        help="rewrite the baseline from the current "
-                             "findings: new violations are added, "
-                             "stale (unused) suppressions are dropped; "
-                             "running it twice yields an identical "
-                             "file")
     parser.add_argument("--list-rules", action="store_true",
                         help="print the rule catalogue and exit")
     return parser
@@ -123,23 +99,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.list_rules:
         print(render_rule_catalogue())
         return 0
-    baseline = Baseline()
-    if not args.no_baseline and not args.write_baseline:
-        baseline = Baseline.load(args.baseline)
-    report = run_lint(args.paths or None, baseline=baseline)
-    if args.write_baseline:
-        Baseline.from_violations(report.violations).dump(args.baseline)
-        print(f"wrote {len(report.violations)} suppression(s) to "
-              f"{args.baseline}")
-        return 0
-    if args.update_baseline:
-        refreshed = Baseline.from_violations(report.violations
-                                             + report.suppressed)
-        refreshed.dump(args.baseline)
-        print(f"updated {args.baseline}: {refreshed.entry_count} "
-              f"entr(ies) ({len(report.violations)} added, "
-              f"{len(report.unused_suppressions)} stale removed)")
-        return 0
+    report = run_lint(args.paths or None)
     if args.format == "json":
         print(render_json(report))
     elif args.format == "github":

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
 from repro.analysis.framework import Violation
 from repro.analysis.rules import ALL_RULES
@@ -12,16 +12,10 @@ from repro.analysis.rules import ALL_RULES
 
 @dataclass
 class LintReport:
-    """Outcome of one lint run, before/after baseline filtering."""
+    """Outcome of one lint run; inline-ignored findings never reach it."""
 
     checked_files: int = 0
     violations: List[Violation] = field(default_factory=list)
-    suppressed: List[Violation] = field(default_factory=list)
-    #: Baseline entries no current finding matches (stale
-    #: fingerprints), as ``(rule_id, fingerprint)`` pairs.  Reported
-    #: as warnings; they do not fail the gate.
-    unused_suppressions: List[Tuple[str, str]] = field(
-        default_factory=list)
 
     @property
     def ok(self) -> bool:
@@ -39,11 +33,6 @@ def render_text(report: LintReport) -> str:
     for violation in sorted(report.violations,
                             key=lambda v: (v.path, v.line, v.rule_id)):
         lines.append(violation.format())
-    for rule_id, fingerprint in report.unused_suppressions:
-        lines.append(
-            f"warning: unused suppression {rule_id} {fingerprint} "
-            f"(rule no longer fires here; delete the entry or run "
-            f"--update-baseline)")
     counts = report.counts_by_rule()
     if counts:
         summary = ", ".join(f"{rule}: {n}"
@@ -51,12 +40,9 @@ def render_text(report: LintReport) -> str:
         lines.append("")
         lines.append(
             f"{len(report.violations)} violation(s) in "
-            f"{report.checked_files} file(s) ({summary}); "
-            f"{len(report.suppressed)} baseline-suppressed")
+            f"{report.checked_files} file(s) ({summary})")
     else:
-        lines.append(
-            f"OK: {report.checked_files} file(s) clean "
-            f"({len(report.suppressed)} baseline-suppressed)")
+        lines.append(f"OK: {report.checked_files} file(s) clean")
     return "\n".join(lines)
 
 
@@ -64,11 +50,6 @@ def render_json(report: LintReport) -> str:
     payload = {
         "ok": report.ok,
         "checked_files": report.checked_files,
-        "suppressed": len(report.suppressed),
-        "unused_suppressions": [
-            {"rule": rule_id, "fingerprint": fingerprint}
-            for rule_id, fingerprint in report.unused_suppressions
-        ],
         "counts": report.counts_by_rule(),
         "violations": [
             {
@@ -91,8 +72,7 @@ def render_github(report: LintReport) -> str:
     """GitHub Actions workflow-command annotations.
 
     One ``::error`` line per violation (rendered inline on the PR
-    diff) and one ``::warning`` per stale baseline entry, followed by
-    the human summary as plain text.
+    diff), followed by the human summary as plain text.
     """
 
     def escape(text: str) -> str:
@@ -106,15 +86,8 @@ def render_github(report: LintReport) -> str:
         lines.append(
             f"::error file={v.path},line={v.line},col={v.column + 1},"
             f"title={v.rule_id}::{escape(v.message)}")
-    for rule_id, fingerprint in report.unused_suppressions:
-        detail = escape(fingerprint + " no longer fires; delete the "
-                        "baseline entry or run --update-baseline")
-        lines.append(
-            f"::warning title={rule_id} unused suppression::{detail}")
     lines.append(
-        f"{len(report.violations)} violation(s), "
-        f"{len(report.suppressed)} baseline-suppressed, "
-        f"{len(report.unused_suppressions)} unused suppression(s) in "
+        f"{len(report.violations)} violation(s) in "
         f"{report.checked_files} file(s)")
     return "\n".join(lines)
 
@@ -124,15 +97,11 @@ _SARIF_SCHEMA = ("https://raw.githubusercontent.com/oasis-tcs/"
 
 
 def render_sarif(report: LintReport) -> str:
-    """SARIF 2.1.0 for GitHub code-scanning / artifact upload.
+    """SARIF 2.1.0 for GitHub code-scanning / artifact upload: one
+    ``error`` result per violation."""
 
-    Unsuppressed violations become ``error`` results; baseline-
-    suppressed ones are included with a ``suppressions`` entry so the
-    accepted backlog stays visible in scanning UIs.
-    """
-
-    def result(v: Violation, suppressed: bool) -> Dict:
-        entry: Dict = {
+    def result(v: Violation) -> Dict:
+        return {
             "ruleId": v.rule_id,
             "level": "error",
             "message": {"text": v.message},
@@ -145,15 +114,8 @@ def render_sarif(report: LintReport) -> str:
             }],
             "partialFingerprints": {"simLint/v1": v.fingerprint},
         }
-        if suppressed:
-            entry["suppressions"] = [{
-                "kind": "external",
-                "justification": "listed in analysis-baseline.toml",
-            }]
-        return entry
 
     fired = {v.rule_id for v in report.violations}
-    fired.update(v.rule_id for v in report.suppressed)
     payload = {
         "$schema": _SARIF_SCHEMA,
         "version": "2.1.0",
@@ -173,12 +135,9 @@ def render_sarif(report: LintReport) -> str:
                     ],
                 },
             },
-            "results": ([result(v, False) for v in sorted(
-                            report.violations,
-                            key=lambda v: (v.path, v.line, v.rule_id))]
-                        + [result(v, True) for v in sorted(
-                            report.suppressed,
-                            key=lambda v: (v.path, v.line, v.rule_id))]),
+            "results": [result(v) for v in sorted(
+                report.violations,
+                key=lambda v: (v.path, v.line, v.rule_id))],
         }],
     }
     return json.dumps(payload, indent=2)

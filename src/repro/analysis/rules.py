@@ -364,18 +364,17 @@ class WallClockRule(Rule):
     Simulated time comes from the engine (``engine.now``); host-time
     measurement belongs in the benchmark harness, not the model --
     which is why ``experiments/hotpath.py`` (the engine and cache
-    microbenchmarks that ``bench/run.py`` reports) is exempt, as is the
-    distributed sweep coordinator (``serve/coordinator.py``), whose
-    lease deadlines and progress cadence are genuinely host time: it
-    schedules worker processes, never simulated events.
+    microbenchmarks that ``bench/run.py`` reports) is the one exempt
+    file.  The check looks at calls only, so a clock held as a
+    reference and called later (the sweep coordinator's injectable
+    ``self._clock``) is not flagged.
     """
 
     id = "SIM007"
     name = "wall-clock"
     summary = "wall-clock read (time.time/datetime.now) in sim code"
 
-    _EXEMPT = ("src/repro/experiments/hotpath.py",
-               "src/repro/serve/coordinator.py")
+    _EXEMPT = ("src/repro/experiments/hotpath.py",)
 
     def visit(self, node: ast.AST, ctx: LintContext) -> Iterator[Violation]:
         if not isinstance(node, ast.Call):

@@ -12,7 +12,8 @@ Commands
 ``workloads``  list the available workload models
 ``storage``    print CLIP's Table-2 storage accounting
 ``characterize``  static characterisation of one workload model
-``lint``       run the simulator static-analysis passes (repro.analysis)
+``lint``       run the simulator static-analysis passes; its arguments go
+               unchanged to ``python -m repro.analysis``
 """
 
 from __future__ import annotations
@@ -199,18 +200,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("workloads", help="list workload models")
     sub.add_parser("storage", help="print Table 2 (CLIP storage)")
 
-    lint = sub.add_parser(
-        "lint", help="run the simulator static-analysis passes")
-    lint.add_argument("paths", nargs="*",
-                      help="files/directories to lint (default: src/repro)")
-    lint.add_argument("--format",
-                      choices=["text", "json", "github", "sarif"],
-                      default="text")
-    lint.add_argument("--baseline", default="analysis-baseline.toml")
-    lint.add_argument("--no-baseline", action="store_true")
-    lint.add_argument("--write-baseline", action="store_true")
-    lint.add_argument("--update-baseline", action="store_true")
-    lint.add_argument("--list-rules", action="store_true")
+    # Listed for --help only: main() hands `lint ARGS` to the lint
+    # parser before this one runs.
+    sub.add_parser("lint", help="run the simulator static-analysis "
+                                "passes (see python -m repro.analysis -h)")
 
     characterize = sub.add_parser(
         "characterize", help="static characterisation of a workload model")
@@ -456,6 +449,10 @@ def _cmd_worker(args: argparse.Namespace) -> int:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv[:1] == ["lint"]:
+        from repro.analysis.lint import main as lint_main
+        return lint_main(argv[1:])
     args = build_parser().parse_args(argv)
     if args.command == "run":
         return _cmd_run(args)
@@ -467,15 +464,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _cmd_serve(args)
     if args.command == "worker":
         return _cmd_worker(args)
-    if args.command == "lint":
-        from repro.analysis.lint import main as lint_main
-        forwarded: List[str] = list(args.paths)
-        forwarded += ["--format", args.format, "--baseline", args.baseline]
-        for flag in ("no_baseline", "write_baseline", "update_baseline",
-                     "list_rules"):
-            if getattr(args, flag):
-                forwarded.append("--" + flag.replace("_", "-"))
-        return lint_main(forwarded)
     if args.command == "workloads":
         for name in workload_names():
             print(name)

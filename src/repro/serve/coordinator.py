@@ -152,11 +152,6 @@ class Coordinator:
         except asyncio.TimeoutError:
             return False
 
-    def request_stop(self) -> None:
-        """Begin a graceful shutdown: claims now answer ``done`` so
-        workers drain, and :meth:`stop` persists the manifest."""
-        self._stopping = True
-
     async def stop(self) -> None:
         """Graceful shutdown: wait briefly for in-flight jobs, persist
         the manifest, and close the server."""

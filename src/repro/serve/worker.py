@@ -18,8 +18,9 @@ coordinator, locally or from another host, and claiming is pull-based
 work stealing.  When the coordinator reports the campaign ``done`` (or
 disappears entirely) the loop exits.
 
-Wall-clock use (lease pacing, idle polling) is deliberate and exempt
-from SIM007: nothing here touches simulated time.
+Lease pacing and idle polling only wait (``time.sleep``,
+``Event.wait``): the worker never reads the clock, and nothing here
+touches simulated time.
 """
 
 from __future__ import annotations

@@ -116,7 +116,11 @@ class Engine:
         heap = self._cycle_heap
         active = [core for core in cores if not core.done]
         while active:
-            next_cycle = heap[0] if heap else float("inf")
+            # float("inf") is the "no pending work" sentinel; int() below
+            # makes the chosen cycle integral before it becomes engine
+            # time.
+            next_cycle = (  # sim-lint: ignore[SIM002]
+                heap[0] if heap else float("inf"))
             for core in active:
                 wake = core.next_wake
                 if wake < next_cycle:

@@ -20,7 +20,6 @@ from repro.trace.workloads import (
 )
 from repro.trace.analysis import (IpProfile, WorkloadProfile,
                                   format_profile, profile_trace)
-from repro.trace.io import load_trace, save_trace
 from repro.trace.mixes import heterogeneous_mixes, homogeneous_mix
 
 __all__ = [
@@ -41,6 +40,4 @@ __all__ = [
     "WorkloadProfile",
     "format_profile",
     "profile_trace",
-    "load_trace",
-    "save_trace",
 ]

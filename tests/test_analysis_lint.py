@@ -2,18 +2,21 @@
 
 Every rule gets a positive fixture (a violating snippet it must flag)
 and a negative fixture (a compliant snippet it must not flag), plus
-tests for the baseline workflow, inline ignores, output formats, and
-the repo-level gate itself.
+tests for inline ignores, output formats, and the repo-level gate
+itself.
 """
 
 from __future__ import annotations
 
 import json
+import shutil
 import textwrap
+import tokenize
 from pathlib import Path
 
-from repro.analysis.baseline import Baseline
-from repro.analysis.framework import ProjectIndex, lint_source
+import pytest
+
+from repro.analysis.framework import _IGNORE_RE, ProjectIndex, lint_source
 from repro.analysis.lint import main as lint_main
 from repro.analysis.lint import run_lint
 from repro.analysis.rules import (BareAssertRule, FloatCycleArithmeticRule,
@@ -396,6 +399,15 @@ class TestWallClock:
             """, WallClockRule())
         assert violations == []
 
+    def test_serve_coordinator_is_not_exempt(self):
+        violations = lint_source(textwrap.dedent("""
+            import time
+
+            def deadline(lease_s):
+                return time.monotonic() + lease_s
+            """), [WallClockRule()], path="src/repro/serve/coordinator.py")
+        assert [v.rule_id for v in violations] == ["SIM007"]
+
 
 # ----------------------------------------------------------------------
 # SIM008 port-bypass
@@ -451,7 +463,7 @@ class TestPortBypass:
 
 
 # ----------------------------------------------------------------------
-# Framework behaviour: ignores, fingerprints, baseline
+# Framework behaviour: ignores, fingerprints
 # ----------------------------------------------------------------------
 
 class TestFrameworkBehaviour:
@@ -509,60 +521,48 @@ class TestFrameworkBehaviour:
             assert rule.summary
 
 
-class TestBaseline:
-    def test_roundtrip(self, tmp_path):
-        violations = lint("""
-            def f():
-                assert True
-            """, BareAssertRule())
-        baseline = Baseline.from_violations(violations)
-        path = tmp_path / "baseline.toml"
-        baseline.dump(path)
-        loaded = Baseline.load(path)
-        assert loaded.is_suppressed(violations[0])
-        assert loaded.entry_count == 1
-
-    def test_missing_file_is_empty(self, tmp_path):
-        baseline = Baseline.load(tmp_path / "nope.toml")
-        assert baseline.entry_count == 0
-
-    def test_restricted_parser_matches_tomllib(self, tmp_path):
-        from repro.analysis.baseline import _parse_restricted_toml
-        violations = lint("""
-            class A:
-                def f(self):
-                    assert True
-            """, BareAssertRule())
-        path = tmp_path / "baseline.toml"
-        Baseline.from_violations(violations).dump(path)
-        text = path.read_text()
-        import tomllib
-        assert (_parse_restricted_toml(text)
-                == {k: sorted(v) for k, v in
-                    tomllib.loads(text)["suppressions"].items()})
-
-    def test_suppression_respects_rule_id(self, tmp_path):
-        violations = lint("""
-            def f():
-                assert True
-            """, BareAssertRule())
-        baseline = Baseline({"SIM001": {violations[0].fingerprint}})
-        assert not baseline.is_suppressed(violations[0])
-
-
 # ----------------------------------------------------------------------
 # Repo gate + CLI entry points
 # ----------------------------------------------------------------------
 
 class TestRepoGate:
-    def test_repo_is_clean_under_baseline(self):
-        baseline = Baseline.load(REPO_ROOT / "analysis-baseline.toml")
-        report = run_lint([REPO_ROOT / "src" / "repro"], root=REPO_ROOT,
-                          baseline=baseline)
+    def test_repo_is_clean(self):
+        report = run_lint([REPO_ROOT / "src" / "repro"], root=REPO_ROOT)
         assert report.checked_files > 50
         messages = [v.format() for v in report.violations]
-        assert report.ok, "unbaselined lint violations:\n" + "\n".join(
-            messages)
+        assert report.ok, "lint violations:\n" + "\n".join(messages)
+
+    def test_every_inline_ignore_silences_a_live_finding(self, tmp_path):
+        # Lint a copy of the package with every ignore comment removed:
+        # each rule a comment names must fire on that comment's line
+        # (a bare ignore needs some rule to fire there), or the comment
+        # is stale.
+        copy = tmp_path / "src" / "repro"
+        shutil.copytree(REPO_ROOT / "src" / "repro", copy,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        expected = set()
+        for path in sorted(copy.rglob("*.py")):
+            display = path.relative_to(tmp_path).as_posix()
+            lines = path.read_text().splitlines(keepends=True)
+            with path.open() as handle:
+                comments = [token for token in
+                            tokenize.generate_tokens(handle.readline)
+                            if token.type == tokenize.COMMENT]
+            for token in comments:
+                match = _IGNORE_RE.search(token.string)
+                if match is None:
+                    continue
+                row, column = token.start
+                lines[row - 1] = lines[row - 1][:column].rstrip() + "\n"
+                named = (match.group(1) or "").split(",")
+                expected.update((display, row, rule_id.strip() or None)
+                                for rule_id in named)
+            path.write_text("".join(lines))
+        report = run_lint([copy], root=tmp_path)
+        fired = {(v.path, v.line, v.rule_id) for v in report.violations}
+        fired |= {(path, line, None) for path, line, _ in fired}
+        stale = sorted(expected - fired, key=str)
+        assert not stale, f"inline ignores with no finding: {stale}"
 
     def test_trace_modules_have_no_rng_or_default_findings(self):
         # Satellite check: the workload-generation modules thread seeded
@@ -579,26 +579,13 @@ class TestRepoGate:
     def test_main_json_output(self, tmp_path, capsys):
         target = tmp_path / "victim.py"
         target.write_text("def f(ac=[]):\n    assert ac\n")
-        code = lint_main([str(target), "--format", "json",
-                          "--baseline", str(tmp_path / "none.toml")])
+        code = lint_main([str(target), "--format", "json"])
         assert code == 1
         payload = json.loads(capsys.readouterr().out)
         assert payload["ok"] is False
         assert sorted(payload["counts"]) == ["SIM003", "SIM006"]
         assert all(set(v) >= {"rule", "path", "line", "fingerprint"}
                    for v in payload["violations"])
-
-    def test_main_write_baseline_then_clean(self, tmp_path, capsys):
-        target = tmp_path / "victim.py"
-        target.write_text("def f(ac=[]):\n    assert ac\n")
-        baseline_path = tmp_path / "baseline.toml"
-        assert lint_main([str(target), "--write-baseline",
-                          "--baseline", str(baseline_path)]) == 0
-        capsys.readouterr()
-        assert lint_main([str(target), "--baseline",
-                          str(baseline_path)]) == 0
-        out = capsys.readouterr().out
-        assert "2 baseline-suppressed" in out
 
     def test_list_rules(self, capsys):
         assert lint_main(["--list-rules"]) == 0
@@ -613,6 +600,24 @@ class TestRepoGate:
         assert cli_main(["lint", "--list-rules"]) == 0
         assert "SIM006" in capsys.readouterr().out
 
+    def test_cli_lint_matches_module_entry_point(self, tmp_path, capsys):
+        from repro.cli import main as cli_main
+        target = tmp_path / "victim.py"
+        target.write_text("def f(ac=[]):\n    assert ac\n")
+        for argv in (["--list-rules"], [str(target), "--format", "json"],
+                     [str(target)]):
+            direct = lint_main(argv), capsys.readouterr()
+            assert (cli_main(["lint", *argv]), capsys.readouterr()) == direct
+
+    def test_baseline_option_is_gone(self, capsys):
+        from repro.cli import main as cli_main
+        for entry, argv in ((cli_main, ["lint", "--baseline", "x"]),
+                            (lint_main, ["--baseline", "x"])):
+            with pytest.raises(SystemExit) as exc:
+                entry(argv)
+            assert exc.value.code == 2
+            assert "--baseline" in capsys.readouterr().err
+
 
 class TestRepoGateCli:
     def test_cli_lint_runs_repo_gate(self, capsys, monkeypatch):
@@ -620,74 +625,6 @@ class TestRepoGateCli:
         monkeypatch.chdir(REPO_ROOT)
         assert cli_main(["lint"]) == 0
         assert "clean" in capsys.readouterr().out
-
-
-# ----------------------------------------------------------------------
-# Unused suppressions + --update-baseline
-# ----------------------------------------------------------------------
-
-class TestUnusedSuppressions:
-    def _stale_baseline(self, tmp_path):
-        # One live violation (bare assert in f) and one stale entry for
-        # a function that no longer violates anything.
-        target = tmp_path / "victim.py"
-        target.write_text("def f():\n    assert True\n")
-        baseline_path = tmp_path / "baseline.toml"
-        live = f"{target.as_posix()}::f"
-        Baseline({"SIM006": {live, f"{target.as_posix()}::gone"}}).dump(
-            baseline_path)
-        return target, baseline_path
-
-    def test_stale_fingerprint_reported(self, tmp_path):
-        target, baseline_path = self._stale_baseline(tmp_path)
-        report = run_lint([target],
-                          baseline=Baseline.load(baseline_path))
-        assert report.ok  # the live violation is suppressed
-        assert len(report.unused_suppressions) == 1
-        rule_id, fingerprint = report.unused_suppressions[0]
-        assert rule_id == "SIM006"
-        assert fingerprint.endswith("::gone")
-
-    def test_stale_fingerprint_warns_in_text_output(self, tmp_path,
-                                                    capsys):
-        target, baseline_path = self._stale_baseline(tmp_path)
-        assert lint_main([str(target), "--baseline",
-                          str(baseline_path)]) == 0
-        out = capsys.readouterr().out
-        assert "unused suppression" in out
-        assert "::gone" in out
-
-    def test_update_baseline_drops_stale_entries(self, tmp_path, capsys):
-        target, baseline_path = self._stale_baseline(tmp_path)
-        assert lint_main([str(target), "--baseline", str(baseline_path),
-                          "--update-baseline"]) == 0
-        out = capsys.readouterr().out
-        assert "1 stale removed" in out
-        refreshed = Baseline.load(baseline_path)
-        assert refreshed.entry_count == 1
-        fingerprints = refreshed.suppressions["SIM006"]
-        assert all(f.endswith("::f") for f in fingerprints)
-
-    def test_update_baseline_roundtrip_is_stable(self, tmp_path, capsys):
-        target, baseline_path = self._stale_baseline(tmp_path)
-        assert lint_main([str(target), "--baseline", str(baseline_path),
-                          "--update-baseline"]) == 0
-        first = baseline_path.read_text()
-        assert lint_main([str(target), "--baseline", str(baseline_path),
-                          "--update-baseline"]) == 0
-        assert baseline_path.read_text() == first
-        capsys.readouterr()
-
-    def test_update_baseline_keeps_new_violations(self, tmp_path, capsys):
-        # A violation not yet in the baseline gets added.
-        target = tmp_path / "victim.py"
-        target.write_text("def f(ac=[]):\n    assert ac\n")
-        baseline_path = tmp_path / "baseline.toml"
-        assert lint_main([str(target), "--baseline", str(baseline_path),
-                          "--update-baseline"]) == 0
-        capsys.readouterr()
-        assert lint_main([str(target), "--baseline",
-                          str(baseline_path)]) == 0
 
 
 # ----------------------------------------------------------------------
@@ -702,8 +639,7 @@ class TestOutputFormats:
 
     def test_github_annotations(self, tmp_path, capsys):
         target = self._violating_file(tmp_path)
-        code = lint_main([str(target), "--format", "github",
-                          "--baseline", str(tmp_path / "none.toml")])
+        code = lint_main([str(target), "--format", "github"])
         assert code == 1
         out = capsys.readouterr().out
         error_lines = [line for line in out.splitlines()
@@ -724,21 +660,9 @@ class TestOutputFormats:
         out = render_github(report)
         assert "50%25 of%0Acases" in out
 
-    def test_github_warns_on_stale_suppression(self, tmp_path, capsys):
-        target = tmp_path / "clean.py"
-        target.write_text("X = 1\n")
-        baseline_path = tmp_path / "baseline.toml"
-        Baseline({"SIM006": {"clean.py::gone"}}).dump(baseline_path)
-        assert lint_main([str(target), "--format", "github",
-                          "--baseline", str(baseline_path)]) == 0
-        out = capsys.readouterr().out
-        assert "::warning " in out
-        assert "unused suppression" in out
-
     def test_sarif_shape(self, tmp_path, capsys):
         target = self._violating_file(tmp_path)
-        code = lint_main([str(target), "--format", "sarif",
-                          "--baseline", str(tmp_path / "none.toml")])
+        code = lint_main([str(target), "--format", "sarif"])
         assert code == 1
         sarif = json.loads(capsys.readouterr().out)
         assert sarif["version"] == "2.1.0"
@@ -754,30 +678,12 @@ class TestOutputFormats:
         assert "simLint/v1" in result["partialFingerprints"]
         assert "suppressions" not in result
 
-    def test_sarif_marks_baselined_results_suppressed(self, tmp_path,
-                                                      capsys):
-        target = self._violating_file(tmp_path)
-        baseline_path = tmp_path / "baseline.toml"
-        assert lint_main([str(target), "--write-baseline",
-                          "--baseline", str(baseline_path)]) == 0
-        capsys.readouterr()
-        assert lint_main([str(target), "--format", "sarif",
-                          "--baseline", str(baseline_path)]) == 0
-        sarif = json.loads(capsys.readouterr().out)
-        results = sarif["runs"][0]["results"]
-        assert len(results) == 2
-        assert all(r["suppressions"][0]["kind"] == "external"
-                   for r in results)
-
     def test_repo_sarif_is_well_formed(self):
-        # The exact artifact CI uploads parses and stays suppressed-only.
+        # The exact artifact CI uploads parses and carries no result.
         from repro.analysis.report import render_sarif
-        baseline = Baseline.load(REPO_ROOT / "analysis-baseline.toml")
-        report = run_lint([REPO_ROOT / "src" / "repro"], root=REPO_ROOT,
-                          baseline=baseline)
+        report = run_lint([REPO_ROOT / "src" / "repro"], root=REPO_ROOT)
         sarif = json.loads(render_sarif(report))
-        results = sarif["runs"][0]["results"]
-        assert all("suppressions" in r for r in results)
+        assert sarif["runs"][0]["results"] == []
 
 
 # ----------------------------------------------------------------------

@@ -1,5 +1,5 @@
-"""Tests for result containers, weighted speedup, energy model, trace IO,
-and configuration validation."""
+"""Tests for result containers, weighted speedup, energy model, and
+configuration validation."""
 
 from __future__ import annotations
 
@@ -12,9 +12,6 @@ from repro.config import (CacheConfig, ClipConfig, SystemConfig,
 from repro.energy import dynamic_energy
 from repro.sim.stats import (CoreResult, LevelStats, PrefetchStats,
                              SimulationResult, weighted_speedup)
-from repro.trace.io import load_trace, save_trace
-from repro.trace.synthetic import SyntheticWorkload
-from repro.trace.workloads import get_workload
 
 
 def _core(core_id=0, instructions=1000, cycles=2000) -> CoreResult:
@@ -132,20 +129,6 @@ class TestEnergyModel:
         light.counters["dram.ch0"]["reads"] //= 2
         assert dynamic_energy(light).total_mj \
             < dynamic_energy(heavy).total_mj
-
-
-class TestTraceIo:
-    def test_roundtrip(self, tmp_path):
-        trace = SyntheticWorkload(
-            get_workload("605.mcf_s-1536B")).generate(400, core_id=1)
-        path = tmp_path / "trace.npz"
-        save_trace(path, trace)
-        loaded = load_trace(path)
-        assert loaded == trace
-
-    def test_refuses_empty(self, tmp_path):
-        with pytest.raises(ValueError):
-            save_trace(tmp_path / "x.npz", [])
 
 
 class TestConfig:
