@@ -3,10 +3,12 @@
 
 Runs every point in ``tests/equivalence_points.py`` and rewrites the
 golden ``SimulationResult.to_dict()`` JSON under
-``tests/data/equivalence/``.  Only run this when a simulator behaviour
-change is intended and reviewed -- the whole value of the goldens is
-that refactors which are supposed to be behaviour-preserving cannot
-silently drift.
+``tests/data/equivalence/``, then reruns every figure and table driver
+at its micro scale and rewrites ``tests/data/figure_drivers.json``
+(what each returns and prints, and how many points it simulates).
+Only run this when a simulator behaviour change is intended and
+reviewed -- the whole value of the goldens is that refactors which are
+supposed to be behaviour-preserving cannot silently drift.
 
 ``--additive`` is the safe mode for result-schema *extensions* (new
 counters, new derived columns): it refuses to write unless every leaf
@@ -26,7 +28,8 @@ REPO = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "src"))
 sys.path.insert(0, str(REPO / "tests"))
 
-from equivalence_points import GOLDEN_DIR, POINTS  # noqa: E402
+from equivalence_points import (  # noqa: E402
+    DRIVER_PIN, GOLDEN_DIR, POINTS, figure_driver_outputs)
 
 from repro.sim.system import run_system  # noqa: E402
 
@@ -88,6 +91,19 @@ def main(argv=None) -> int:
         path.write_text(json.dumps(payload, indent=1, sort_keys=True)
                         + "\n")
         print(f"wrote {path} (total_cycles={result.total_cycles})")
+
+    drivers = figure_driver_outputs()
+    if args.additive and DRIVER_PIN.exists():
+        changes = pinned_leaf_changes(json.loads(DRIVER_PIN.read_text()),
+                                      drivers)
+        if changes:
+            print(f"REFUSING {DRIVER_PIN}: pinned values changed "
+                  f"(not additive):")
+            print("\n".join(changes[:40]))
+            return 1
+    DRIVER_PIN.write_text(json.dumps(drivers, indent=1) + "\n")
+    print(f"wrote {DRIVER_PIN} ({len(drivers)} drivers, "
+          f"{sum(d['runs'] for d in drivers.values())} points)")
     return 1 if failures else 0
 
 

@@ -16,15 +16,19 @@ a one-line ``summary``, and a ``visit`` hook yielding
 report so code-scanning tools can track a finding while unrelated
 edits move it around the file.
 
-Inline escapes, the one way to silence a finding: a line carrying
-``# sim-lint: ignore`` suppresses every rule on that line;
-``# sim-lint: ignore[SIM001]`` suppresses one rule.
+Inline escapes, the one way to silence a finding: a line whose comment
+carries ``# sim-lint: ignore`` suppresses every rule on that line;
+``# sim-lint: ignore[SIM001]`` suppresses one rule.  Only a real comment
+counts, never the same text inside a string.
 """
 
 from __future__ import annotations
 
 import ast
+import functools
+import io
 import re
+import tokenize
 from dataclasses import dataclass
 from pathlib import Path
 from typing import (TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional,
@@ -157,7 +161,7 @@ class LintContext:
                  project: ProjectIndex) -> None:
         self.path = path
         self.tree = tree
-        self.source_lines = source.splitlines()
+        self.source = source
         self.project = project
         self.scope_stack: List[str] = []
         #: Loop-variable names of ``for`` loops enclosing the current node
@@ -186,10 +190,16 @@ class LintContext:
             merged |= names
         return merged
 
+    @functools.cached_property
+    def comments(self) -> Dict[int, str]:
+        """Line number -> the comment on that line, tokenized once, on
+        the first finding in this file."""
+        tokens = tokenize.generate_tokens(io.StringIO(self.source).readline)
+        return {token.start[0]: token.string for token in tokens
+                if token.type == tokenize.COMMENT}
+
     def is_ignored(self, line: int, rule_id: str) -> bool:
-        if not 1 <= line <= len(self.source_lines):
-            return False
-        match = _IGNORE_RE.search(self.source_lines[line - 1])
+        match = _IGNORE_RE.search(self.comments.get(line, ""))
         if match is None:
             return False
         listed = match.group(1)

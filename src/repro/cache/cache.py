@@ -55,12 +55,6 @@ class CacheStats:
         self.writebacks = 0
 
     @property
-    def miss_rate(self) -> float:
-        if not self.accesses:
-            return 0.0
-        return self.misses / self.accesses
-
-    @property
     def prefetch_accuracy(self) -> float:
         if not self.prefetch_fills:
             return 0.0

@@ -70,11 +70,11 @@ def _add_grid_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def _build_grid(args: argparse.Namespace):
-    """The (schemes, mixes, channels, Sweep-with-baselines) a ``sweep``
-    or ``serve`` invocation describes."""
+    """The (scale, schemes, workloads, channels) a ``sweep`` or ``serve``
+    invocation describes: a runner at that scale runs the homogeneous
+    mixes of the workloads, and ``runner.grid(...)`` is the point set."""
     from repro.experiments.figures import channel_sweep_schemes
-    from repro.experiments.sweep import Scheme, Sweep
-    from repro.trace import homogeneous_mix
+    from repro.experiments.sweep import Scheme
 
     scale = experiments.BenchScale(num_cores=args.cores,
                                    sim_instructions=args.instructions)
@@ -84,11 +84,7 @@ def _build_grid(args: argparse.Namespace):
         schemes = channel_sweep_schemes()
     workloads = args.workloads or scale.sample_homogeneous()
     channels = args.channels or list(scale.channel_sweep[:3])
-    mixes = [homogeneous_mix(w, args.cores) for w in workloads]
-    grid = Sweep.product(list(schemes.values()), mixes, channels,
-                         num_cores=args.cores,
-                         sim_instructions=args.instructions)
-    return schemes, mixes, channels, grid.with_baselines()
+    return scale, schemes, workloads, channels
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -296,38 +292,27 @@ def _cmd_figure(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    from repro.experiments.statistics import geometric_mean
-    from repro.experiments.sweep import ResultStore, run_sweep
-    from repro.sim.stats import weighted_speedup
+    from repro.experiments.figures import print_series, speedup_series
 
-    schemes, mixes, channels, sweep = _build_grid(args)
-    workloads = args.workloads or [mix[0] for mix in mixes]
-    store = None if args.no_cache else ResultStore(args.cache_dir)
-    outcome = run_sweep(sweep, jobs=args.jobs, store=store)
-
-    def speedup(scheme, mix, ch) -> float:
-        spec = experiments.RunSpec(scheme=scheme, mix=tuple(mix),
-                                   channels=ch, num_cores=args.cores,
-                                   sim_instructions=args.instructions)
-        base = dataclasses.replace(spec, scheme=scheme.baseline())
-        return weighted_speedup(outcome[spec], outcome[base])
-
-    series = {
-        name: [geometric_mean([speedup(scheme, mix, ch) for mix in mixes])
-               for ch in channels]
-        for name, scheme in schemes.items()
-    }
-    from repro.experiments.report import print_figure
-    print_figure(f"Sweep: weighted speedup vs no-prefetching "
-                 f"({args.cores} cores, {len(workloads)} workload(s))",
-                 ["scheme"] + [f"ch={c}" for c in channels],
-                 [[name] + series[name] for name in schemes])
+    scale, schemes, workloads, channels = _build_grid(args)
+    store = None if args.no_cache else experiments.ResultStore(
+        args.cache_dir)
+    runner = experiments.ExperimentRunner(scale, store=store,
+                                          jobs=args.jobs)
+    mixes = runner.homogeneous(workloads)
+    series = speedup_series(runner, schemes, mixes, channels)
+    print_series(f"Sweep: weighted speedup vs no-prefetching "
+                 f"({args.cores} cores, {len(mixes)} workload(s))",
+                 "scheme", series, channels)
     if args.csv:
         from repro.experiments.export import export_series_csv
         export_series_csv(series, channels, args.csv)
         print(f"wrote {args.csv}")
-    print(f"\nsimulated {outcome.simulated} point(s); "
-          f"{outcome.cache_hits} of {len(sweep)} served from the disk "
+    # A fresh runner has no memo: every point it did not simulate came
+    # from the disk store.
+    points = len(runner.grid(list(schemes.values()), mixes, channels))
+    print(f"\nsimulated {runner.runs} point(s); "
+          f"{points - runner.runs} of {points} served from the disk "
           f"cache")
     return 0
 
@@ -368,7 +353,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         specs = state["specs"]
         quarantined = state["quarantined"]
     else:
-        specs = list(_build_grid(args)[3])
+        scale, schemes, workloads, channels = _build_grid(args)
+        runner = experiments.ExperimentRunner(scale)
+        specs = list(runner.grid(list(schemes.values()),
+                                 runner.homogeneous(workloads), channels))
     settings = ServeSettings(host=args.host, port=args.port, policy=policy)
     coordinator = Coordinator(specs, store=ResultStore(args.cache_dir),
                               settings=settings,

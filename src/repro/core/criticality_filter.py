@@ -177,9 +177,5 @@ class CriticalityFilter:
         for bucket in self._sets:
             bucket.clear()
 
-    def critical_accurate_ips(self) -> int:
-        return sum(1 for bucket in self._sets
-                   for entry in bucket.values() if entry.is_crit_accurate)
-
     def __len__(self) -> int:
         return sum(len(bucket) for bucket in self._sets)

@@ -250,10 +250,6 @@ class DramChannel:
             callback(done)
         self._pump(self.engine.now)
 
-    @property
-    def queue_depth(self) -> int:
-        return len(self.read_queue) + len(self.write_queue)
-
 
 def _ignore_completion(done_cycle: int) -> None:
     """Sentinel callback marking write requests."""

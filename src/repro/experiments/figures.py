@@ -8,16 +8,19 @@ scale, 1 scaled channel corresponds to the paper's 8-channel (constrained)
 point and 8-16 scaled channels to its 64-channel (unconstrained) point.
 
 Drivers describe their grid as typed :class:`~repro.experiments.sweep.Scheme`
-values and submit the whole figure as one batch (``runner.run_sweep``)
-before reading any individual point, so a runner constructed with
-``jobs > 1`` fans the independent simulations across processes and one
-constructed with a :class:`~repro.experiments.sweep.ResultStore` serves
-warm reruns from disk.
+values and hand it to the runner whole: ``runner.results`` and
+``runner.speedups`` run every (scheme x mix x channel) point and its
+no-prefetching baseline as one batch before any point is read, and
+:func:`speedup_series` turns the speedups into the per-channel geomean
+series most figures plot.  A runner constructed with ``jobs > 1`` fans
+the independent simulations across processes, and one constructed with
+a :class:`~repro.experiments.sweep.ResultStore` serves warm reruns from
+disk.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Hashable, List, Mapping, Optional, Sequence, TypeVar
 
 from repro.analysis.invariants import check
 from repro.config import SystemConfig
@@ -30,62 +33,49 @@ from repro.experiments.statistics import arithmetic_mean, geometric_mean
 from repro.experiments.sweep import Scheme
 from repro.sim.stats import weighted_speedup
 from repro.throttle import throttler_names
+from repro.trace.workloads import CLOUDSUITE_WORKLOADS, CVP_WORKLOADS
 
 #: Prefetchers compared throughout the evaluation (paper Figs. 1, 2, 9, 19).
 PREFETCHER_SCHEMES = ["berti", "ipcp", "bingo", "spp_ppf"]
+
+Label = TypeVar("Label", bound=Hashable)
 
 
 def _runner(runner: Optional[ExperimentRunner]) -> ExperimentRunner:
     return runner if runner is not None else ExperimentRunner()
 
 
-def _scheme(name: str, **fields) -> Scheme:
-    """Typed scheme from a legacy name plus field overrides."""
-    return Scheme.parse(name, **fields)
+def _sampled(runner: ExperimentRunner) -> List[List[str]]:
+    """The homogeneous mixes of the scale's sampled workloads."""
+    return runner.homogeneous(runner.scale.sample_homogeneous())
 
 
-def _submit_homogeneous(runner: ExperimentRunner,
-                        schemes: Sequence[Scheme],
-                        channels: Sequence[int],
-                        workloads: Sequence[str]) -> None:
-    """Submit a whole (scheme x channel x workload) grid, plus the
-    matching baselines, as one parallel/cached sweep."""
-    specs = []
-    for scheme in schemes:
-        for ch in channels:
-            for workload in workloads:
-                specs.append(runner.spec_homogeneous(scheme, workload, ch))
-                specs.append(runner.spec_homogeneous(scheme.baseline(),
-                                                     workload, ch))
-    runner.run_sweep(specs)
+def speedup_series(runner: ExperimentRunner,
+                   schemes: Mapping[Label, Scheme],
+                   mixes: Sequence[Sequence[str]],
+                   channels: Sequence[int]) -> Dict[Label, List[float]]:
+    """Each labelled scheme's geomean weighted speedup over ``mixes``,
+    one value per channel count: the series most figures plot."""
+    speedups = runner.speedups(list(schemes.values()), mixes, channels)
+    return {label: [geometric_mean(speedups[scheme, ch]) for ch in channels]
+            for label, scheme in schemes.items()}
 
 
-def _submit_heterogeneous(runner: ExperimentRunner,
-                          schemes: Sequence[Scheme],
-                          channels: Sequence[int],
-                          mixes: Sequence[Sequence[str]]) -> None:
-    specs = []
-    for scheme in schemes:
-        for ch in channels:
-            for mix in mixes:
-                specs.append(runner.spec(scheme, mix, ch))
-                specs.append(runner.spec(scheme.baseline(), mix, ch))
-    runner.run_sweep(specs)
+def print_series(title: str, header: str, series: Dict[str, List[float]],
+                 channels: Sequence[int]) -> None:
+    """Print one row per series, one column per channel count."""
+    print_figure(title, [header] + [f"ch={c}" for c in channels],
+                 [[label] + values for label, values in series.items()])
 
 
-def _homog_speedups(runner: ExperimentRunner, scheme: Scheme,
-                    channels: int,
-                    workloads: Sequence[str]) -> List[float]:
-    _submit_homogeneous(runner, [scheme], [channels], workloads)
-    return [runner.speedup_homogeneous(scheme, workload, channels)
-            for workload in workloads]
-
-
-def _hetero_speedups(runner: ExperimentRunner, scheme: Scheme,
-                     channels: int,
-                     mixes: Sequence[Sequence[str]]) -> List[float]:
-    _submit_heterogeneous(runner, [scheme], [channels], mixes)
-    return [runner.speedup_mix(scheme, mix, channels) for mix in mixes]
+def _constrained(runner: ExperimentRunner,
+                 schemes: Mapping[Label, Scheme],
+                 mixes: Sequence[Sequence[str]]) -> Dict[Label, float]:
+    """Each scheme's geomean speedup over ``mixes`` at the constrained
+    channel count."""
+    channels = runner.scale.constrained_channels
+    series = speedup_series(runner, schemes, mixes, [channels])
+    return {label: values[0] for label, values in series.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -100,22 +90,13 @@ def figure1(runner: Optional[ExperimentRunner] = None,
     constrained end and wins at the unconstrained end.
     """
     runner = _runner(runner)
-    workloads = runner.scale.sample_homogeneous()
+    mixes = _sampled(runner)
     channels = list(runner.scale.channel_sweep)
-    schemes = {name: _scheme(name) for name in PREFETCHER_SCHEMES}
-    _submit_homogeneous(runner, list(schemes.values()), channels,
-                        workloads)
-    series: Dict[str, List[float]] = {}
-    for name, scheme in schemes.items():
-        series[name] = [
-            geometric_mean(_homog_speedups(runner, scheme, ch, workloads))
-            for ch in channels
-        ]
+    schemes = {name: Scheme.parse(name) for name in PREFETCHER_SCHEMES}
+    series = speedup_series(runner, schemes, mixes, channels)
     if not quiet:
-        rows = [[scheme] + series[scheme] for scheme in PREFETCHER_SCHEMES]
-        print_figure("Figure 1: normalized weighted speedup, homogeneous "
-                     "mixes", ["prefetcher"] + [f"ch={c}" for c in channels],
-                     rows)
+        print_series("Figure 1: normalized weighted speedup, homogeneous "
+                     "mixes", "prefetcher", series, channels)
     return {"channels": channels, "series": series}
 
 
@@ -123,21 +104,13 @@ def figure2(runner: Optional[ExperimentRunner] = None,
             quiet: bool = False) -> Dict:
     """Fig. 2: prefetcher weighted speedup vs channels (heterogeneous)."""
     runner = _runner(runner)
-    mixes = runner.heterogeneous()
     channels = list(runner.scale.channel_sweep)
-    schemes = {name: _scheme(name) for name in PREFETCHER_SCHEMES}
-    _submit_heterogeneous(runner, list(schemes.values()), channels, mixes)
-    series: Dict[str, List[float]] = {}
-    for name, scheme in schemes.items():
-        series[name] = [
-            geometric_mean(_hetero_speedups(runner, scheme, ch, mixes))
-            for ch in channels
-        ]
+    schemes = {name: Scheme.parse(name) for name in PREFETCHER_SCHEMES}
+    series = speedup_series(runner, schemes, runner.heterogeneous(),
+                            channels)
     if not quiet:
-        rows = [[scheme] + series[scheme] for scheme in PREFETCHER_SCHEMES]
-        print_figure("Figure 2: normalized weighted speedup, heterogeneous "
-                     "mixes", ["prefetcher"] + [f"ch={c}" for c in channels],
-                     rows)
+        print_series("Figure 2: normalized weighted speedup, heterogeneous "
+                     "mixes", "prefetcher", series, channels)
     return {"channels": channels, "series": series}
 
 
@@ -149,18 +122,17 @@ def figure3(runner: Optional[ExperimentRunner] = None,
     channels.
     """
     runner = _runner(runner)
-    workloads = runner.scale.sample_homogeneous()
+    mixes = _sampled(runner)
     channels = list(runner.scale.channel_sweep)
     levels = ["L1D", "L2", "LLC"]
-    none, berti = _scheme("none"), _scheme("berti")
-    _submit_homogeneous(runner, [none, berti], channels, workloads)
+    berti = Scheme.parse("berti")
+    results = runner.results([berti], mixes, channels)
     inflation: Dict[str, List[float]] = {level: [] for level in levels}
     for ch in channels:
         ratios: Dict[str, List[float]] = {level: [] for level in levels}
-        for workload in workloads:
-            base = runner.run(runner.spec_homogeneous(none, workload, ch))
-            with_pf = runner.run(runner.spec_homogeneous(berti, workload,
-                                                         ch))
+        for mix in mixes:
+            base = results[runner.spec(berti.baseline(), mix, ch)]
+            with_pf = results[runner.spec(berti, mix, ch)]
             for level in levels:
                 base_latency = base.levels[level].average_miss_latency
                 if base_latency > 0:
@@ -190,19 +162,18 @@ def figure4(runner: Optional[ExperimentRunner] = None,
     Paper shape: high coverage, low accuracy.
     """
     runner = _runner(runner)
-    workloads = runner.scale.sample_homogeneous()
+    mixes = _sampled(runner)
     channels = runner.scale.constrained_channels
-    measured = {name: _scheme("berti", criticality=name, crit_gate=False)
+    measured = {name: Scheme.parse("berti", criticality=name,
+                                   crit_gate=False)
                 for name in predictor_names()}
-    _submit_homogeneous(runner, list(measured.values()), [channels],
-                        workloads)
+    results = runner.results(list(measured.values()), mixes, [channels])
     accuracy: Dict[str, float] = {}
     coverage: Dict[str, float] = {}
     for name, scheme in measured.items():
         accs, covs = [], []
-        for workload in workloads:
-            result = runner.run(
-                runner.spec_homogeneous(scheme, workload, channels))
+        for mix in mixes:
+            result = results[runner.spec(scheme, mix, channels)]
             check(result.criticality is not None,
                   "run with criticality=%r returned no measurement", name)
             accs.append(result.criticality.accuracy)
@@ -218,6 +189,24 @@ def figure4(runner: Optional[ExperimentRunner] = None,
     return {"accuracy": accuracy, "coverage": coverage}
 
 
+def _both_mixes(runner: ExperimentRunner, figure: str, title: str,
+                schemes: Dict[str, Scheme], quiet: bool) -> Dict:
+    """Figs. 5, 6 and 21: each scheme's speedup series over the
+    homogeneous sample and over the heterogeneous mixes, at the first
+    three channel counts."""
+    channels = list(runner.scale.channel_sweep[:3])
+    homog = speedup_series(runner, schemes, _sampled(runner), channels)
+    heterog = speedup_series(runner, schemes, runner.heterogeneous(),
+                             channels)
+    if not quiet:
+        print_series(f"Figure {figure}a: {title} (homogeneous)", "scheme",
+                     homog, channels)
+        print_series(f"Figure {figure}b: {title} (heterogeneous)", "scheme",
+                     heterog, channels)
+    return {"channels": channels, "homogeneous": homog,
+            "heterogeneous": heterog}
+
+
 def figure5(runner: Optional[ExperimentRunner] = None,
             quiet: bool = False) -> Dict:
     """Fig. 5: Berti gated by baseline criticality predictors.
@@ -225,37 +214,11 @@ def figure5(runner: Optional[ExperimentRunner] = None,
     Paper shape: none of the prior predictors rescues Berti at low
     bandwidth.
     """
-    runner = _runner(runner)
-    workloads = runner.scale.sample_homogeneous()
-    hetero = runner.heterogeneous()
-    channels = list(runner.scale.channel_sweep[:3])
-    gated = {"berti": _scheme("berti")}
+    gated = {"berti": Scheme.parse("berti")}
     for name in predictor_names():
-        gated[f"berti+{name}"] = _scheme("berti", criticality=name)
-    _submit_homogeneous(runner, list(gated.values()), channels, workloads)
-    _submit_heterogeneous(runner, list(gated.values()), channels, hetero)
-    homog: Dict[str, List[float]] = {}
-    heterog: Dict[str, List[float]] = {}
-    for label, scheme in gated.items():
-        homog[label] = [
-            geometric_mean(_homog_speedups(runner, scheme, ch, workloads))
-            for ch in channels
-        ]
-        heterog[label] = [
-            geometric_mean(_hetero_speedups(runner, scheme, ch, hetero))
-            for ch in channels
-        ]
-    if not quiet:
-        print_figure("Figure 5a: Berti + criticality predictors "
-                     "(homogeneous)",
-                     ["scheme"] + [f"ch={c}" for c in channels],
-                     [[s] + homog[s] for s in gated])
-        print_figure("Figure 5b: Berti + criticality predictors "
-                     "(heterogeneous)",
-                     ["scheme"] + [f"ch={c}" for c in channels],
-                     [[s] + heterog[s] for s in gated])
-    return {"channels": channels, "homogeneous": homog,
-            "heterogeneous": heterog}
+        gated[f"berti+{name}"] = Scheme.parse("berti", criticality=name)
+    return _both_mixes(_runner(runner), "5",
+                       "Berti + criticality predictors", gated, quiet)
 
 
 def figure6(runner: Optional[ExperimentRunner] = None,
@@ -264,37 +227,11 @@ def figure6(runner: Optional[ExperimentRunner] = None,
 
     Paper shape: marginal improvements; big slowdowns remain.
     """
-    runner = _runner(runner)
-    workloads = runner.scale.sample_homogeneous()
-    hetero = runner.heterogeneous()
-    channels = list(runner.scale.channel_sweep[:3])
-    throttled = {"berti": _scheme("berti")}
+    throttled = {"berti": Scheme.parse("berti")}
     for name in throttler_names():
-        throttled[f"berti+{name}"] = _scheme("berti", throttle=name)
-    _submit_homogeneous(runner, list(throttled.values()), channels,
-                        workloads)
-    _submit_heterogeneous(runner, list(throttled.values()), channels,
-                          hetero)
-    homog: Dict[str, List[float]] = {}
-    heterog: Dict[str, List[float]] = {}
-    for label, scheme in throttled.items():
-        homog[label] = [
-            geometric_mean(_homog_speedups(runner, scheme, ch, workloads))
-            for ch in channels
-        ]
-        heterog[label] = [
-            geometric_mean(_hetero_speedups(runner, scheme, ch, hetero))
-            for ch in channels
-        ]
-    if not quiet:
-        print_figure("Figure 6a: Berti + throttlers (homogeneous)",
-                     ["scheme"] + [f"ch={c}" for c in channels],
-                     [[s] + homog[s] for s in throttled])
-        print_figure("Figure 6b: Berti + throttlers (heterogeneous)",
-                     ["scheme"] + [f"ch={c}" for c in channels],
-                     [[s] + heterog[s] for s in throttled])
-    return {"channels": channels, "homogeneous": homog,
-            "heterogeneous": heterog}
+        throttled[f"berti+{name}"] = Scheme.parse("berti", throttle=name)
+    return _both_mixes(_runner(runner), "6", "Berti + throttlers",
+                       throttled, quiet)
 
 
 # ---------------------------------------------------------------------------
@@ -309,24 +246,10 @@ def figure9(runner: Optional[ExperimentRunner] = None,
     channels for 64 cores.
     """
     runner = _runner(runner)
-    workloads = runner.scale.sample_homogeneous()
-    hetero = runner.heterogeneous()
     channels = runner.scale.constrained_channels
-    variants = {}
-    for name in PREFETCHER_SCHEMES:
-        variants[name] = _scheme(name)
-        variants[name + "+clip"] = _scheme(name + "+clip")
-    _submit_homogeneous(runner, list(variants.values()), [channels],
-                        workloads)
-    _submit_heterogeneous(runner, list(variants.values()), [channels],
-                          hetero)
-    homog: Dict[str, float] = {}
-    heterog: Dict[str, float] = {}
-    for label, scheme in variants.items():
-        homog[label] = geometric_mean(
-            _homog_speedups(runner, scheme, channels, workloads))
-        heterog[label] = geometric_mean(
-            _hetero_speedups(runner, scheme, channels, hetero))
+    variants = channel_sweep_schemes()
+    homog = _constrained(runner, variants, _sampled(runner))
+    heterog = _constrained(runner, variants, runner.heterogeneous())
     if not quiet:
         rows = [[s, homog[s], homog[s + "+clip"], heterog[s],
                  heterog[s + "+clip"]] for s in PREFETCHER_SCHEMES]
@@ -341,19 +264,15 @@ def _per_mix_runs(runner: ExperimentRunner,
                   workloads: Sequence[str]) -> Dict[str, Dict]:
     """Shared per-mix Berti vs Berti+CLIP runs (Figs. 10, 11, 14-16)."""
     channels = runner.scale.constrained_channels
-    none = _scheme("none")
-    berti = _scheme("berti")
-    berti_clip = _scheme("berti+clip")
-    _submit_homogeneous(runner, [none, berti, berti_clip], [channels],
-                        workloads)
+    berti = Scheme.parse("berti")
+    berti_clip = Scheme.parse("berti+clip")
+    mixes = runner.homogeneous(workloads)
+    results = runner.results([berti, berti_clip], mixes, [channels])
     out: Dict[str, Dict] = {}
-    for workload in workloads:
-        base = runner.run(runner.spec_homogeneous(none, workload,
-                                                  channels))
-        with_pf = runner.run(runner.spec_homogeneous(berti, workload,
-                                                     channels))
-        with_clip = runner.run(runner.spec_homogeneous(berti_clip,
-                                                       workload, channels))
+    for workload, mix in zip(workloads, mixes):
+        base = results[runner.spec(berti.baseline(), mix, channels)]
+        with_pf = results[runner.spec(berti, mix, channels)]
+        with_clip = results[runner.spec(berti_clip, mix, channels)]
         out[workload] = {
             "berti_ws": weighted_speedup(with_pf, base),
             "clip_ws": weighted_speedup(with_clip, base),
@@ -421,18 +340,16 @@ def figure12(runner: Optional[ExperimentRunner] = None,
     for latency.
     """
     runner = _runner(runner)
-    workloads = runner.scale.sample_homogeneous()
+    mixes = _sampled(runner)
     channels = runner.scale.constrained_channels
-    schemes = {"berti": _scheme("berti"),
-               "berti+clip": _scheme("berti+clip")}
-    _submit_homogeneous(runner, list(schemes.values()), [channels],
-                        workloads)
+    schemes = {"berti": Scheme.parse("berti"),
+               "berti+clip": Scheme.parse("berti+clip")}
+    results = runner.results(list(schemes.values()), mixes, [channels])
     coverage: Dict[str, Dict[str, float]] = {}
     for label, scheme in schemes.items():
         per_level: Dict[str, List[float]] = {"L1D": [], "L2": [], "LLC": []}
-        for workload in workloads:
-            result = runner.run(
-                runner.spec_homogeneous(scheme, workload, channels))
+        for mix in mixes:
+            result = results[runner.spec(scheme, mix, channels)]
             for level in per_level:
                 per_level[level].append(result.levels[level].miss_coverage)
         coverage[label] = {level: arithmetic_mean(values)
@@ -458,19 +375,19 @@ def figure13(runner: Optional[ExperimentRunner] = None,
     runner = _runner(runner)
     workloads = list(workloads or runner.scale.sample_homogeneous())
     channels = runner.scale.constrained_channels
-    berti_clip = _scheme("berti+clip")
-    priors = {name: _scheme("berti", criticality=name, crit_gate=False)
+    mixes = runner.homogeneous(workloads)
+    berti_clip = Scheme.parse("berti+clip")
+    priors = {name: Scheme.parse("berti", criticality=name,
+                                 crit_gate=False)
               for name in baselines}
-    _submit_homogeneous(runner, [berti_clip] + list(priors.values()),
-                        [channels], workloads)
+    results = runner.results([berti_clip] + list(priors.values()), mixes,
+                             [channels])
     per_mix: Dict[str, Dict[str, float]] = {}
-    for workload in workloads:
-        clip = runner.run(
-            runner.spec_homogeneous(berti_clip, workload, channels))
+    for workload, mix in zip(workloads, mixes):
+        clip = results[runner.spec(berti_clip, mix, channels)]
         best_prior = 0.0
         for name, scheme in priors.items():
-            result = runner.run(
-                runner.spec_homogeneous(scheme, workload, channels))
+            result = results[runner.spec(scheme, mix, channels)]
             check(result.criticality is not None,
                   "run with criticality=%r returned no measurement", name)
             best_prior = max(best_prior, result.criticality.accuracy)
@@ -577,21 +494,14 @@ def figure17(runner: Optional[ExperimentRunner] = None,
     unconstrained), so CLIP's effect is small too.
     """
     runner = _runner(runner)
-    workloads = runner.cloud_workloads()
+    mixes = runner.homogeneous(CLOUDSUITE_WORKLOADS + CVP_WORKLOADS)
     channels = list(runner.scale.channel_sweep[:4])
-    schemes = {"berti": _scheme("berti"),
-               "berti+clip": _scheme("berti+clip")}
-    _submit_homogeneous(runner, list(schemes.values()), channels,
-                        workloads)
-    series: Dict[str, List[float]] = {label: [] for label in schemes}
-    for ch in channels:
-        for label, scheme in schemes.items():
-            series[label].append(geometric_mean(
-                _homog_speedups(runner, scheme, ch, workloads)))
+    schemes = {"berti": Scheme.parse("berti"),
+               "berti+clip": Scheme.parse("berti+clip")}
+    series = speedup_series(runner, schemes, mixes, channels)
     if not quiet:
-        rows = [[s] + series[s] for s in series]
-        print_figure("Figure 17: CloudSuite + CVP homogeneous workloads",
-                     ["scheme"] + [f"ch={c}" for c in channels], rows)
+        print_series("Figure 17: CloudSuite + CVP homogeneous workloads",
+                     "scheme", series, channels)
     return {"channels": channels, "series": series}
 
 
@@ -602,27 +512,21 @@ def figure18(runner: Optional[ExperimentRunner] = None,
     Paper: 2x/4x marginal gains; 0.5x/0.25x lose >7%.
     """
     runner = _runner(runner)
-    workloads = runner.scale.sample_homogeneous()
-    channels = runner.scale.constrained_channels
     factors = [0.25, 0.5, 1.0, 2.0, 4.0]
-    scaled = {
-        ("filter", factor): _scheme("berti", clip_filter_scale=factor)
-        for factor in factors if factor != 1.0
-    }
+    scaled = {("reference", 1.0): Scheme.parse("berti+clip")}
     scaled.update({
-        ("predictor", factor): _scheme("berti",
-                                       clip_predictor_scale=factor)
+        ("filter", factor): Scheme.parse("berti", clip_filter_scale=factor)
         for factor in factors if factor != 1.0
     })
-    _submit_homogeneous(runner,
-                        [_scheme("berti+clip")] + list(scaled.values()),
-                        [channels], workloads)
+    scaled.update({
+        ("predictor", factor): Scheme.parse("berti",
+                                            clip_predictor_scale=factor)
+        for factor in factors if factor != 1.0
+    })
+    speedups = _constrained(runner, scaled, _sampled(runner))
+    reference = speedups.pop(("reference", 1.0))
     tables: Dict[str, Dict[float, float]] = {"filter": {}, "predictor": {}}
-    reference = geometric_mean(_homog_speedups(
-        runner, _scheme("berti+clip"), channels, workloads))
-    for (which, factor), scheme in scaled.items():
-        value = geometric_mean(_homog_speedups(
-            runner, scheme, channels, workloads))
+    for (which, factor), value in speedups.items():
         tables[which][factor] = value / reference if reference else 0.0
     for which in tables:
         tables[which][1.0] = 1.0
@@ -636,12 +540,12 @@ def figure18(runner: Optional[ExperimentRunner] = None,
 
 
 def channel_sweep_schemes() -> Dict[str, Scheme]:
-    """The Fig. 19-20 comparison space: each prefetcher with and without
-    CLIP.  Shared by the figure drivers and ``repro sweep``."""
+    """The Figs. 9 and 19-20 comparison space: each prefetcher with and
+    without CLIP.  Shared by those drivers and ``repro sweep``."""
     variants: Dict[str, Scheme] = {}
     for name in PREFETCHER_SCHEMES:
-        variants[name] = _scheme(name)
-        variants[name + "+clip"] = _scheme(name + "+clip")
+        variants[name] = Scheme.parse(name)
+        variants[name + "+clip"] = Scheme.parse(name + "+clip")
     return variants
 
 
@@ -649,21 +553,13 @@ def figure19(runner: Optional[ExperimentRunner] = None,
              quiet: bool = False) -> Dict:
     """Fig. 19: CLIP with all prefetchers across channels (homogeneous)."""
     runner = _runner(runner)
-    workloads = runner.scale.sample_homogeneous()
+    mixes = _sampled(runner)
     channels = list(runner.scale.channel_sweep[:3])
-    variants = channel_sweep_schemes()
-    _submit_homogeneous(runner, list(variants.values()), channels,
-                        workloads)
-    series: Dict[str, List[float]] = {}
-    for label, scheme in variants.items():
-        series[label] = [
-            geometric_mean(_homog_speedups(runner, scheme, ch, workloads))
-            for ch in channels
-        ]
+    series = speedup_series(runner, channel_sweep_schemes(), mixes,
+                            channels)
     if not quiet:
-        rows = [[s] + series[s] for s in series]
-        print_figure("Figure 19: CLIP vs channels (homogeneous)",
-                     ["scheme"] + [f"ch={c}" for c in channels], rows)
+        print_series("Figure 19: CLIP vs channels (homogeneous)", "scheme",
+                     series, channels)
     return {"channels": channels, "series": series}
 
 
@@ -671,20 +567,12 @@ def figure20(runner: Optional[ExperimentRunner] = None,
              quiet: bool = False) -> Dict:
     """Fig. 20: CLIP with all prefetchers across channels (heterogeneous)."""
     runner = _runner(runner)
-    mixes = runner.heterogeneous()
     channels = list(runner.scale.channel_sweep[:3])
-    variants = channel_sweep_schemes()
-    _submit_heterogeneous(runner, list(variants.values()), channels, mixes)
-    series: Dict[str, List[float]] = {}
-    for label, scheme in variants.items():
-        series[label] = [
-            geometric_mean(_hetero_speedups(runner, scheme, ch, mixes))
-            for ch in channels
-        ]
+    series = speedup_series(runner, channel_sweep_schemes(),
+                            runner.heterogeneous(), channels)
     if not quiet:
-        rows = [[s] + series[s] for s in series]
-        print_figure("Figure 20: CLIP vs channels (heterogeneous)",
-                     ["scheme"] + [f"ch={c}" for c in channels], rows)
+        print_series("Figure 20: CLIP vs channels (heterogeneous)",
+                     "scheme", series, channels)
     return {"channels": channels, "series": series}
 
 
@@ -695,36 +583,11 @@ def figure21(runner: Optional[ExperimentRunner] = None,
     Paper shape: CLIP wins at 4-8 channels; Hermes overtakes at 16;
     DSPatch trails CLIP under constrained bandwidth.
     """
-    runner = _runner(runner)
-    workloads = runner.scale.sample_homogeneous()
-    hetero = runner.heterogeneous()
-    channels = list(runner.scale.channel_sweep[:3])
-    schemes = {name: _scheme(name)
+    schemes = {name: Scheme.parse(name)
                for name in ("berti", "berti+hermes", "berti+dspatch",
                             "berti+clip")}
-    _submit_homogeneous(runner, list(schemes.values()), channels,
-                        workloads)
-    _submit_heterogeneous(runner, list(schemes.values()), channels, hetero)
-    homog: Dict[str, List[float]] = {}
-    heterog: Dict[str, List[float]] = {}
-    for label, scheme in schemes.items():
-        homog[label] = [
-            geometric_mean(_homog_speedups(runner, scheme, ch, workloads))
-            for ch in channels
-        ]
-        heterog[label] = [
-            geometric_mean(_hetero_speedups(runner, scheme, ch, hetero))
-            for ch in channels
-        ]
-    if not quiet:
-        print_figure("Figure 21a: Hermes / DSPatch / CLIP (homogeneous)",
-                     ["scheme"] + [f"ch={c}" for c in channels],
-                     [[s] + homog[s] for s in schemes])
-        print_figure("Figure 21b: Hermes / DSPatch / CLIP (heterogeneous)",
-                     ["scheme"] + [f"ch={c}" for c in channels],
-                     [[s] + heterog[s] for s in schemes])
-    return {"channels": channels, "homogeneous": homog,
-            "heterogeneous": heterog}
+    return _both_mixes(_runner(runner), "21", "Hermes / DSPatch / CLIP",
+                       schemes, quiet)
 
 
 # ---------------------------------------------------------------------------
@@ -774,20 +637,19 @@ def energy_study(runner: Optional[ExperimentRunner] = None,
     """Section 5.1 energy claim: CLIP cuts dynamic memory-hierarchy energy
     (paper: -18.21% for homogeneous mixes)."""
     runner = _runner(runner)
-    workloads = runner.scale.sample_homogeneous()
+    mixes = _sampled(runner)
     channels = runner.scale.constrained_channels
-    schemes = {"berti": _scheme("berti"),
-               "berti+clip": _scheme("berti+clip")}
-    _submit_homogeneous(runner, list(schemes.values()), [channels],
-                        workloads)
-    totals: Dict[str, List[float]] = {label: [] for label in schemes}
-    for workload in workloads:
-        for label, scheme in schemes.items():
-            result = runner.run(
-                runner.spec_homogeneous(scheme, workload, channels))
-            # Counter-driven: CLIP structure activity comes off the
-            # result's own counters, not a caller-supplied estimate.
-            totals[label].append(dynamic_energy(result).total_mj)
+    schemes = {"berti": Scheme.parse("berti"),
+               "berti+clip": Scheme.parse("berti+clip")}
+    results = runner.results(list(schemes.values()), mixes, [channels])
+    totals: Dict[str, List[float]] = {}
+    for label, scheme in schemes.items():
+        # Counter-driven: CLIP structure activity comes off the
+        # result's own counters, not a caller-supplied estimate.
+        totals[label] = [
+            dynamic_energy(results[runner.spec(scheme, mix,
+                                               channels)]).total_mj
+            for mix in mixes]
     berti_mj = arithmetic_mean(totals["berti"])
     clip_mj = arithmetic_mean(totals["berti+clip"])
     saving = 1.0 - clip_mj / berti_mj if berti_mj else 0.0
@@ -803,20 +665,14 @@ def llc_sensitivity(runner: Optional[ExperimentRunner] = None,
                     quiet: bool = False) -> Dict:
     """Section 5.2 LLC-size sweep: CLIP's edge grows as the LLC shrinks."""
     runner = _runner(runner)
-    workloads = runner.scale.sample_homogeneous()
-    channels = runner.scale.constrained_channels
     # Scaled stand-ins for the paper's 512 KB / 2 MB / 4 MB per core.
     sizes_kib = [64, 128, 256]
-    grid = {(label, size): _scheme(label, llc_kib=size)
-            for label in ("berti", "berti+clip") for size in sizes_kib}
-    _submit_homogeneous(runner, list(grid.values()), [channels], workloads)
-    out: Dict[int, Dict[str, float]] = {}
-    for size in sizes_kib:
-        out[size] = {
-            label: geometric_mean(_homog_speedups(
-                runner, grid[(label, size)], channels, workloads))
-            for label in ("berti", "berti+clip")
-        }
+    labels = ("berti", "berti+clip")
+    grid = {(label, size): Scheme.parse(label, llc_kib=size)
+            for label in labels for size in sizes_kib}
+    speedups = _constrained(runner, grid, _sampled(runner))
+    out = {size: {label: speedups[label, size] for label in labels}
+           for size in sizes_kib}
     if not quiet:
         rows = [[size, out[size]["berti"], out[size]["berti+clip"]]
                 for size in sizes_kib]
@@ -831,28 +687,21 @@ def core_count_sensitivity(runner: Optional[ExperimentRunner] = None,
     one channel per 2-4 cores."""
     runner = _runner(runner)
     workloads = runner.scale.sample_homogeneous()[:4]
-    grid = [(4, 1), (8, 1), (8, 2), (16, 2)]
-    # One batch for the whole grid: cold points fan out across
-    # REPRO_JOBS together instead of per grid entry.
-    specs = []
-    for cores, channels in grid:
-        for label in ("berti", "berti+clip"):
-            scheme = _scheme(label, num_cores=cores)
-            for workload in workloads:
-                specs.append(runner.spec_homogeneous(scheme, workload,
-                                                     channels))
-                specs.append(runner.spec_homogeneous(scheme.baseline(),
-                                                     workload, channels))
-    runner.run_sweep(specs)
+    grid = {(cores, channels): (
+                {label: Scheme.parse(label, num_cores=cores)
+                 for label in ("berti", "berti+clip")},
+                runner.homogeneous(workloads, cores))
+            for cores, channels in [(4, 1), (8, 1), (8, 2), (16, 2)]}
+    # One batch for the whole grid: cold points fan out across the
+    # runner's jobs together instead of per grid entry.
+    runner.run_sweep(spec for (_, channels), (schemes, mixes) in grid.items()
+                     for spec in runner.grid(list(schemes.values()), mixes,
+                                             [channels]))
     out: Dict[str, Dict[str, float]] = {}
-    for cores, channels in grid:
-        key = f"{cores}c/{channels}ch"
-        out[key] = {
-            label: geometric_mean(_homog_speedups(
-                runner, _scheme(label, num_cores=cores), channels,
-                workloads))
-            for label in ("berti", "berti+clip")
-        }
+    for (cores, channels), (schemes, mixes) in grid.items():
+        series = speedup_series(runner, schemes, mixes, [channels])
+        out[f"{cores}c/{channels}ch"] = {
+            label: values[0] for label, values in series.items()}
     if not quiet:
         rows = [[key, out[key]["berti"], out[key]["berti+clip"]]
                 for key in out]
@@ -878,8 +727,6 @@ def ablation_study(runner: Optional[ExperimentRunner] = None,
     * ``threshold-1``         -- criticality count threshold of 1 (vs 4).
     """
     runner = _runner(runner)
-    workloads = runner.scale.sample_homogeneous()
-    channels = runner.scale.constrained_channels
     ablations = {
         "no-accuracy": {"use_accuracy_filter": False},
         "no-criticality": {"use_criticality_filter": False},
@@ -890,19 +737,13 @@ def ablation_study(runner: Optional[ExperimentRunner] = None,
         "no-branch-history": {"signature_use_branch_history": False},
         "threshold-1": {"criticality_count_threshold": 1},
     }
-    variants = {"full": _scheme("berti+clip")}
+    variants = {"berti (no CLIP)": Scheme.parse("berti"),
+                "full": Scheme.parse("berti+clip")}
     variants.update({
-        name: _scheme("berti", clip_overrides=fields)
+        name: Scheme.parse("berti", clip_overrides=fields)
         for name, fields in ablations.items()
     })
-    _submit_homogeneous(runner, [_scheme("berti")] + list(variants.values()),
-                        [channels], workloads)
-    berti = geometric_mean(_homog_speedups(runner, _scheme("berti"),
-                                           channels, workloads))
-    out: Dict[str, float] = {"berti (no CLIP)": berti}
-    for name, scheme in variants.items():
-        out[name] = geometric_mean(_homog_speedups(
-            runner, scheme, channels, workloads))
+    out = _constrained(runner, variants, _sampled(runner))
     if not quiet:
         print_figure("Ablation: CLIP design choices (weighted speedup at "
                      "the constrained point)",

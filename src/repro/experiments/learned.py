@@ -16,12 +16,12 @@ candidates* an always-on Berti may issue.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 from repro.experiments.report import print_figure
 from repro.experiments.runner import ExperimentRunner
 from repro.experiments.statistics import geometric_mean
-from repro.experiments.sweep import RunSpec, Scheme
+from repro.experiments.sweep import Scheme
 from repro.sim.stats import weighted_speedup
 
 #: The head-to-head contenders: unfiltered Berti as the spend-everything
@@ -46,28 +46,20 @@ def learned_study(runner: Optional[ExperimentRunner] = None,
     workloads = runner.scale.sample_homogeneous()[:sample]
     channels = runner.scale.constrained_channels
     parsed = [Scheme.parse(name) for name in schemes]
-    baseline = Scheme()
+    mixes = runner.homogeneous(workloads)
 
     # One batched sweep over every (scheme x mix) plus the shared
     # baselines: jobs>1 fans out, warm reruns are pure cache hits.
-    specs: List[RunSpec] = []
-    for workload in workloads:
-        specs.append(runner.spec_homogeneous(baseline, workload, channels))
-        for scheme in parsed:
-            specs.append(runner.spec_homogeneous(scheme, workload,
-                                                 channels))
-    runner.run_sweep(specs)
+    results = runner.results(parsed, mixes, [channels])
 
     speedups: Dict[str, Dict[str, float]] = {}
     traffic: Dict[str, Dict[str, float]] = {}
     for name, scheme in zip(schemes, parsed):
         per_mix: Dict[str, float] = {}
         issued = dropped = cores = 0
-        for workload in workloads:
-            result = runner.run(
-                runner.spec_homogeneous(scheme, workload, channels))
-            ref = runner.run(
-                runner.spec_homogeneous(baseline, workload, channels))
+        for workload, mix in zip(workloads, mixes):
+            result = results[runner.spec(scheme, mix, channels)]
+            ref = results[runner.spec(scheme.baseline(), mix, channels)]
             per_mix[workload] = weighted_speedup(result, ref)
             for group, values in result.counters.items():
                 if group.endswith(".chain"):

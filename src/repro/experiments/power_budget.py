@@ -21,13 +21,13 @@ therefore frequency-safe.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from repro.energy import BASE_FREQUENCY_GHZ, package_power_w
 from repro.experiments.report import print_figure
 from repro.experiments.runner import ExperimentRunner
 from repro.experiments.statistics import arithmetic_mean
-from repro.experiments.sweep import RunSpec, Scheme
+from repro.experiments.sweep import Scheme
 from repro.sim.stats import SimulationResult
 
 #: DVFS operating points swept (GHz); the last is the Table-3 reference.
@@ -89,25 +89,22 @@ def power_budget_study(runner: Optional[ExperimentRunner] = None,
     }
 
     # One batched sweep: every grid point on every mix, plus the shared
-    # reference points, so jobs>1 fans out and warm reruns are free.
-    specs: List[RunSpec] = []
-    for workload in workloads:
-        specs.append(runner.spec_homogeneous(reference, workload, channels))
-        for scheme in grid.values():
-            specs.append(runner.spec_homogeneous(scheme, workload,
-                                                 channels))
-    runner.run_sweep(specs)
+    # reference points, so jobs>1 fans out and warm reruns are free.  The
+    # fixed reference stands in for each point's own baseline (which
+    # would keep its clock and core mix), so no baseline runs.
+    mixes = runner.homogeneous(workloads)
+    results = runner.run_sweep(runner.spec(scheme, mix, channels)
+                               for mix in mixes
+                               for scheme in [reference, *grid.values()])
 
     out: Dict[Tuple[str, float], Dict[str, float]] = {}
     for (variant, freq), scheme in grid.items():
         config = scheme.build_config(channels, num_cores,
                                      runner.scale.sim_instructions)
         powers, energies, edps, speedups = [], [], [], []
-        for workload in workloads:
-            result = runner.run(
-                runner.spec_homogeneous(scheme, workload, channels))
-            ref = runner.run(
-                runner.spec_homogeneous(reference, workload, channels))
+        for mix in mixes:
+            result = results[runner.spec(scheme, mix, channels)]
+            ref = results[runner.spec(reference, mix, channels)]
             powers.append(package_power_w(result, config))
             energies.append(result.energy_mj)
             edps.append(result.edp_mj_s)

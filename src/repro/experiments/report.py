@@ -10,7 +10,7 @@ module moved to ``repro.experiments.statistics``).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 from repro.sim.metrics import compare_schemes, summarize
 from repro.sim.stats import SimulationResult
@@ -54,11 +54,6 @@ def print_figure(title: str, headers: Sequence[str],
     print()
     print(f"== {title} ==")
     print(format_table(headers, rows))
-
-
-def series_dict(labels: Sequence[str],
-                values: Sequence[float]) -> Dict[str, float]:
-    return dict(zip(labels, values))
 
 
 def run_report(result: SimulationResult, title: str = "Simulation report",

@@ -1,34 +1,26 @@
 """Shared experiment runner built on the typed sweep layer.
 
 Most figures compare several schemes against the *same* no-prefetching
-baseline on the *same* workload mixes.  The runner canonicalises every
-request into a frozen :class:`~repro.experiments.sweep.RunSpec`, memoises
-results per spec within the process, and — when constructed with a
-:class:`~repro.experiments.sweep.ResultStore` — persists them on disk so
-warm reruns of any figure are free.  Batched requests
-(:meth:`ExperimentRunner.run_sweep`) fan out across processes when the
-runner was constructed with ``jobs > 1``.
-
-The legacy calling convention (scheme *strings* plus ``**overrides``
-kwargs) was removed after its deprecation cycle: passing a string now
-raises ``TypeError`` pointing at :meth:`Scheme.parse` and the
-:mod:`repro.api` facade.
+baseline on the *same* workload mixes.  The runner builds each figure's
+grid the way the sweep layer does -- ``Sweep.product(...)`` at the
+runner's scale, with every point's baseline -- memoises results per
+:class:`~repro.experiments.sweep.RunSpec` within the process, and --
+when constructed with a :class:`~repro.experiments.sweep.ResultStore` --
+persists them on disk so warm reruns of any figure are free.  Every
+batch fans out across processes when the runner was constructed with
+``jobs > 1``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import (Dict, Iterable, List, Mapping, Optional, Sequence,
-                    Tuple, Union)
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.experiments.sweep import (ResultStore, RunSpec, Scheme, Sweep,
                                      run_sweep)
 from repro.sim.stats import SimulationResult, weighted_speedup
 from repro.trace.mixes import heterogeneous_mixes, homogeneous_mix
-from repro.trace.workloads import (CLOUDSUITE_WORKLOADS, CVP_WORKLOADS,
-                                   SPEC_HOMOGENEOUS_MIXES)
-
-SchemeLike = Union[Scheme, str]
+from repro.trace.workloads import SPEC_HOMOGENEOUS_MIXES
 
 
 @dataclass(frozen=True)
@@ -59,7 +51,7 @@ class BenchScale:
 
 
 class ExperimentRunner:
-    """Canonicalises experiment requests into specs and caches results."""
+    """Runs figure grids at one scale and caches their results."""
 
     def __init__(self, scale: Optional[BenchScale] = None,
                  store: Optional[ResultStore] = None,
@@ -73,49 +65,39 @@ class ExperimentRunner:
         self.runs = 0
 
     # ------------------------------------------------------------------
-    # Spec construction
+    # Points and mixes
     # ------------------------------------------------------------------
 
-    def coerce_scheme(self, scheme: SchemeLike, overrides: Mapping,
-                      ) -> Scheme:
-        """Accept a typed :class:`Scheme`; reject the removed string form."""
-        if isinstance(scheme, Scheme):
-            if overrides:
-                raise TypeError(
-                    "**overrides cannot be combined with a typed Scheme; "
-                    "use dataclasses.replace on the scheme instead")
-            return scheme
-        raise TypeError(
-            "string schemes and **overrides were removed (deprecated in "
-            "the sweep-API redesign): pass a typed "
-            "repro.experiments.sweep.Scheme -- e.g. "
-            f"Scheme.parse({scheme!r}) -- or use the repro.api facade, "
-            "whose simulate()/sweep() accept scheme names directly; see "
-            "docs/api.md")
-
-    def spec(self, scheme: SchemeLike, mix: Sequence[str], channels: int,
-             **overrides) -> RunSpec:
-        """The canonical :class:`RunSpec` for one request at this scale."""
-        spec_scheme = self.coerce_scheme(scheme, overrides)
-        return RunSpec(scheme=spec_scheme, mix=tuple(mix),
-                       channels=channels,
+    def spec(self, scheme: Scheme, mix: Sequence[str],
+             channels: int) -> RunSpec:
+        """The :class:`RunSpec` of one point at this scale."""
+        return RunSpec(scheme=scheme, mix=tuple(mix), channels=channels,
                        num_cores=self.scale.num_cores,
                        sim_instructions=self.scale.sim_instructions)
 
-    def spec_homogeneous(self, scheme: SchemeLike, workload: str,
-                         channels: int, **overrides) -> RunSpec:
-        spec_scheme = self.coerce_scheme(scheme, overrides)
-        cores = spec_scheme.num_cores or self.scale.num_cores
-        return self.spec(spec_scheme, homogeneous_mix(workload, cores),
-                         channels)
+    def homogeneous(self, workloads: Sequence[str],
+                    cores: Optional[int] = None) -> List[List[str]]:
+        """One homogeneous mix per workload, on ``cores`` cores (default:
+        this scale's)."""
+        return [homogeneous_mix(workload, cores or self.scale.num_cores)
+                for workload in workloads]
+
+    def heterogeneous(self, count: Optional[int] = None) -> List[List[str]]:
+        return heterogeneous_mixes(count or self.scale.heterogeneous_mixes,
+                                   self.scale.num_cores)
+
+    def grid(self, schemes: Sequence[Scheme],
+             mixes: Sequence[Sequence[str]],
+             channels: Sequence[int]) -> Sweep:
+        """Every scheme on every mix at every channel count, at this
+        scale, plus each point's no-prefetching baseline."""
+        return Sweep.product(
+            schemes, mixes, channels, num_cores=self.scale.num_cores,
+            sim_instructions=self.scale.sim_instructions).with_baselines()
 
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-
-    def run(self, spec: RunSpec) -> SimulationResult:
-        """Run (or recall) one spec."""
-        return self.run_sweep([spec])[spec]
 
     def run_sweep(self, sweep: Iterable[RunSpec],
                   ) -> Dict[RunSpec, SimulationResult]:
@@ -131,34 +113,29 @@ class ExperimentRunner:
         self.runs += outcome.simulated
         return outcome.results
 
-    # ------------------------------------------------------------------
+    def results(self, schemes: Sequence[Scheme],
+                mixes: Sequence[Sequence[str]],
+                channels: Sequence[int]) -> Dict[RunSpec, SimulationResult]:
+        """Run :meth:`grid` as one batch; look a point up with
+        :meth:`spec`."""
+        return self.run_sweep(self.grid(schemes, mixes, channels))
 
-    def speedup_homogeneous(self, scheme: SchemeLike, workload: str,
-                            channels: int, **overrides) -> float:
-        """Weighted speedup vs no-prefetching at the same channel count."""
-        spec_scheme = self.coerce_scheme(scheme, overrides)
-        target = self.spec_homogeneous(spec_scheme, workload, channels)
-        base = self.spec_homogeneous(spec_scheme.baseline(), workload,
-                                     channels)
-        results = self.run_sweep([target, base])
-        return weighted_speedup(results[target], results[base])
-
-    def speedup_mix(self, scheme: SchemeLike, mix: Sequence[str],
-                    channels: int, **overrides) -> float:
-        spec_scheme = self.coerce_scheme(scheme, overrides)
-        target = self.spec(spec_scheme, mix, channels)
-        base = self.spec(spec_scheme.baseline(), mix, channels)
-        results = self.run_sweep([target, base])
-        return weighted_speedup(results[target], results[base])
-
-    # ------------------------------------------------------------------
-
-    def heterogeneous(self, count: Optional[int] = None) -> List[List[str]]:
-        return heterogeneous_mixes(count or self.scale.heterogeneous_mixes,
-                                   self.scale.num_cores)
-
-    def cloud_workloads(self) -> List[str]:
-        return CLOUDSUITE_WORKLOADS + CVP_WORKLOADS
+    def speedups(self, schemes: Sequence[Scheme],
+                 mixes: Sequence[Sequence[str]],
+                 channels: Sequence[int],
+                 ) -> Dict[Tuple[Scheme, int], List[float]]:
+        """Weighted speedup over no-prefetching at the same channel
+        count, keyed ``(scheme, channels)``: one value per mix, in
+        order."""
+        results = self.results(schemes, mixes, channels)
+        return {
+            (scheme, ch): [
+                weighted_speedup(
+                    results[self.spec(scheme, mix, ch)],
+                    results[self.spec(scheme.baseline(), mix, ch)])
+                for mix in mixes]
+            for scheme in schemes for ch in channels
+        }
 
 
 __all__ = ["BenchScale", "ExperimentRunner", "Scheme", "RunSpec", "Sweep",

@@ -11,8 +11,10 @@ reviewed) with ``python scripts/regenerate_equivalence_goldens.py``.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import hashlib
+import io
 import json
 from pathlib import Path
 from typing import Callable, Dict, List, Tuple
@@ -20,6 +22,9 @@ from typing import Callable, Dict, List, Tuple
 from repro.config import SystemConfig, scaled_config
 
 GOLDEN_DIR = Path(__file__).parent / "data" / "equivalence"
+#: What every figure and table driver returns and prints at the micro
+#: scale of :func:`figure_driver_outputs`.
+DRIVER_PIN = Path(__file__).parent / "data" / "figure_drivers.json"
 
 
 def result_digest(result: dict) -> str:
@@ -193,3 +198,45 @@ POINTS: Dict[str, Callable[[], Tuple[SystemConfig, List[str]]]] = {
     "bandit_selector": _point_bandit_selector,
     "perceptron_filter": _point_perceptron_filter,
 }
+
+
+#: Every figure and table driver, in the order :func:`figure_driver_outputs`
+#: runs them; the order fixes how many points each one finds already run.
+DRIVERS = (
+    "figure1", "figure2", "figure3", "figure4", "figure5", "figure6",
+    "figure9", "figure10", "figure11", "figure12", "figure13", "figure14",
+    "figure15", "figure16", "figure17", "figure18", "figure19", "figure20",
+    "figure21", "energy_study", "llc_sensitivity", "core_count_sensitivity",
+    "ablation_study", "power_budget_study", "learned_study", "table2",
+    "table3",
+)
+
+
+def figure_driver_outputs() -> Dict[str, dict]:
+    """Run every driver once on one shared micro-scale runner.
+
+    Each entry holds the driver's returned dict as JSON data, the text
+    it printed, and how many points it simulated (``runner.runs``
+    delta; points an earlier driver ran come from the runner's memo).
+    """
+    from repro import experiments
+    scale = experiments.BenchScale(
+        num_cores=2, sim_instructions=600, channel_sweep=(1, 2),
+        constrained_channels=1, homogeneous_sample=2,
+        heterogeneous_mixes=1)
+    runner = experiments.ExperimentRunner(scale)
+    outputs: Dict[str, dict] = {}
+    for name in DRIVERS:
+        driver = getattr(experiments, name)
+        before = runner.runs
+        printed = io.StringIO()
+        with contextlib.redirect_stdout(printed):
+            returned = (driver() if name.startswith("table")
+                        else driver(runner))
+        outputs[name] = {
+            "returned": json.loads(json.dumps(
+                returned, sort_keys=True, default=dataclasses.asdict)),
+            "printed": printed.getvalue(),
+            "runs": runner.runs - before,
+        }
+    return outputs

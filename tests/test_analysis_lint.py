@@ -488,6 +488,14 @@ class TestFrameworkBehaviour:
             """, BareAssertRule())
         assert violations == []
 
+    def test_ignore_marker_inside_a_string_silences_nothing(self):
+        violations = lint("""
+            import random
+            x = random.random(); note = "# sim-lint: ignore"
+            y = random.random()
+            """, UnseededRandomRule())
+        assert [v.line for v in violations] == [3, 4]
+
     def test_fingerprint_is_line_independent(self):
         one = lint("""
             def f():

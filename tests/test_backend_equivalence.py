@@ -1,21 +1,18 @@
-"""Pinned equivalence of the one simulation path, golden points + fuzz.
-
-This module used to run every configuration below under two engines --
-the event engine and a batch-stepped one -- and require identical
-``SimulationResult.to_dict()``.  The engines agreed everywhere, and the
-batch engine's one profitable idea (replaying branch outcomes once per
-trace) now lives in the core model itself.  Before the batch engine was
-deleted, the agreed result of each seeded fuzz config was pinned as a
-sha256 in ``tests/data/equivalence/fuzz_digests.json``; the surviving
-path is held to those digests.  The test names are kept from the
-two-engine suite; the golden points' agreed results are the goldens
-themselves, compared leaf by leaf in ``test_hierarchy_equivalence.py``.
+"""Pinned results of the one simulation path: golden points and a fuzz.
 
 * every golden-matrix point from :mod:`equivalence_points` carries the
-  per-component counter layer;
+  per-component counter layer, and its counters agree with the DRAM
+  view;
 * a seeded random-config fuzz sweeps core counts, channel counts,
   schemes, and workload mixes the matrix does not cover, and each
-  result must hash to its pinned digest.
+  result must hash to its sha256 in
+  ``tests/data/equivalence/fuzz_digests.json``.
+
+The golden points' full results are compared leaf by leaf in
+``test_hierarchy_equivalence.py``.  The fuzz digests date from when a
+second, batch-stepped engine had to agree with the event engine on
+every config; that engine is gone, and only the test names
+(``test_batch_matches_event_*``) still record it.
 
 Re-pin the digests only for an intended, reviewed behaviour change:
 ``PYTHONPATH=src python tests/test_backend_equivalence.py`` rewrites the
@@ -117,7 +114,7 @@ def _assert_matches_pinned(seed):
     result = run_system(spec.config(), list(spec.mix)).to_dict()
     assert result_digest(result) == _pinned_digests()[str(seed)], (
         f"fuzz seed {seed} ({spec.scheme.label} x{spec.cores} "
-        f"ch{spec.channels}) diverged from the pinned two-engine result")
+        f"ch{spec.channels}) diverged from its pinned digest")
     # The per-component counter layer is part of the contract, asserted
     # explicitly so a serialisation change cannot silently drop it.
     assert result["counters"], f"no counter groups on fuzz seed {seed}"

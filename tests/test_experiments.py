@@ -50,36 +50,22 @@ class TestRunner:
         with pytest.raises(ValueError, match="unknown scheme"):
             Scheme.parse("oracle")
 
-    def test_string_scheme_raises_migration_error(self, tiny_runner):
-        # The legacy string/**overrides path was removed after its
-        # deprecation cycle; the error routes users to both migrations.
-        with pytest.raises(TypeError) as excinfo:
-            tiny_runner.spec_homogeneous("berti", "605.mcf_s-1536B", 1)
-        message = str(excinfo.value)
-        assert "Scheme.parse('berti')" in message
-        assert "repro.api" in message
-        assert "docs/api.md" in message
-
-    def test_string_scheme_with_overrides_raises(self, tiny_runner):
-        with pytest.raises(TypeError, match="removed"):
-            tiny_runner.spec_homogeneous("berti", "605.mcf_s-1536B", 1,
-                                         criticality="fvp",
-                                         crit_gate=False)
-
     def test_caching(self, tiny_runner):
         scheme = Scheme.parse("none")
         before = tiny_runner.runs
-        spec = tiny_runner.spec_homogeneous(scheme, "605.mcf_s-1536B", 1)
-        a = tiny_runner.run(spec)
+        [mix] = tiny_runner.homogeneous(["605.mcf_s-1536B"])
+        spec = tiny_runner.spec(scheme, mix, 1)
+        a = tiny_runner.run_sweep([spec])[spec]
         mid = tiny_runner.runs
-        b = tiny_runner.run(spec)
+        b = tiny_runner.run_sweep([spec])[spec]
         assert tiny_runner.runs == mid == before + 1
         assert a is b
 
     def test_speedup_vs_self_scheme_baseline(self, tiny_runner):
-        value = tiny_runner.speedup_homogeneous(
-            Scheme.parse("none"), "605.mcf_s-1536B", 1)
-        assert value == pytest.approx(1.0)
+        scheme = Scheme.parse("none")
+        speedups = tiny_runner.speedups(
+            [scheme], tiny_runner.homogeneous(["605.mcf_s-1536B"]), [1])
+        assert speedups[scheme, 1] == [pytest.approx(1.0)]
 
     def test_clip_override_plumbed(self):
         config = Scheme.parse(
@@ -87,12 +73,6 @@ class TestRunner:
         ).build_config(1, TINY.num_cores, TINY.sim_instructions)
         assert config.clip.enabled
         assert not config.clip.use_accuracy_filter
-
-    def test_typed_scheme_rejects_kwargs(self, tiny_runner):
-        with pytest.raises(TypeError, match="typed Scheme"):
-            tiny_runner.spec_homogeneous(Scheme.parse("berti"),
-                                         "605.mcf_s-1536B", 1,
-                                         criticality="fvp")
 
     def test_sample_homogeneous_size(self):
         assert len(TINY.sample_homogeneous()) == 2

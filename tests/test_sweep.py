@@ -381,5 +381,6 @@ class TestRunnerIntegration:
         store = ResultStore(tmp_path)
         runner = ExperimentRunner(self.SCALE, store=store)
         spec = tiny_spec(Scheme(l1="berti"))
-        first = runner.run(spec)
-        assert runner.run(spec) is first  # memo, not a fresh from_dict
+        first = runner.run_sweep([spec])[spec]
+        # memo, not a fresh from_dict
+        assert runner.run_sweep([spec])[spec] is first
