@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import ast
 import re
-from typing import Iterator, List, Sequence
+from typing import Iterator, List, Optional, Sequence
 
 from repro.analysis.framework import LintContext, Rule, Violation
 
@@ -365,54 +365,52 @@ class WallClockRule(Rule):
     measurement belongs in the benchmark harness, not the model --
     which is why ``experiments/hotpath.py`` (the engine and cache
     microbenchmarks that ``bench/run.py`` reports) is the one exempt
-    file.  The check looks at calls only, so a clock held as a
-    reference and called later (the sweep coordinator's injectable
-    ``self._clock``) is not flagged.
+    file.  The check flags every reference to a wall-clock function,
+    called or not, so a clock bound to a name and called later
+    (``clock = time.perf_counter``, ``self._clock = time.monotonic``)
+    is flagged where it is bound.  The sweep coordinator's lease clock
+    is the one sanctioned binding, with an inline ignore.
     """
 
     id = "SIM007"
     name = "wall-clock"
-    summary = "wall-clock read (time.time/datetime.now) in sim code"
+    summary = "wall-clock function (time.time/datetime.now) in sim code"
 
     _EXEMPT = ("src/repro/experiments/hotpath.py",)
 
     def visit(self, node: ast.AST, ctx: LintContext) -> Iterator[Violation]:
-        if not isinstance(node, ast.Call):
-            return
         if ctx.path in self._EXEMPT:
             return
-        func = node.func
-        if isinstance(func, ast.Name) and func.id in ctx.time_functions:
+        origin = _wall_clock_function(node, ctx)
+        if origin is not None:
             yield self.violation(
                 ctx, node,
-                f"wall-clock read {ctx.time_functions[func.id]!r}; "
-                f"simulation code must use engine.now")
-            return
-        if not isinstance(func, ast.Attribute):
-            return
-        base = func.value
-        if (isinstance(base, ast.Name) and base.id in ctx.time_modules
-                and func.attr in _WALLCLOCK_TIME_FUNCS):
-            yield self.violation(
-                ctx, node,
-                f"wall-clock read time.{func.attr}(); simulation code "
-                f"must use engine.now")
-        elif (func.attr in ("now", "utcnow", "today")
-              and isinstance(base, ast.Name)
-              and base.id in ctx.datetime_modules):
-            yield self.violation(
-                ctx, node,
-                f"wall-clock read datetime.{func.attr}(); simulation "
-                f"code must use engine.now")
-        elif (func.attr in ("now", "utcnow", "today")
-              and isinstance(base, ast.Attribute)
-              and base.attr == "datetime"
-              and isinstance(base.value, ast.Name)
-              and base.value.id in ctx.datetime_modules):
-            yield self.violation(
-                ctx, node,
-                f"wall-clock read datetime.datetime.{func.attr}(); "
-                f"simulation code must use engine.now")
+                f"wall-clock function {origin}; simulation code must use "
+                f"engine.now")
+
+
+def _wall_clock_function(node: ast.AST, ctx: LintContext) -> Optional[str]:
+    """``"time.perf_counter"``-style name of the wall-clock function
+    ``node`` reads, whether it is called there or not."""
+    if not isinstance(getattr(node, "ctx", None), ast.Load):
+        return None
+    if isinstance(node, ast.Name):
+        return ctx.time_functions.get(node.id)
+    if not isinstance(node, ast.Attribute):
+        return None
+    base = node.value
+    if (isinstance(base, ast.Name) and base.id in ctx.time_modules
+            and node.attr in _WALLCLOCK_TIME_FUNCS):
+        return f"time.{node.attr}"
+    if node.attr not in ("now", "utcnow", "today"):
+        return None
+    if isinstance(base, ast.Name) and base.id in ctx.datetime_modules:
+        return f"datetime.{node.attr}"
+    if (isinstance(base, ast.Attribute) and base.attr == "datetime"
+            and isinstance(base.value, ast.Name)
+            and base.value.id in ctx.datetime_modules):
+        return f"datetime.datetime.{node.attr}"
+    return None
 
 
 class PortBypassRule(Rule):

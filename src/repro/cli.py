@@ -25,6 +25,8 @@ from typing import List, Optional
 
 from repro import experiments
 from repro.config import scaled_config
+from repro.experiments.sweep import Scheme
+from repro.prefetch.base import prefetchers_at
 from repro.sim.stats import weighted_speedup
 from repro.sim.system import run_system
 from repro.trace import homogeneous_mix, workload_names
@@ -50,9 +52,20 @@ FIGURES = {
 TABLES = {"table2": experiments.table2, "table3": experiments.table3}
 
 
+def _scheme_name(name: str) -> str:
+    """Argument type of a scheme name: one ``Scheme.parse`` rejects is a
+    usage error (``repro <verb>: error: ...``, exit 2)."""
+    try:
+        Scheme.parse(name)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return name
+
+
 def _add_grid_arguments(parser: argparse.ArgumentParser) -> None:
     """Grid + cache-directory options shared by ``sweep`` and ``serve``."""
     parser.add_argument("--schemes", nargs="+", default=None,
+                        type=_scheme_name,
                         help="scheme names, e.g. berti berti+clip "
                              "(default: the Fig. 19-20 comparison "
                              "space)")
@@ -74,7 +87,6 @@ def _build_grid(args: argparse.Namespace):
     invocation describes: a runner at that scale runs the homogeneous
     mixes of the workloads, and ``runner.grid(...)`` is the point set."""
     from repro.experiments.figures import channel_sweep_schemes
-    from repro.experiments.sweep import Scheme
 
     scale = experiments.BenchScale(num_cores=args.cores,
                                    sim_instructions=args.instructions)
@@ -100,10 +112,9 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--channels", type=int, default=1)
     run.add_argument("--instructions", type=int, default=10_000)
     run.add_argument("--prefetcher", default="berti",
-                     choices=["none", "berti", "ipcp", "stride",
-                              "streamer"])
+                     choices=["none", *prefetchers_at("L1")])
     run.add_argument("--l2-prefetcher", default="none",
-                     choices=["none", "spp_ppf", "bingo"])
+                     choices=["none", *prefetchers_at("L2")])
     run.add_argument("--clip", action="store_true",
                      help="enable CLIP filtering")
     run.add_argument("--dynamic-clip", action="store_true",
@@ -129,7 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
     compare.add_argument("--cores", type=int, default=8)
     compare.add_argument("--channels", type=int, default=1)
     compare.add_argument("--instructions", type=int, default=8_000)
-    compare.add_argument("--schemes", nargs="+",
+    compare.add_argument("--schemes", nargs="+", type=_scheme_name,
                          default=["none", "berti", "berti+clip"])
 
     figure = sub.add_parser("figure", help="regenerate a paper figure")

@@ -318,12 +318,6 @@ class RelatedConfig:
     dspatch: bool = False
 
 
-#: Prefetchers the bandit selector may hold as arms ("none" plus the
-#: L1-training zoo).  Mirrors ``repro.prefetch.base.make_prefetcher``;
-#: kept literal here to avoid a config -> prefetch import cycle.
-LEARNED_ARM_CHOICES = ("none", "berti", "ipcp", "stride", "streamer")
-
-
 @dataclass
 class LearnedConfig:
     """Online learned prefetch control (the ROADMAP scheme family).
@@ -402,6 +396,16 @@ def _component_choices() -> tuple[tuple[str, tuple[str, ...]], ...]:
             ("throttle.name", ("none", *throttler_names())),
             ("criticality.name", ("none", *predictor_names())),
             ("learned.policy", ("none", "bandit", "perceptron")))
+
+
+@functools.lru_cache(maxsize=None)
+def _learned_arm_choices() -> tuple[str, ...]:
+    """Prefetchers the bandit selector may hold as arms: "none" and every
+    L1 prefetcher of the registry."""
+    # Imported here: the prefetchers import this module.
+    from repro.prefetch.base import prefetchers_at
+
+    return ("none", *prefetchers_at("L1"))
 
 
 @functools.lru_cache(maxsize=None)
@@ -569,11 +573,12 @@ class SystemConfig:
                     "name the candidate prefetchers)")
             if not learned.arms:
                 raise ValueError("learned.arms must name at least one arm")
+            choices = _learned_arm_choices()
             for arm in learned.arms:
-                if arm not in LEARNED_ARM_CHOICES:
+                if arm not in choices:
                     raise ValueError(
                         f"unknown bandit arm {arm!r}: choose from "
-                        f"{LEARNED_ARM_CHOICES}")
+                        f"{choices}")
 
     def replace(self, **changes: object) -> "SystemConfig":
         """Return a shallow-copied config with top-level fields replaced."""

@@ -12,10 +12,11 @@ values and hand it to the runner whole: ``runner.results`` and
 ``runner.speedups`` run every (scheme x mix x channel) point and its
 no-prefetching baseline as one batch before any point is read, and
 :func:`speedup_series` turns the speedups into the per-channel geomean
-series most figures plot.  A runner constructed with ``jobs > 1`` fans
-the independent simulations across processes, and one constructed with
-a :class:`~repro.experiments.sweep.ResultStore` serves warm reruns from
-disk.
+series most figures plot.  A driver that reads no baseline hands
+``runner.run_sweep`` only the points it reads.  A runner constructed
+with ``jobs > 1`` fans the independent simulations across processes,
+and one constructed with a :class:`~repro.experiments.sweep.ResultStore`
+serves warm reruns from disk.
 """
 
 from __future__ import annotations
@@ -167,7 +168,9 @@ def figure4(runner: Optional[ExperimentRunner] = None,
     measured = {name: Scheme.parse("berti", criticality=name,
                                    crit_gate=False)
                 for name in predictor_names()}
-    results = runner.results(list(measured.values()), mixes, [channels])
+    results = runner.run_sweep(runner.spec(scheme, mix, channels)
+                               for scheme in measured.values()
+                               for mix in mixes)
     accuracy: Dict[str, float] = {}
     coverage: Dict[str, float] = {}
     for name, scheme in measured.items():
@@ -344,7 +347,9 @@ def figure12(runner: Optional[ExperimentRunner] = None,
     channels = runner.scale.constrained_channels
     schemes = {"berti": Scheme.parse("berti"),
                "berti+clip": Scheme.parse("berti+clip")}
-    results = runner.results(list(schemes.values()), mixes, [channels])
+    results = runner.run_sweep(runner.spec(scheme, mix, channels)
+                               for scheme in schemes.values()
+                               for mix in mixes)
     coverage: Dict[str, Dict[str, float]] = {}
     for label, scheme in schemes.items():
         per_level: Dict[str, List[float]] = {"L1D": [], "L2": [], "LLC": []}
@@ -380,8 +385,9 @@ def figure13(runner: Optional[ExperimentRunner] = None,
     priors = {name: Scheme.parse("berti", criticality=name,
                                  crit_gate=False)
               for name in baselines}
-    results = runner.results([berti_clip] + list(priors.values()), mixes,
-                             [channels])
+    results = runner.run_sweep(runner.spec(scheme, mix, channels)
+                               for scheme in [berti_clip, *priors.values()]
+                               for mix in mixes)
     per_mix: Dict[str, Dict[str, float]] = {}
     for workload, mix in zip(workloads, mixes):
         clip = results[runner.spec(berti_clip, mix, channels)]
@@ -641,7 +647,9 @@ def energy_study(runner: Optional[ExperimentRunner] = None,
     channels = runner.scale.constrained_channels
     schemes = {"berti": Scheme.parse("berti"),
                "berti+clip": Scheme.parse("berti+clip")}
-    results = runner.results(list(schemes.values()), mixes, [channels])
+    results = runner.run_sweep(runner.spec(scheme, mix, channels)
+                               for scheme in schemes.values()
+                               for mix in mixes)
     totals: Dict[str, List[float]] = {}
     for label, scheme in schemes.items():
         # Counter-driven: CLIP structure activity comes off the

@@ -40,6 +40,7 @@ from typing import (Dict, Iterable, Iterator, List, Mapping, Optional,
                     Sequence, Tuple, Union)
 
 from repro.config import SystemConfig, big_little_overrides, scaled_config
+from repro.prefetch.base import prefetchers_at
 from repro.sim.stats import SimulationResult
 from repro.sim.system import run_system
 
@@ -55,9 +56,10 @@ CACHE_SCHEMA_VERSION = 4
 DEFAULT_CACHE_DIR = ".repro-cache"
 
 #: Prefetchers that attach to the L1D ("l1" recipes in the legacy dicts).
-L1_PREFETCHERS = ("berti", "ipcp", "stride", "streamer")
-#: Prefetchers that attach to the L2.
-L2_PREFETCHERS = ("bingo", "spp_ppf")
+L1_PREFETCHERS = prefetchers_at("L1")
+#: Prefetchers that attach to the L2, sorted as ``Scheme.parse``'s
+#: message has always listed them.
+L2_PREFETCHERS = tuple(sorted(prefetchers_at("L2")))
 
 
 # ---------------------------------------------------------------------------
@@ -130,9 +132,11 @@ class Scheme:
 
         The first ``+``-separated token names a prefetcher, "none", or
         "bandit" (the learned selector owns the L1 slot); later tokens
+        name an L2 prefetcher after an L1 one ("berti+spp_ppf"), or
         toggle "clip", "hermes", "dspatch", "perceptron" (the learned
-        filter), a criticality predictor, or a throttler.  Extra
-        ``fields`` override the parsed values, e.g.
+        filter), a criticality predictor, or a throttler.  Every
+        :attr:`label` parses back to its scheme.  Extra ``fields``
+        override the parsed values, e.g.
         ``Scheme.parse("berti", criticality="fvp")``.
         """
         from repro.criticality import predictor_names
@@ -157,6 +161,8 @@ class Scheme:
         for token in tokens[1:]:
             if token in ("clip", "hermes", "dspatch"):
                 parsed[token] = True
+            elif token in L2_PREFETCHERS and "l1" in parsed:
+                parsed["l2"] = token
             elif token in ("bandit", "perceptron"):
                 parsed["learned"] = token
             elif token in predictor_names():

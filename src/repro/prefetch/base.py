@@ -10,7 +10,7 @@ candidates already resident or in flight are squashed.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
 
 class PrefetchRequest:
@@ -39,8 +39,6 @@ class Prefetcher:
 
     #: Human-readable name used in results tables.
     name = "none"
-    #: Cache level the prefetcher trains at ("L1" or "L2").
-    level = "L1"
 
     def on_access(self, ip: int, address: int, hit: bool,
                   cycle: int) -> List[PrefetchRequest]:
@@ -71,8 +69,10 @@ class NullPrefetcher(Prefetcher):
     name = "none"
 
 
-def _factories() -> Dict[str, type]:
-    """Prefetcher classes by configuration name."""
+def _registry() -> Dict[str, Tuple[type, str]]:
+    """Every prefetcher by configuration name: its class and the cache
+    level it trains at ("L1" or "L2"; "" for no prefetching), in the
+    order ``repro run`` lists them."""
     # Imported here to avoid circular imports at package load.
     from repro.prefetch.berti import BertiPrefetcher
     from repro.prefetch.bingo import BingoPrefetcher
@@ -82,28 +82,35 @@ def _factories() -> Dict[str, type]:
     from repro.prefetch.streamer import StreamPrefetcher
 
     return {
-        "none": NullPrefetcher,
-        "berti": BertiPrefetcher,
-        "ipcp": IpcpPrefetcher,
-        "spp_ppf": SppPpfPrefetcher,
-        "bingo": BingoPrefetcher,
-        "stride": IpStridePrefetcher,
-        "streamer": StreamPrefetcher,
+        "none": (NullPrefetcher, ""),
+        "berti": (BertiPrefetcher, "L1"),
+        "ipcp": (IpcpPrefetcher, "L1"),
+        "spp_ppf": (SppPpfPrefetcher, "L2"),
+        "bingo": (BingoPrefetcher, "L2"),
+        "stride": (IpStridePrefetcher, "L1"),
+        "streamer": (StreamPrefetcher, "L1"),
     }
 
 
 def prefetcher_names() -> List[str]:
-    return sorted(_factories())
+    return sorted(_registry())
+
+
+def prefetchers_at(level: str) -> Tuple[str, ...]:
+    """The prefetchers that train at ``level`` ("L1" or "L2"), in
+    registry order."""
+    return tuple(name for name, (_, at) in _registry().items()
+                 if at == level)
 
 
 def make_prefetcher(name: str, degree: int = 4) -> Prefetcher:
     """Instantiate a prefetcher by configuration name."""
-    factories = _factories()
+    registry = _registry()
     try:
-        factory = factories[name]
+        factory, _ = registry[name]
     except KeyError:
         raise ValueError(f"unknown prefetcher {name!r}; "
-                         f"choose from {sorted(factories)}") from None
+                         f"choose from {sorted(registry)}") from None
     if name == "none":
         return factory()
     return factory(degree=degree)

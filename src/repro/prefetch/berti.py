@@ -44,7 +44,6 @@ class BertiPrefetcher(Prefetcher):
     """State-of-the-art local-delta L1D prefetcher."""
 
     name = "berti"
-    level = "L1"
 
     #: Local-coverage watermarks steering the fill level (tuned values for
     #: the 64-core system; the paper notes it uses "the best watermarks").

@@ -38,7 +38,6 @@ class BingoPrefetcher(Prefetcher):
     """Footprint prefetcher keyed on PC+Address / PC+Offset events."""
 
     name = "bingo"
-    level = "L2"
     MAX_GENERATIONS = 64
     MAX_HISTORY = 4096
 

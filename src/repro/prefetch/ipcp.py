@@ -38,7 +38,6 @@ class IpcpPrefetcher(Prefetcher):
     """Lightweight multi-class L1 prefetcher."""
 
     name = "ipcp"
-    level = "L1"
     MAX_IPS = 128
     MAX_REGIONS = 32
     CS_THRESHOLD = 2

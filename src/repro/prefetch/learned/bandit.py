@@ -42,7 +42,6 @@ class SelectedPrefetcher(Prefetcher):
     """
 
     name = "selected"
-    level = "L1"
 
     def __init__(self, arms: Sequence[str], degree: int) -> None:
         self.arms = tuple(arms)

@@ -87,7 +87,6 @@ class SppPpfPrefetcher(Prefetcher):
     """State-of-the-art L2 prefetcher (SPP with perceptron filtering)."""
 
     name = "spp_ppf"
-    level = "L2"
     MAX_PAGES = 256
     LOOKAHEAD_FLOOR = 0.25
 

@@ -28,7 +28,6 @@ class StreamPrefetcher(Prefetcher):
     """Region-based stream detection with direction confirmation."""
 
     name = "streamer"
-    level = "L1"
     MAX_REGIONS = 64
     CONFIRMATIONS = 2
 

@@ -28,7 +28,6 @@ class IpStridePrefetcher(Prefetcher):
     """Per-IP constant-stride prediction."""
 
     name = "stride"
-    level = "L1"
     MAX_IPS = 256
     CONFIDENCE_THRESHOLD = 2
 

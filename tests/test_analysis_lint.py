@@ -399,6 +399,43 @@ class TestWallClock:
             """, WallClockRule())
         assert violations == []
 
+    # A clock bound to a name is flagged where it is bound, not where
+    # the name is called.
+
+    def test_module_clock_bound_to_a_local_fires(self):
+        violations = lint("""
+            import time
+
+            def measure():
+                clock = time.perf_counter
+                return clock()
+            """, WallClockRule())
+        assert [(v.rule_id, v.line) for v in violations] == [("SIM007", 5)]
+
+    def test_imported_clock_bound_to_a_local_fires(self):
+        violations = lint("""
+            from time import perf_counter
+
+            tick = perf_counter
+
+            def measure():
+                return tick()
+            """, WallClockRule())
+        assert [(v.rule_id, v.line) for v in violations] == [("SIM007", 4)]
+
+    def test_clock_bound_to_an_attribute_fires(self):
+        violations = lint("""
+            import time
+
+            class Leases:
+                def __init__(self):
+                    self._clock = time.monotonic
+
+                def deadline(self, lease_s):
+                    return self._clock() + lease_s
+            """, WallClockRule())
+        assert [(v.rule_id, v.line) for v in violations] == [("SIM007", 6)]
+
     def test_serve_coordinator_is_not_exempt(self):
         violations = lint_source(textwrap.dedent("""
             import time

@@ -19,7 +19,9 @@ from types import SimpleNamespace
 
 import pytest
 
-from equivalence_points import GOLDEN_DIR, POINTS
+from equivalence_points import (POINTS, SANITIZED_POINTS, SANITIZER_PIN,
+                                assert_unchanged, load_pin,
+                                sanitizer_check_counts)
 
 from repro.analysis.invariants import SimulationInvariantError, check
 from repro.analysis.sanitizer import (Sanitizer, install_sanitizer,
@@ -274,39 +276,22 @@ def test_sanitized_golden_point(point):
     config.sanitize = True
     system = MulticoreSystem(config, mix)
     result = system.run().to_dict()
-    golden = json.loads((GOLDEN_DIR / f"{point}.json").read_text())
-    assert result == golden["result"]
+    assert_unchanged(f"sanitized golden point {point!r}",
+                     load_pin(point)["result"], result)
     retired = sum(core.retired for core in system.cores)
     assert retired == config.num_cores * (config.warmup_instructions
                                           + config.sim_instructions)
     assert system.sanitizer.checks_by_category["rob"] == 2 * retired
 
 
-#: ``checks_by_category`` of three sanitized golden points: the bare
-#: demand path, CLIP over two prefetch levels, and the related-work
-#: hooks (Hermes, DSPatch, a throttle, the MMU).  Every scheduled event,
-#: MSHR operation, fill, DRAM service and NoC packet is one shim call,
-#: so a component that binds a method before the sanitizer wraps it --
-#: or skips one -- moves these counts.
-PINNED_CHECKS = {
-    "none_mcf": {"cache": 8400, "dram": 1257, "engine": 14280,
-                 "final": 15, "mshr": 5158, "noc": 2584, "rob": 10000},
-    "clip_berti_hetero": {"cache": 6633, "dram": 1056, "engine": 12934,
-                          "final": 15, "mshr": 4353, "noc": 2088,
-                          "rob": 10000},
-    "mechanisms_stride": {"cache": 14113, "dram": 2514, "engine": 20390,
-                          "final": 15, "mshr": 7379, "noc": 4536,
-                          "rob": 12000},
-}
-
-
-@pytest.mark.parametrize("point", sorted(PINNED_CHECKS))
+@pytest.mark.parametrize("point", SANITIZED_POINTS)
 def test_sanitized_check_counts_pinned(point):
-    config, mix = POINTS[point]()
-    config.sanitize = True
-    system = MulticoreSystem(config, mix)
-    system.run()
-    assert system.sanitizer.checks_by_category == PINNED_CHECKS[point]
+    """``tests/data/sanitizer_checks.json`` pins ``checks_by_category``
+    of three sanitized golden points; see
+    :func:`equivalence_points.sanitizer_check_counts`."""
+    pinned = json.loads(SANITIZER_PIN.read_text())
+    assert_unchanged(f"sanitizer check counts of {point!r}",
+                     pinned[point], sanitizer_check_counts(point))
 
 
 def test_port_schedule_goes_through_the_engine_shim():

@@ -31,6 +31,15 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "--prefetcher", "oracle"])
 
+    @pytest.mark.parametrize("verb", ["sweep", "serve", "compare"])
+    def test_unknown_scheme_is_a_usage_error(self, verb, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main([verb, "--schemes", "berti", "oracle"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert f"repro {verb}: error: " in err
+        assert "unknown scheme 'oracle'" in err
+
 
 class TestCommands:
     def test_workloads_lists_all(self, capsys):

@@ -21,9 +21,7 @@ import dataclasses
 import sys
 from typing import Dict, List, Set
 
-from equivalence_points import POINTS
-from test_clip_knob_equivalence import POINTS as KNOB_POINTS
-from test_clip_knob_equivalence import _point as knob_point
+from equivalence_points import CLIP_KNOB_POINTS, POINTS, clip_knob_point
 
 from repro.config import SystemConfig
 from repro.sim.system import run_system
@@ -70,7 +68,7 @@ def _watch(obj, path: str, reads: Set[str]) -> None:
 
 def _points():
     yield from (build() for build in POINTS.values())
-    yield knob_point(*KNOB_POINTS["dynamic-4ch"])
+    yield clip_knob_point(*CLIP_KNOB_POINTS["dynamic-4ch"])
 
 
 def test_every_config_leaf_is_read(monkeypatch):

@@ -1,51 +1,23 @@
 """Fixed-seed equivalence: the hierarchy refactor is behaviour-preserving.
 
-The goldens under ``tests/data/equivalence/`` were captured by running
-``scripts/regenerate_equivalence_goldens.py`` against the pre-refactor
-monolithic ``MulticoreSystem`` (the 855-line ``sim/system.py``).  Every
-point's ``SimulationResult.to_dict()`` must stay bit-identical: same
-cycle counts, same stat counters, same event interleaving.  A diff here
-means the port/message decomposition changed simulated behaviour.
+The 10 golden-matrix points of :mod:`equivalence_points` were first
+captured against the pre-refactor monolithic ``MulticoreSystem`` (the
+855-line ``sim/system.py``).  Every point's ``SimulationResult.to_dict()``
+must stay bit-identical: same cycle counts, same stat counters, same
+event interleaving.  A diff here means the port/message decomposition
+changed simulated behaviour; the failure names the leaves that moved.
 """
 
 from __future__ import annotations
 
-import json
-
 import pytest
 
-from equivalence_points import GOLDEN_DIR, POINTS
-
-from repro.sim.system import run_system
-
-
-def _diff(expected, actual, path=""):
-    """Human-readable leaf-level differences between two to_dict() trees."""
-    out = []
-    if isinstance(expected, dict) and isinstance(actual, dict):
-        for key in sorted(set(expected) | set(actual)):
-            out.extend(_diff(expected.get(key), actual.get(key),
-                             f"{path}.{key}" if path else str(key)))
-    elif isinstance(expected, list) and isinstance(actual, list) \
-            and len(expected) == len(actual):
-        for i, (e, a) in enumerate(zip(expected, actual)):
-            out.extend(_diff(e, a, f"{path}[{i}]"))
-    elif expected != actual:
-        out.append(f"  {path}: golden={expected!r} actual={actual!r}")
-    return out
+from equivalence_points import POINTS, check_result_pin, load_pin
 
 
 @pytest.mark.parametrize("point", sorted(POINTS))
 def test_result_identical_to_pre_refactor_golden(point):
-    golden_path = GOLDEN_DIR / f"{point}.json"
-    golden = json.loads(golden_path.read_text())
-    config, mix = POINTS[point]()
-    assert mix == golden["workloads"]
-    result = run_system(config, mix).to_dict()
-    if result != golden["result"]:
-        diffs = "\n".join(_diff(golden["result"], result)[:40])
-        pytest.fail(f"SimulationResult.to_dict() diverged from the "
-                    f"pre-refactor golden for point {point!r}:\n{diffs}")
+    check_result_pin(point)
 
 
 def test_points_cover_clip_with_prefetchers():
@@ -63,8 +35,7 @@ def test_points_cover_clip_with_prefetchers():
 def test_goldens_have_signal():
     """Goldens must pin non-trivial activity, not an idle machine."""
     for name in POINTS:
-        data = json.loads((GOLDEN_DIR / f"{name}.json").read_text())
-        result = data["result"]
+        result = load_pin(name)["result"]
         assert result["total_cycles"] > 0
         assert result["dram"]["reads"] > 0
         if name != "none_mcf":

@@ -10,10 +10,11 @@ re-simulated result still reproduces every value it pinned.
 
 from __future__ import annotations
 
-import importlib.util
 import json
 import shutil
 from pathlib import Path
+
+from equivalence_points import leaf_changes
 
 from repro.cli import main
 from repro.experiments.sweep import (CACHE_SCHEMA_VERSION, ResultStore,
@@ -24,8 +25,6 @@ from repro.serve.wire import spec_to_dict
 #: A store holding one entry written by the two-engine release (under
 #: the batch engine), verbatim.
 OLD_STORE = Path(__file__).parent / "data" / "store_with_backend_field"
-REGENERATE = (Path(__file__).parent.parent / "scripts"
-              / "regenerate_equivalence_goldens.py")
 
 SPEC = RunSpec(scheme=Scheme(l1="berti"), mix=("605.mcf_s-1536B",),
                channels=1, num_cores=1, sim_instructions=500)
@@ -45,13 +44,6 @@ ADDED_COUNTERS = {
 }
 
 
-def _pinned_leaf_changes(old, new):
-    spec = importlib.util.spec_from_file_location("regenerate", REGENERATE)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module.pinned_leaf_changes(old, new)
-
-
 def test_store_entry_with_backend_field_is_a_miss(tmp_path):
     shutil.copytree(OLD_STORE, tmp_path / "store")
     store = ResultStore(tmp_path / "store")
@@ -63,7 +55,8 @@ def test_store_entry_with_backend_field_is_a_miss(tmp_path):
     assert outcome.cache_hits == 0 and outcome.simulated == 1
     fresh = outcome.results[SPEC].to_dict()
     # Every leaf the old entry pinned survives bit-identically...
-    assert _pinned_leaf_changes(entry["result"], fresh) == []
+    assert [change for change in leaf_changes(entry["result"], fresh)
+            if not change.added] == []
     # ...and the only new leaves are the counters schema 4 added.
     old_counters = entry["result"]["counters"]
     assert set(fresh) == set(entry["result"])

@@ -6,13 +6,15 @@ safe to land:
 * ``SimulationResult.to_dict()/from_dict()`` stays lossless for every
   committed equivalence golden (the goldens double as a corpus of
   realistic, fully-populated result trees);
-* ``RunSpec.cache_key()`` is byte-stable -- the keys below were
-  captured before the perf refactor, so any accidental change to config
+* ``RunSpec.cache_key()`` is byte-stable -- five keys are pinned in
+  ``tests/data/cache_keys.json``, so any accidental change to config
   materialisation (field order, defaults, repr of nested values) or a
   spurious ``CACHE_SCHEMA_VERSION`` bump fails here instead of silently
   invalidating every on-disk sweep cache.  Beyond the five pins, every
   kind of scheme knob is checked against the ``dataclasses.asdict``
-  encoding the key was first defined by.
+  encoding the key was first defined by.  A deliberate schema change
+  re-pins the keys with ``python
+  scripts/regenerate_equivalence_goldens.py``.
 """
 
 from __future__ import annotations
@@ -23,7 +25,8 @@ import json
 
 import pytest
 
-from equivalence_points import GOLDEN_DIR, POINTS
+from equivalence_points import (CACHE_KEY_PIN, KEYED_SPECS, POINTS,
+                                assert_unchanged, load_pin)
 
 from repro.criticality import predictor_names
 from repro.experiments.sweep import (CACHE_SCHEMA_VERSION, L1_PREFETCHERS,
@@ -34,39 +37,11 @@ from repro.throttle import throttler_names
 
 @pytest.mark.parametrize("point", sorted(POINTS))
 def test_result_dict_roundtrip_is_lossless(point):
-    golden = json.loads((GOLDEN_DIR / f"{point}.json").read_text())
-    tree = golden["result"]
+    tree = load_pin(point)["result"]
     rebuilt = SimulationResult.from_dict(tree)
     assert rebuilt.to_dict() == tree
     # A second hop catches asymmetries between the two directions.
     assert SimulationResult.from_dict(rebuilt.to_dict()).to_dict() == tree
-
-
-#: (RunSpec factory kwargs, sha256 hex) captured at schema version 4
-#: (the counter snapshot became the source of every result view and
-#: grew the counters those views read), re-pinned when the materialised
-#: config lost its 17 dead or fixed settings: no older key can be
-#: reached, so the version stayed; see the module docstring before
-#: editing.
-_PINNED_KEYS = [
-    (dict(scheme="berti+clip", mix=("605.mcf_s-1536B",) * 4,
-          channels=1, num_cores=4, sim_instructions=8000),
-     "33babcbfde2861f98dd916d559299bb0343369ec63b2a8556998abfc9ddd3014"),
-    (dict(scheme="none", mix=("623.xalancbmk_s-10B", "tc-14"),
-          channels=1, num_cores=2, sim_instructions=2500),
-     "19cb1082a89b470f8b20c228ef2babb30467c1d98161e0f6d30a25637f4ff6b3"),
-    (dict(scheme="spp_ppf+clip+fdp",
-          mix=("619.lbm_s-2676B", "605.mcf_s-1536B"),
-          channels=2, num_cores=2, sim_instructions=2500),
-     "8525fb45a0417dcd63c8ff81e77d1cd7354d38f10e2f9c7238e2e3dc68bba87d"),
-    (dict(scheme="bandit", mix=("605.mcf_s-1536B", "619.lbm_s-2676B"),
-          channels=1, num_cores=2, sim_instructions=4000),
-     "d225bf8def426d1812f70b784d81df6ef2937531904ad61e488319dff25ac283"),
-    (dict(scheme="berti+perceptron",
-          mix=("605.mcf_s-1536B", "623.xalancbmk_s-10B"),
-          channels=1, num_cores=2, sim_instructions=4000),
-     "25c48008eefe6a2bcf6a2aa33bb8a24a6b9dc57838ef5a060fe9e2cf6aef1147"),
-]
 
 
 def test_cache_schema_version_matches_learned_release():
@@ -79,15 +54,11 @@ def test_cache_schema_version_matches_learned_release():
     assert CACHE_SCHEMA_VERSION == 4
 
 
-@pytest.mark.parametrize("kwargs,expected",
-                         _PINNED_KEYS,
-                         ids=[k[0]["scheme"] for k in _PINNED_KEYS])
-def test_sweep_cache_keys_unchanged(kwargs, expected):
-    spec = RunSpec(scheme=Scheme.parse(kwargs["scheme"]),
-                   mix=kwargs["mix"], channels=kwargs["channels"],
-                   num_cores=kwargs["num_cores"],
-                   sim_instructions=kwargs["sim_instructions"])
-    assert spec.cache_key() == expected
+@pytest.mark.parametrize("name", KEYED_SPECS)
+def test_sweep_cache_keys_unchanged(name):
+    pinned = json.loads(CACHE_KEY_PIN.read_text())
+    assert_unchanged(f"cache key {name!r}", pinned[name],
+                     KEYED_SPECS[name].cache_key())
 
 
 def asdict_key(spec: RunSpec) -> str:

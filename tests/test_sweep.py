@@ -10,9 +10,9 @@ import pytest
 
 from repro.config import SystemConfig
 from repro.experiments import BenchScale, ExperimentRunner
-from repro.experiments.sweep import (CACHE_SCHEMA_VERSION, ResultStore,
-                                     RunSpec, Scheme, Sweep, execute_spec,
-                                     run_sweep)
+from repro.experiments.sweep import (CACHE_SCHEMA_VERSION, L1_PREFETCHERS,
+                                     L2_PREFETCHERS, ResultStore, RunSpec,
+                                     Scheme, Sweep, execute_spec, run_sweep)
 from repro.sim.stats import SimulationResult
 from repro.trace.mixes import homogeneous_mix
 
@@ -69,6 +69,19 @@ class TestScheme:
                      "spp_ppf+clip", "berti+hermes", "berti+dspatch",
                      "bandit", "berti+perceptron", "bandit+fdp"):
             assert Scheme.parse(name).label == name
+
+    @pytest.mark.parametrize("l1", L1_PREFETCHERS)
+    @pytest.mark.parametrize("l2", L2_PREFETCHERS)
+    @pytest.mark.parametrize("clip", [False, True])
+    def test_two_level_label_parses_back(self, l1, l2, clip):
+        scheme = Scheme(l1=l1, l2=l2, clip=clip)
+        assert Scheme.parse(scheme.label) == scheme
+
+    def test_l2_token_needs_an_l1_head(self):
+        with pytest.raises(ValueError, match="unknown scheme token"):
+            Scheme.parse("bingo+spp_ppf")
+        with pytest.raises(ValueError, match="unknown scheme token"):
+            Scheme.parse("none+bingo")
 
     def test_parse_learned_tokens(self):
         assert Scheme.parse("bandit").learned == "bandit"
