@@ -39,6 +39,11 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for hints only
 
 _IGNORE_RE = re.compile(r"#\s*sim-lint:\s*ignore(?:\[([A-Z0-9, ]+)\])?")
 
+#: The ``time`` module's wall-clock functions (SIM007, SIM011).
+WALLCLOCK_TIME_FUNCS = frozenset({
+    "time", "monotonic", "perf_counter", "process_time", "monotonic_ns",
+    "time_ns", "perf_counter_ns"})
+
 #: AST nodes that open a new naming scope.
 _SCOPE_NODES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
@@ -263,8 +268,7 @@ def _index_imports(ctx: LintContext) -> None:
                             f"numpy.random.{alias.name}")
             elif node.module == "time":
                 for alias in node.names:
-                    if alias.name in ("time", "monotonic", "perf_counter",
-                                      "process_time"):
+                    if alias.name in WALLCLOCK_TIME_FUNCS:
                         ctx.time_functions[alias.asname or alias.name] = (
                             f"time.{alias.name}")
             elif node.module == "datetime":

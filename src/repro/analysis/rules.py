@@ -30,7 +30,8 @@ import ast
 import re
 from typing import Iterator, List, Optional, Sequence
 
-from repro.analysis.framework import LintContext, Rule, Violation
+from repro.analysis.framework import (WALLCLOCK_TIME_FUNCS, LintContext,
+                                      Rule, Violation)
 
 #: ``random`` module functions that consume the *global* (unseeded) state.
 _GLOBAL_RNG_FUNCS = {
@@ -49,10 +50,6 @@ _CYCLE_NAME_RE = re.compile(
 #: ``channel.stats...``, ``self.prefetch_stats...``) or a bare local
 #: alias (``stats = self.stats; stats.reads += 1``).
 _STATS_BASE_RE = re.compile(r"(^stats$)|(_stats$)")
-
-_WALLCLOCK_TIME_FUNCS = {"time", "monotonic", "perf_counter",
-                         "process_time", "monotonic_ns", "time_ns",
-                         "perf_counter_ns"}
 
 
 def _target_name(node: ast.expr) -> str:
@@ -400,7 +397,7 @@ def _wall_clock_function(node: ast.AST, ctx: LintContext) -> Optional[str]:
         return None
     base = node.value
     if (isinstance(base, ast.Name) and base.id in ctx.time_modules
-            and node.attr in _WALLCLOCK_TIME_FUNCS):
+            and node.attr in WALLCLOCK_TIME_FUNCS):
         return f"time.{node.attr}"
     if node.attr not in ("now", "utcnow", "today"):
         return None

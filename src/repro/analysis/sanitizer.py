@@ -373,9 +373,10 @@ class Sanitizer:
         # Deferred import: repro.sim.stats resolves through repro.sim's
         # package __init__, which imports this module.
         from repro.sim.stats import derive_views
-        prefetch = derive_views(system.hierarchy.counters.snapshot(),
+        prefetch = derive_views(system.counters.snapshot(),
                                 system.engine.now,
-                                system.config.criticality.name)["prefetch"]
+                                system.config.criticality.name,
+                                system.workload_names)["prefetch"]
         errors = prefetch.consistency_errors()
         self._count("final", 1)
         check(not errors, "prefetch statistics inconsistent: %s",

@@ -37,7 +37,8 @@ from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 from repro.analysis.callgraph import function_ref
 from repro.analysis.dataflow import (TaintAnalysis, TaintResult, TaintSpec,
                                      walk_excluding_nested)
-from repro.analysis.framework import LintContext, Rule, Violation
+from repro.analysis.framework import (WALLCLOCK_TIME_FUNCS, LintContext,
+                                      Rule, Violation)
 
 #: The simulator's hot layers: the engine, the caches, the hierarchy,
 #: the core model and CLIP.  Their classes keep a static attribute
@@ -60,10 +61,6 @@ _GLOBAL_RNG_FUNCS = {
     "shuffle", "uniform", "gauss", "normalvariate", "expovariate",
     "betavariate", "triangular", "randbytes", "getrandbits", "seed",
 }
-
-_WALLCLOCK_TIME_FUNCS = {"time", "monotonic", "perf_counter",
-                         "process_time", "monotonic_ns", "time_ns",
-                         "perf_counter_ns"}
 
 _LISTDIR_ATTRS = {"listdir", "scandir", "iterdir", "glob", "rglob"}
 _LISTDIR_NAMES = {"listdir", "scandir", "glob", "iglob"}
@@ -296,7 +293,7 @@ class EntropySpec(TaintSpec):
             return None
         base = func.value
         if (isinstance(base, ast.Name) and base.id in ctx.time_modules
-                and func.attr in _WALLCLOCK_TIME_FUNCS):
+                and func.attr in WALLCLOCK_TIME_FUNCS):
             return f"wall-clock time.{func.attr}()"
         if func.attr in ("now", "utcnow", "today"):
             if (isinstance(base, ast.Name)

@@ -43,9 +43,6 @@ class CacheStats:
     """Access-side statistics for one cache instance."""
 
     def __init__(self) -> None:
-        self.accesses = 0
-        self.hits = 0
-        self.misses = 0
         self.demand_accesses = 0
         self.demand_hits = 0
         self.demand_misses = 0
@@ -53,12 +50,6 @@ class CacheStats:
         self.useful_prefetches = 0
         self.useless_evictions = 0
         self.writebacks = 0
-
-    @property
-    def prefetch_accuracy(self) -> float:
-        if not self.prefetch_fills:
-            return 0.0
-        return self.useful_prefetches / self.prefetch_fills
 
     def counters(self) -> Dict[str, int]:
         """The activity counters every cache's counter group reports."""
@@ -111,16 +102,13 @@ class Cache:
         set_index = line % num_sets
         tag = line // num_sets
         stats = self.stats
-        stats.accesses += 1
         if is_demand:
             stats.demand_accesses += 1
         way = self._map[set_index].get(tag)
         if way is None:
-            stats.misses += 1
             if is_demand:
                 stats.demand_misses += 1
             return False
-        stats.hits += 1
         if is_demand:
             stats.demand_hits += 1
         state = self._lines[set_index][way]

@@ -283,13 +283,6 @@ class ClipConfig:
     signature_use_branch_history: bool = True
     signature_use_criticality_history: bool = True
 
-    def scaled(self, factor: float) -> "ClipConfig":
-        """Return a copy with both tables scaled by ``factor`` (Fig. 18)."""
-        clone = dataclasses.replace(self)
-        clone.filter_sets = max(1, int(self.filter_sets * factor))
-        clone.predictor_sets = max(1, int(self.predictor_sets * factor))
-        return clone
-
 
 @dataclass
 class CriticalityConfig:

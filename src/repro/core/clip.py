@@ -5,7 +5,7 @@ One :class:`Clip` instance attaches to one core.  It observes:
 * branch dispatches        -> global branch history;
 * load responses           -> predictor training, criticality filter
                               population, criticality history, and the
-                              accuracy/coverage bookkeeping behind
+                              accuracy/coverage measurement behind
                               Figs. 13-15;
 * L1D accesses and misses  -> utility-buffer CAM matching, exploration
                               windows, APC phase detection;
@@ -26,12 +26,13 @@ from repro.core.signature import (closed_form_signature, history_term,
                                   signature_masks)
 from repro.core.utility_buffer import UtilityBuffer
 from repro.cpu.core_model import Core, RobEntry, ServiceLevel
+from repro.criticality.base import CriticalityMeasurement
 
 _LEVEL_L2 = ServiceLevel.L2
 
 
 class ClipStats:
-    """Prediction-quality and filtering statistics for one core."""
+    """Filtering and structure-activity statistics for one core."""
 
     def __init__(self) -> None:
         self.prefetches_seen = 0
@@ -40,11 +41,6 @@ class ClipStats:
         self.dropped_low_accuracy = 0
         self.dropped_predictor = 0
         self.dropped_phase_pause = 0
-        # Criticality prediction quality (measured on L1-miss loads).
-        self.predicted_critical = 0
-        self.predicted_critical_correct = 0
-        self.actual_critical = 0
-        self.covered_critical = 0
         self.windows = 0
         self.phase_changes = 0
         # Structure activity (energy-model inputs): every lookup/update
@@ -94,6 +90,8 @@ class Clip:
                             config.signature_use_branch_history,
                             config.signature_use_criticality_history)
         self.stats = ClipStats()
+        #: Criticality prediction quality, measured on L1-miss loads.
+        self.measurement = CriticalityMeasurement()
         self._window_misses = 0
         self._paused_for_window = False
         #: Dynamic CLIP (section 5.3): when the system reports ample
@@ -153,15 +151,8 @@ class Clip:
                                                 self._address_mask))
         # --- measurement (Figs. 13-15): what would CLIP have predicted? --
         if beyond_l1:
-            predicted = self._predict_critical(key, signature)
-            if predicted:
-                self.stats.predicted_critical += 1
-                if critical:
-                    self.stats.predicted_critical_correct += 1
-            if critical:
-                self.stats.actual_critical += 1
-                if predicted:
-                    self.stats.covered_critical += 1
+            self.measurement.note(self._predict_critical(key, signature),
+                                  critical)
             census = self.ip_census.get(entry.ip)
             if census is None:
                 census = [0, 0]
@@ -305,19 +296,25 @@ class Clip:
 
     def counters(self) -> Dict[str, int]:
         """CLIP's ``clip_*`` counters in its core's ``core{N}.chain``
-        group: filtering, prediction quality on L1-miss loads (Figs.
-        13-14), exploration windows and phase changes, the Fig. 15
-        critical-IP census, and structure accesses (energy inputs)."""
+        group: filtering and the reason for each drop, prediction
+        quality on L1-miss loads (Figs. 13-14), exploration windows and
+        phase changes, the Fig. 15 critical-IP census, and structure
+        accesses (energy inputs)."""
         stats = self.stats
+        measurement = self.measurement
         static, dynamic = self.critical_ip_census()
         return {
             "clip_prefetches_seen": stats.prefetches_seen,
             "clip_prefetches_allowed": stats.prefetches_allowed,
-            "clip_predicted_critical": stats.predicted_critical,
+            "clip_dropped_not_critical": stats.dropped_not_critical,
+            "clip_dropped_low_accuracy": stats.dropped_low_accuracy,
+            "clip_dropped_predictor": stats.dropped_predictor,
+            "clip_dropped_phase_pause": stats.dropped_phase_pause,
+            "clip_predicted_critical": measurement.predicted,
             "clip_predicted_critical_correct":
-                stats.predicted_critical_correct,
-            "clip_actual_critical": stats.actual_critical,
-            "clip_covered_critical": stats.covered_critical,
+                measurement.predicted_correct,
+            "clip_actual_critical": measurement.actual,
+            "clip_covered_critical": measurement.covered,
             "clip_windows": stats.windows,
             "clip_phase_changes": stats.phase_changes,
             "clip_static_critical_ips": static,

@@ -80,7 +80,6 @@ class CriticalityFilter:
         self._sets: List[Dict[int, FilterEntry]] = [
             dict() for _ in range(sets)
         ]
-        self.evictions = 0
 
     # ------------------------------------------------------------------
     # An IP hashes to ``(ip >> 2) ^ (ip >> 13)``; the hash modulo the set
@@ -102,7 +101,6 @@ class CriticalityFilter:
                 victim_tag = min(bucket,
                                  key=lambda t: bucket[t].crit_count)
                 del bucket[victim_tag]
-                self.evictions += 1
             entry = FilterEntry(tag)
             bucket[tag] = entry
         if entry.crit_count < self.crit_count_max:

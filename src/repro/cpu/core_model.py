@@ -116,12 +116,6 @@ class CoreStats:
         self.critical_load_instances = 0
         self.load_instances_beyond_l1 = 0
 
-    @property
-    def ipc(self) -> float:
-        if not self.finish_cycle:
-            return 0.0
-        return self.instructions / self.finish_cycle
-
 
 class Core:
     """A single out-of-order core consuming one trace.
@@ -436,3 +430,25 @@ class Core:
     @property
     def rob_occupancy(self) -> int:
         return len(self.rob)
+
+    def counters(self) -> Dict[str, int]:
+        """The ``core{N}.cpu`` counter group: the retirement statistics
+        of the measured window under their ``CoreResult`` names, and the
+        branch predictor's prediction counts, which run across warm-up
+        as well."""
+        stats = self.stats
+        predictor = self.branch_predictor
+        return {
+            "instructions": stats.instructions,
+            "cycles": stats.finish_cycle,
+            "loads": stats.loads,
+            "stores": stats.stores,
+            "branches": stats.branches,
+            "mispredicts": stats.mispredicts,
+            "head_stall_cycles": stats.head_stall_cycles,
+            "head_stall_cycles_miss": stats.head_stall_cycles_miss,
+            "critical_load_instances": stats.critical_load_instances,
+            "load_instances_beyond_l1": stats.load_instances_beyond_l1,
+            "branch_predictions": predictor.predictions,
+            "branch_mispredictions": predictor.mispredictions,
+        }

@@ -7,7 +7,7 @@ without any plotting dependency.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional
 
 _BLOCKS = " ▏▎▍▌▋▊▉█"
 
@@ -46,19 +46,3 @@ def bar_chart(values: Dict[str, float], title: str = "",
         lines.append(f"{label.ljust(label_width)}  {value:7.3f}  {bar}")
     return "\n".join(lines)
 
-
-def grouped_chart(series: Dict[str, Sequence[float]],
-                  group_labels: Sequence[str], title: str = "",
-                  width: int = 40,
-                  reference: Optional[float] = None) -> str:
-    """Grouped bars: one group per entry of ``group_labels`` (e.g. one per
-    channel count), one bar per series (e.g. one per prefetcher)."""
-    lines: List[str] = []
-    if title:
-        lines.append(title)
-    for index, group in enumerate(group_labels):
-        lines.append(f"[{group}]")
-        group_values = {name: curve[index] for name, curve in series.items()}
-        lines.append(bar_chart(group_values, width=width,
-                               reference=reference))
-    return "\n".join(lines)

@@ -71,4 +71,4 @@ def bench_cache_access(accesses: int = 200_000) -> Dict:
     seconds = time.perf_counter() - start
     return {"accesses": accesses, "seconds": seconds,
             "accesses_per_sec": accesses / seconds,
-            "hit_rate": cache.stats.hits / cache.stats.accesses}
+            "hit_rate": cache.stats.demand_hits / cache.stats.demand_accesses}

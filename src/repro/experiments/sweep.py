@@ -48,7 +48,7 @@ from repro.sim.system import run_system
 #: any change that alters simulation outcomes or the ``to_dict`` layout;
 #: every existing cache entry becomes unreachable (keys embed the version)
 #: and is re-simulated on demand.
-CACHE_SCHEMA_VERSION = 4
+CACHE_SCHEMA_VERSION = 5
 
 #: Default location of the persistent result store, relative to the
 #: working directory; override with the ``REPRO_CACHE_DIR`` environment

@@ -1,29 +1,36 @@
 """Typed per-component counter layer: the single source of results.
 
-Every hierarchy component (L1 node, L2 node, prefetch filter chain, LLC
-slice, NoC link, DRAM port) exposes its activity counters through a
-``counters()`` method returning a flat ``{name: int}`` mapping -- one
-:class:`CounterGroup` per component instance.  The groups are *pulled*,
-not pushed: components keep plain integer attributes on their hot paths
-and the registry reads them once, at result-collection time, so the
-layer costs nothing on the hot path.  The snapshot lands on
-``SimulationResult.counters`` and is the only record of a run's
-activity: :func:`repro.sim.stats.derive_views` computes every typed
-result view (levels, prefetch, DRAM, NoC, CLIP, criticality) from it,
-and the energy model prices it -- the per-structure access counts the
-paper feeds to CACTI-P and the Micron DRAM power calculator.  Ratios
-are never counters: a component reports the integer sum and count, and
-the view divides.
+Every core and every hierarchy component (L1 node, L2 node, prefetch
+filter chain, LLC slice, NoC link, DRAM port) exposes its activity
+counters through a ``counters()`` method returning a flat
+``{name: int}`` mapping -- one :class:`CounterGroup` per component
+instance.  The groups are *pulled*, not pushed: components keep plain
+integer attributes on their hot paths and the registry reads them once,
+at result-collection time, so the layer costs nothing on the hot path.
+The snapshot lands on ``SimulationResult.counters`` and is the only
+record of a run's activity: :func:`repro.sim.stats.derive_views`
+computes every typed result view (cores, branch accuracy, levels,
+prefetch, DRAM, NoC, CLIP, criticality) from it, and the energy model
+prices it -- the per-structure access counts the paper feeds to CACTI-P
+and the Micron DRAM power calculator.  Ratios are never counters: a
+component reports the integer sum and count, and the view divides.
 
 Group naming convention (stable; the views and the energy model key off
 it -- ``docs/energy.md`` lists every counter and the field it feeds):
 
+* ``core{N}.cpu``                   -- core N's retirement counts over
+  the measured window under their ``CoreResult`` names, and its branch
+  predictor's ``branch_predictions`` / ``branch_mispredictions``
+  (warm-up included); they feed ``cores`` and ``branch_accuracy``, and
+  no energy term prices them;
 * ``core{N}.l1d`` / ``core{N}.l2``  -- private cache levels of core N,
   with each MSHR's late prefetch merges; the L1D group also carries the
   core's demand-load latency sums and counts by miss level;
 * ``core{N}.chain``                 -- prefetch filter chain (candidate,
   issue, drop and use accounting, plus the ``clip_*``, ``crit_*`` and
-  ``policy_*`` counters of whatever is attached);
+  ``policy_*`` counters of whatever is attached; CLIP's include the
+  reason for each drop, ``clip_dropped_{not_critical,low_accuracy,``
+  ``predictor,phase_pause}``);
 * ``llc.slice{N}``                  -- one shared-LLC bank;
 * ``noc``                           -- mesh totals including exact
   flit-hops (real XY route lengths) and summed packet latency;
@@ -71,10 +78,11 @@ class CounterGroup:
 class CounterRegistry:
     """Ordered collection of every component's :class:`CounterGroup`.
 
-    The hierarchy builder registers one group per component at wiring
-    time; :meth:`snapshot` reads them all at result-collection time.
-    Registration order is preserved so the snapshot's group order is
-    deterministic (construction order: cores, LLC slices, NoC, DRAM).
+    At wiring time the hierarchy registers one group per component and
+    the system one per core; :meth:`snapshot` reads them all at
+    result-collection time.  Registration order is preserved so the
+    snapshot's group order is deterministic (construction order: private
+    levels and chains, LLC slices, NoC, DRAM, cores).
     """
 
     __slots__ = ("_groups",)

@@ -70,16 +70,12 @@ class Hierarchy:
         self._store_entries: List[Callable[..., None]] = [
             node.l1.issue_store if node.l1.mmu is not None
             else node.l1._store_translated for node in self.nodes]
-        #: Typed per-component counter layer: one registered
-        #: :class:`~repro.sim.counters.CounterGroup` per component,
-        #: snapshotted into ``SimulationResult.counters`` at collection
-        #: time (pull model -- zero hot-path cost); every result view
-        #: derives from that snapshot.
-        self.counters = CounterRegistry()
-        self._register_counters()
 
-    def _register_counters(self) -> None:
-        registry = self.counters
+    def register_counters(self, registry: CounterRegistry) -> None:
+        """Register one :class:`~repro.sim.counters.CounterGroup` per
+        component with ``registry``, which the caller owns and
+        snapshots into ``SimulationResult.counters`` (pull model -- zero
+        hot-path cost)."""
         for node in self.nodes:
             registry.register(f"core{node.core_id}.l1d", node.l1.counters)
             registry.register(f"core{node.core_id}.l2", node.l2.counters)

@@ -7,15 +7,15 @@ scheme, here always no-prefetching with the same DRAM channel count --
 
 The per-component counter snapshot (:mod:`repro.sim.counters`) is the
 only source of a result's numbers: :func:`derive_views` computes the
-typed ``levels`` / ``prefetch`` / ``dram`` / ``noc`` / ``clip`` /
-``criticality`` views from it.
+typed ``cores`` / ``branch_accuracy`` / ``levels`` / ``prefetch`` /
+``dram`` / ``noc`` / ``clip`` / ``criticality`` views from it.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 
 @dataclass
@@ -195,10 +195,10 @@ class SimulationResult:
     total_cycles: int = 0
     branch_accuracy: float = 1.0
     #: Per-component counter snapshot (``repro.sim.counters``):
-    #: ``{group: {counter: value}}``, one group per hierarchy component
-    #: (``core{N}.l1d``, ``core{N}.l2``, ``core{N}.chain``,
-    #: ``llc.slice{N}``, ``noc``, ``dram.ch{N}``).  The views above are
-    #: :func:`derive_views` of it.
+    #: ``{group: {counter: value}}``, one group per component
+    #: (``core{N}.cpu``, ``core{N}.l1d``, ``core{N}.l2``,
+    #: ``core{N}.chain``, ``llc.slice{N}``, ``noc``, ``dram.ch{N}``).
+    #: The views above are :func:`derive_views` of it.
     counters: Dict[str, Dict[str, int]] = field(default_factory=dict)
     #: Counter-driven dynamic energy (``repro.energy``): total, by
     #: component, and the energy-delay product at the configured core
@@ -276,6 +276,13 @@ class SimulationResult:
         )
 
 
+#: :class:`CoreResult` integer fields; each is the ``core{N}.cpu``
+#: counter of the same name.
+_CORE_COUNTERS = ("instructions", "cycles", "loads", "stores", "branches",
+                  "mispredicts", "head_stall_cycles",
+                  "head_stall_cycles_miss", "critical_load_instances",
+                  "load_instances_beyond_l1")
+
 #: Cache-activity counters every cache group reports under the
 #: :class:`LevelStats` field of the same name.
 _LEVEL_COUNTERS = ("demand_accesses", "demand_hits", "demand_misses",
@@ -295,19 +302,21 @@ def _ratio(numerator: int, denominator: int) -> float:
 
 
 def derive_views(counters: Dict[str, Dict[str, int]], total_cycles: int,
-                 criticality: str) -> Dict[str, Any]:
+                 criticality: str, workloads: Sequence[str],
+                 ) -> Dict[str, Any]:
     """The typed result views, computed from a counter snapshot alone.
 
-    Returns :class:`SimulationResult`'s ``levels``, ``prefetch``,
-    ``dram``, ``noc``, ``clip`` and ``criticality`` fields, keyed by
-    field name.  ``total_cycles`` scales DRAM utilization and
-    ``criticality`` names the configured baseline predictor (``"none"``:
-    no criticality view); the CLIP view exists exactly when the chain
-    groups carry CLIP's counters.
+    Returns :class:`SimulationResult`'s ``cores``, ``branch_accuracy``,
+    ``levels``, ``prefetch``, ``dram``, ``noc``, ``clip`` and
+    ``criticality`` fields, keyed by field name.  ``total_cycles``
+    scales DRAM utilization, ``criticality`` names the configured
+    baseline predictor (``"none"``: no criticality view) and
+    ``workloads`` names each core's workload, in core order; the CLIP
+    view exists exactly when the chain groups carry CLIP's counters.
     """
     # Sum every counter over the groups of one kind: per-core groups
-    # (``core{N}.l1d`` / ``.l2`` / ``.chain``) by suffix, shared ones
-    # (``llc.slice{N}``, ``noc``, ``dram.ch{N}``) by prefix.
+    # (``core{N}.cpu`` / ``.l1d`` / ``.l2`` / ``.chain``) by suffix,
+    # shared ones (``llc.slice{N}``, ``noc``, ``dram.ch{N}``) by prefix.
     totals: Dict[str, Dict[str, int]] = {}
     busy: List[Tuple[int, int]] = []
     for group, values in counters.items():
@@ -318,6 +327,14 @@ def derive_views(counters: Dict[str, Dict[str, int]], total_cycles: int,
             bucket[key] = bucket.get(key, 0) + value
         if kind == "dram":
             busy.append((int(tail[len("ch"):]), values["busy_cycles"]))
+    cores = [CoreResult(core_id, workload,
+                        **{key: counters[f"core{core_id}.cpu"][key]
+                           for key in _CORE_COUNTERS})
+             for core_id, workload in enumerate(workloads)]
+    cpu = totals["cpu"]
+    predictions = cpu["branch_predictions"]
+    branch_accuracy = (1.0 - cpu["branch_mispredictions"] / predictions
+                       if predictions else 1.0)
     l1, l2, chain = totals["l1d"], totals["l2"], totals["chain"]
     levels = {}
     for name, group, prefix in (("L1D", l1, "l1d"), ("L2", l2, "l2"),
@@ -359,6 +376,8 @@ def derive_views(counters: Dict[str, Dict[str, int]], total_cycles: int,
                             chain["crit_predicted"]),
             coverage=_ratio(chain["crit_covered"], chain["crit_actual"]))
     return {
+        "cores": cores,
+        "branch_accuracy": branch_accuracy,
         "levels": levels,
         "prefetch": prefetch,
         "dram": DramResult(

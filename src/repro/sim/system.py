@@ -11,9 +11,10 @@ Memory request flow (demand load):
 
 The request-flow logic lives in the hierarchy components; this module
 only owns configuration-driven wiring (cores attached to the hierarchy,
-CLIP/criticality predictors attached to cores) and result collection:
-the hierarchy's counter snapshot, the views derived from it
-(:func:`repro.sim.stats.derive_views`), and per-core retirement stats.
+CLIP/criticality predictors attached to cores, the counter registry
+holding the hierarchy's groups and each core's) and result collection:
+the counter snapshot, the views derived from it
+(:func:`repro.sim.stats.derive_views`), and their energy.
 """
 
 from __future__ import annotations
@@ -28,10 +29,11 @@ from repro.cpu.branch import HashedPerceptronPredictor, outcome_stream
 from repro.cpu.core_model import Core
 from repro.dram.controller import DramSystem
 from repro.noc.mesh import MeshNoc
+from repro.sim.counters import CounterRegistry
 from repro.sim.engine import Engine
 from repro.sim.hierarchy import CoreNode, Hierarchy
 from repro.sim.tracing import RequestTrace
-from repro.sim.stats import CoreResult, SimulationResult, derive_views
+from repro.sim.stats import SimulationResult, derive_views
 from repro.trace.record import TraceRecord
 from repro.trace.synthetic import SyntheticWorkload
 from repro.trace.workloads import get_workload
@@ -107,6 +109,13 @@ class MulticoreSystem:
             if config.capture_request_trace else None)
         self.hierarchy = Hierarchy(config, self.engine, self.noc,
                                    self.dram, self.request_trace)
+        #: One counter group per hierarchy component and per core; every
+        #: result field but the label and energy derives from its
+        #: snapshot.  The system owns it because a core references the
+        #: hierarchy, so a registry held there would keep every core in
+        #: a reference cycle until the cyclic collector runs.
+        self.counters = CounterRegistry()
+        self.hierarchy.register_counters(self.counters)
         self.cores: List[Core] = []
         self._build_cores()
         if self.sanitizer is not None:
@@ -168,6 +177,7 @@ class MulticoreSystem:
                 node.clip.attach(core)
             if node.crit_gate is not None:
                 node.crit_gate.attach(core)
+            self.counters.register(f"core{core_id}.cpu", core.counters)
             self.cores.append(core)
 
     # ------------------------------------------------------------------
@@ -181,28 +191,13 @@ class MulticoreSystem:
         return self._collect(final_cycle)
 
     def _collect(self, final_cycle: int) -> SimulationResult:
-        counters = self.hierarchy.counters.snapshot()
+        counters = self.counters.snapshot()
         result = SimulationResult(
             config_label=self.label, total_cycles=final_cycle,
             counters=counters,
             **derive_views(counters, final_cycle,
-                           self.config.criticality.name))
-        for core, name in zip(self.cores, self.workload_names):
-            s = core.stats
-            result.cores.append(CoreResult(
-                core_id=core.core_id, workload=name,
-                instructions=s.instructions, cycles=s.finish_cycle,
-                loads=s.loads, stores=s.stores, branches=s.branches,
-                mispredicts=s.mispredicts,
-                head_stall_cycles=s.head_stall_cycles,
-                head_stall_cycles_miss=s.head_stall_cycles_miss,
-                critical_load_instances=s.critical_load_instances,
-                load_instances_beyond_l1=s.load_instances_beyond_l1))
-        predictions = sum(c.branch_predictor.predictions for c in self.cores)
-        mispredicts = sum(c.branch_predictor.mispredictions
-                          for c in self.cores)
-        result.branch_accuracy = (1.0 - mispredicts / predictions
-                                  if predictions else 1.0)
+                           self.config.criticality.name,
+                           self.workload_names))
         self._attach_energy(result)
         return result
 

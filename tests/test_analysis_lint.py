@@ -392,6 +392,17 @@ class TestWallClock:
             """, WallClockRule())
         assert len(violations) == 1
 
+    @pytest.mark.parametrize("clock", ["perf_counter_ns", "monotonic_ns",
+                                       "time_ns"])
+    def test_nanosecond_clock_from_import_fires(self, clock):
+        violations = lint(f"""
+            from time import {clock}
+
+            def measure():
+                return {clock}()
+            """, WallClockRule())
+        assert [(v.rule_id, v.line) for v in violations] == [("SIM007", 5)]
+
     def test_engine_time_clean(self):
         violations = lint("""
             def stamp(engine, record):

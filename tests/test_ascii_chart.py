@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from repro.experiments.ascii_chart import bar_chart, grouped_chart
+from repro.experiments.ascii_chart import bar_chart
 
 
 class TestBarChart:
@@ -35,16 +35,3 @@ class TestBarChart:
         lines = text.splitlines()
         assert lines[0].index("1.000") == lines[1].index("1.000")
 
-
-class TestGroupedChart:
-    def test_one_block_per_group(self):
-        text = grouped_chart({"s1": [1.0, 2.0], "s2": [2.0, 1.0]},
-                             ["ch=1", "ch=2"], title="t")
-        assert text.count("[ch=") == 2
-        assert text.splitlines()[0] == "t"
-
-    def test_group_values_selected_by_index(self):
-        text = grouped_chart({"s": [1.0, 3.0]}, ["g0", "g1"])
-        blocks = text.split("[g1]")
-        assert "1.000" in blocks[0]
-        assert "3.000" in blocks[1]

@@ -27,10 +27,10 @@ class TestCacheBasics:
     def test_probe_does_not_disturb_stats(self):
         cache = _small_cache()
         cache.fill(0x5, pc=1, now=0)
-        before = cache.stats.accesses
+        before = cache.stats.counters()
         assert cache.probe(0x5)
         assert not cache.probe(0x6)
-        assert cache.stats.accesses == before
+        assert cache.stats.counters() == before
 
     def test_write_sets_dirty_and_eviction_reports_it(self):
         cache = _small_cache()

@@ -29,7 +29,7 @@ class TestFilterRequestStages:
         clip = Clip(_clip_config())
         allowed, crit = clip.filter_request(0x999, 0x4000, cycle=0)
         assert not allowed and not crit
-        assert clip.stats.dropped_not_critical == 1
+        assert clip.counters()["clip_dropped_not_critical"] == 1
 
     def test_critical_trained_ip_passes_both_stages(self):
         clip = Clip(_clip_config())
@@ -54,7 +54,7 @@ class TestFilterRequestStages:
             clip.predictor.train(clip._signature(ip, line), False)
         allowed, _ = clip.filter_request(ip, address, cycle=0)
         assert not allowed
-        assert clip.stats.dropped_predictor == 1
+        assert clip.counters()["clip_dropped_predictor"] == 1
 
     def test_no_crit_flag_when_priority_disabled(self):
         clip = Clip(_clip_config(criticality_conscious_noc_dram=False))
@@ -83,7 +83,7 @@ class TestFilterRequestStages:
         clip.predictor.train(clip._signature(ip, 0x4000 >> 6), True)
         allowed, _ = clip.filter_request(ip, 0x4000, cycle=0)
         assert not allowed
-        assert clip.stats.dropped_low_accuracy == 1
+        assert clip.counters()["clip_dropped_low_accuracy"] == 1
 
 
 class TestUtilityAccounting:
@@ -132,7 +132,7 @@ class TestPhaseReset:
         # And prefetching pauses for the following window.
         allowed, _ = clip.filter_request(0x400, 0x4000, cycle)
         assert not allowed
-        assert clip.stats.dropped_phase_pause == 1
+        assert clip.counters()["clip_dropped_phase_pause"] == 1
 
 
 class TestClipEndToEnd:

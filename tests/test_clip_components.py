@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -156,7 +158,8 @@ class TestCriticalityFilter:
         filt.record_critical(0x24)
         filt.record_critical(0x38)  # Evicts the weaker of the two.
         assert filt.get(0x10) is not None
-        assert filt.evictions == 1
+        assert filt.get(0x24) is None
+        assert filt.get(0x38) is not None and len(filt) == 2
 
     def test_certification_requires_high_hit_rate(self):
         filt = self._filter()
@@ -327,7 +330,9 @@ class TestStorageOverhead:
         assert rows["Utility buffer"].bytes == 512
 
     def test_scaling_with_table_sizes(self):
-        small = ClipConfig().scaled(0.5)
-        big = ClipConfig().scaled(2.0)
+        small = dataclasses.replace(ClipConfig(), filter_sets=16,
+                                    predictor_sets=64)
+        big = dataclasses.replace(ClipConfig(), filter_sets=64,
+                                  predictor_sets=256)
         assert storage_overhead(small) < storage_overhead()
         assert storage_overhead(big) > storage_overhead()

@@ -1,4 +1,4 @@
-"""Tests for result export (JSON/CSV)."""
+"""Tests for the channel-sweep CSV export."""
 
 from __future__ import annotations
 
@@ -6,25 +6,7 @@ import csv
 
 import pytest
 
-from repro.experiments.export import (export_json, export_per_mix_csv,
-                                      export_series_csv, load_json)
-
-
-class TestJson:
-    def test_roundtrip(self, tmp_path):
-        data = {"channels": [1, 2], "series": {"berti": [0.8, 0.9]}}
-        path = tmp_path / "fig1.json"
-        export_json(data, path)
-        assert load_json(path) == data
-
-    def test_dataclass_like_objects_serialised(self, tmp_path):
-        class Result:
-            def __init__(self):
-                self.accuracy = 0.9
-
-        path = tmp_path / "obj.json"
-        export_json({"clip": Result()}, path)
-        assert load_json(path)["clip"]["accuracy"] == 0.9
+from repro.experiments.export import export_series_csv
 
 
 class TestSeriesCsv:
@@ -43,32 +25,3 @@ class TestSeriesCsv:
             export_series_csv({"a": [1.0]}, axis=[1, 2],
                               path=tmp_path / "x.csv")
 
-
-class TestPerMixCsv:
-    def test_nested_metrics(self, tmp_path):
-        path = tmp_path / "fig10.csv"
-        export_per_mix_csv({"mcf": {"berti_ws": 0.8, "clip_ws": 1.0},
-                            "lbm": {"berti_ws": 0.9, "clip_ws": 1.1}},
-                           path=path)
-        with open(path) as handle:
-            rows = list(csv.reader(handle))
-        assert rows[0] == ["mix", "berti_ws", "clip_ws"]
-        assert ["mcf", "0.8", "1.0"] in rows
-
-    def test_scalar_values_wrapped(self, tmp_path):
-        path = tmp_path / "fig14.csv"
-        export_per_mix_csv({"mcf": 0.4}, path=path)
-        with open(path) as handle:
-            rows = list(csv.reader(handle))
-        assert rows[0] == ["mix", "value"]
-
-    def test_empty_rejected(self, tmp_path):
-        with pytest.raises(ValueError):
-            export_per_mix_csv({}, tmp_path / "x.csv")
-
-    def test_integration_with_driver_output(self, tmp_path):
-        """figure16-shaped output exports cleanly."""
-        result = {"per_mix": {"a": 0.5, "b": 0.7}, "average": 0.6}
-        export_per_mix_csv(result["per_mix"], tmp_path / "fig16.csv")
-        export_json(result, tmp_path / "fig16.json")
-        assert load_json(tmp_path / "fig16.json")["average"] == 0.6

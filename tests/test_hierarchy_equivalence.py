@@ -1,11 +1,11 @@
-"""Fixed-seed equivalence: the hierarchy refactor is behaviour-preserving.
+"""Fixed-seed equivalence on the 10 golden-matrix points.
 
-The 10 golden-matrix points of :mod:`equivalence_points` were first
-captured against the pre-refactor monolithic ``MulticoreSystem`` (the
-855-line ``sim/system.py``).  Every point's ``SimulationResult.to_dict()``
-must stay bit-identical: same cycle counts, same stat counters, same
-event interleaving.  A diff here means the port/message decomposition
-changed simulated behaviour; the failure names the leaves that moved.
+Every point of :mod:`equivalence_points`' golden matrix must reproduce
+its pinned ``SimulationResult.to_dict()`` bit for bit: same cycle
+counts, same counters, same event interleaving.  A diff here means a
+change moved simulated behaviour; the failure names the leaves that
+moved.  Re-pin only an intended change, with
+``python scripts/regenerate_equivalence_goldens.py``.
 """
 
 from __future__ import annotations

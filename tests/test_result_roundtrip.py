@@ -46,12 +46,14 @@ def test_result_dict_roundtrip_is_lossless(point):
 
 def test_cache_schema_version_matches_learned_release():
     """Version 3 was the learned-policy release (``SystemConfig.learned``
-    joined the materialised config); version 4 changed the ``to_dict``
-    layout additively (the counter groups gained the sums every result
-    view is derived from), so every version-3 entry must be re-simulated
-    (stale entries read as misses, never as load errors).  Bump this pin
-    only together with a deliberate schema change."""
-    assert CACHE_SCHEMA_VERSION == 4
+    joined the materialised config); versions 4 and 5 changed the
+    ``to_dict`` layout additively (4: the counter groups gained the sums
+    every result view is derived from; 5: the ``core{N}.cpu`` groups and
+    CLIP's drop reasons joined the snapshot), so every older entry must
+    be re-simulated (stale entries read as misses, never as load
+    errors).  Bump this pin only together with a deliberate schema
+    change."""
+    assert CACHE_SCHEMA_VERSION == 5
 
 
 @pytest.mark.parametrize("name", KEYED_SPECS)

@@ -7,9 +7,9 @@ import dataclasses
 
 import pytest
 
-from repro.config import (CacheConfig, ClipConfig, SystemConfig,
-                          scaled_config)
+from repro.config import CacheConfig, SystemConfig, scaled_config
 from repro.energy import dynamic_energy
+from repro.experiments.sweep import Scheme
 from repro.sim.stats import (CoreResult, LevelStats, PrefetchStats,
                              SimulationResult, weighted_speedup)
 
@@ -163,9 +163,18 @@ class TestConfig:
         assert config.dram.trp_cycles == 50
 
     def test_clip_scaled(self):
-        clip = ClipConfig().scaled(2.0)
-        assert clip.filter_sets == 64
-        assert clip.predictor_sets == 256
+        """Fig. 18's table scaling doubles both CLIP tables and keeps
+        every other CLIP knob."""
+        def clip(scheme):
+            return scheme.build_config(channels=1, num_cores=2,
+                                       sim_instructions=500).clip
+
+        plain = clip(Scheme.parse("berti+clip"))
+        doubled = dataclasses.replace(plain,
+                                      filter_sets=2 * plain.filter_sets,
+                                      predictor_sets=2 * plain.predictor_sets)
+        assert clip(Scheme.parse("berti", clip_filter_scale=2.0,
+                                 clip_predictor_scale=2.0)) == doubled
 
     def test_replace_returns_new(self):
         config = SystemConfig()
