@@ -19,7 +19,7 @@ instead of predicting each branch again on every run of the trace.
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import List, Sequence, Tuple
 
 from repro.config import BranchPredictorConfig
 from repro.trace.record import Op, TraceRecord
@@ -31,9 +31,13 @@ class HashedPerceptronPredictor:
     def __init__(self, config: BranchPredictorConfig | None = None) -> None:
         self.config = config or BranchPredictorConfig()
         c = self.config
-        self._tables: List[List[int]] = [
-            [0] * c.table_entries for _ in range(c.num_tables)
-        ]
+        # The weight tables and their per-table (weights, history mask,
+        # hash salt) lanes, built by the first prediction
+        # (:meth:`_build_tables`): a core reads its branch outcomes from
+        # the trace's outcome stream and only counts, so its predictor
+        # never builds them.
+        self._tables: List[List[int]] = []
+        self._lanes: List[Tuple[List[int], int, int]] = []
         self._history = 0
         self._history_mask = (1 << c.history_bits) - 1
         self._weight_max = (1 << (c.weight_bits - 1)) - 1
@@ -43,18 +47,23 @@ class HashedPerceptronPredictor:
             max(1, (i * c.history_bits) // max(1, c.num_tables - 1))
             for i in range(c.num_tables)
         ]
-        # Per-table (weights, history mask, hash salt) lanes plus a
-        # preallocated index scratch list: predict_and_train runs once per
-        # branch and must not build lists or re-derive constants.
-        self._lanes = [
-            (self._tables[i], (1 << bits) - 1, i * 0x85EBCA6B)
-            for i, bits in enumerate(self._segment_bits)
-        ]
+        # A preallocated index scratch list: predict_and_train runs once
+        # per branch and must not build lists or re-derive constants.
         self._scratch = [0] * c.num_tables
         self._entries = c.table_entries
         self._threshold = c.threshold
         self.predictions = 0
         self.mispredictions = 0
+
+    def _build_tables(self) -> List[Tuple[List[int], int, int]]:
+        """Allocate the zeroed weight tables and their lanes."""
+        entries = self.config.table_entries
+        self._tables = [[0] * entries for _ in self._segment_bits]
+        self._lanes = [
+            (self._tables[i], (1 << bits) - 1, i * 0x85EBCA6B)
+            for i, bits in enumerate(self._segment_bits)
+        ]
+        return self._lanes
 
     def _indices(self, ip: int) -> List[int]:
         entries = self.config.table_entries
@@ -67,6 +76,8 @@ class HashedPerceptronPredictor:
 
     def predict(self, ip: int) -> bool:
         """Predict taken/not-taken for the branch at ``ip``."""
+        if not self._tables:
+            self._build_tables()
         total = 0
         for table, index in enumerate(self._indices(ip)):
             total += self._tables[table][index]
@@ -79,13 +90,14 @@ class HashedPerceptronPredictor:
         """
         # Fused index/sum loop over the precomputed lanes -- arithmetic is
         # exactly :meth:`_indices` followed by the weight summation.
+        lanes = self._lanes or self._build_tables()
         ip_hash = ip >> 2
         history = self._history
         entries = self._entries
         scratch = self._scratch
         total = 0
         lane = 0
-        for weights, segment_mask, salt in self._lanes:
+        for weights, segment_mask, salt in lanes:
             mixed = ip_hash ^ ((history & segment_mask) * 0x9E3779B1) ^ salt
             index = (mixed ^ (mixed >> 13)) % entries
             scratch[lane] = index
@@ -101,7 +113,7 @@ class HashedPerceptronPredictor:
             weight_max = self._weight_max
             weight_min = self._weight_min
             lane = 0
-            for weights, _segment_mask, _salt in self._lanes:
+            for weights, _segment_mask, _salt in lanes:
                 weight = weights[scratch[lane]] + delta
                 if weight > weight_max:
                     weight = weight_max

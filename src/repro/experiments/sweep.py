@@ -28,7 +28,6 @@ serially.  Cache entries are invalidated wholesale by bumping
 from __future__ import annotations
 
 import dataclasses
-import functools
 import hashlib
 import json
 import os
@@ -300,48 +299,29 @@ class RunSpec:
                                         self.sim_instructions)
 
     def cache_key(self) -> str:
-        """Canonical content hash of this point.
-
-        Hashes the fully-materialised :class:`SystemConfig` (not the
-        scheme's surface syntax), the workload mix, and
-        :data:`CACHE_SCHEMA_VERSION`; two specs that simulate the same
-        system on the same mix share one key however they were written.
-        ``json.dumps`` encodes the config objects themselves through
-        :func:`_key_fields`, so the key is the one a
-        ``dataclasses.asdict`` copy would give, without the copy.
-        """
-        payload = {
-            "schema": CACHE_SCHEMA_VERSION,
-            "config": self.config(),
-            "mix": list(self.mix),
-        }
-        blob = json.dumps(payload, sort_keys=True, separators=(",", ":"),
-                          default=_key_fields)
-        return hashlib.sha256(blob.encode()).hexdigest()
+        """Canonical content hash of this point: :func:`config_key` of
+        the fully-materialised :class:`SystemConfig` (not the scheme's
+        surface syntax) and the workload mix, so two specs that simulate
+        the same system on the same mix share one key however they were
+        written."""
+        return config_key(self.config(), self.mix)
 
 
-@functools.lru_cache(maxsize=None)
-def _field_names(cls: type) -> Optional[Tuple[str, ...]]:
-    """The declared field names of dataclass ``cls``, or ``None`` for any
-    other type; computed once per class."""
-    if not dataclasses.is_dataclass(cls):
-        return None
-    return tuple(item.name for item in dataclasses.fields(cls))
+def config_key(config: SystemConfig, mix: Tuple[str, ...]) -> str:
+    """SHA-256 of :data:`CACHE_SCHEMA_VERSION`, ``repr(config)`` and
+    ``repr(mix)``.
 
-
-def _key_fields(value: object) -> object:
-    """``json.dumps`` hook of :meth:`RunSpec.cache_key`.
-
-    A config dataclass encodes as the dict of its declared fields, the
-    same dict ``dataclasses.asdict`` would build, without copying what
-    the encoder walks anyway; an attribute set outside the fields (a
-    benchmark's ``config.backend``) stays out of the key.  Anything else
-    encodes as its ``repr``.
+    The ``repr`` is canonical for every config ``Scheme.build_config``
+    materialises: a dataclass ``repr`` lists every declared field in
+    declaration order, nested config groups recurse, and an attribute
+    set outside the fields (a benchmark's ``config.backend``) is not in
+    it.  Scheme knobs cannot reorder it either: ``clip_overrides``, a
+    sorted tuple, lands in ``ClipConfig``'s fields, and the one map,
+    ``core_overrides``, comes from ``big_little_overrides`` in core
+    order.
     """
-    names = _field_names(type(value))
-    if names is None:
-        return repr(value)
-    return {name: getattr(value, name) for name in names}
+    blob = f"{CACHE_SCHEMA_VERSION}|{config!r}|{mix!r}"
+    return hashlib.sha256(blob.encode()).hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -439,9 +419,9 @@ class ResultStore:
         of them (e.g. the removed simulation-backend name).  An
         unreadable entry, or valid JSON of another shape, is a miss.
         """
-        path = self.path_for(key)
         try:
-            payload = json.loads(path.read_text())
+            with open(self.path_for(key), "rb") as stream:
+                payload = json.loads(stream.read())
         except (OSError, ValueError):
             return None
         try:

@@ -63,6 +63,23 @@ def test_core_predictor_counters_equal_live_ones(warmup):
     assert result.total_instructions == 2 * 1_500
 
 
+def test_cores_never_build_predictor_tables():
+    """A core reads its outcome stream and only counts, so its
+    predictor's weight tables stay unbuilt through the run; the first
+    prediction of a fresh predictor builds them."""
+    config = scaled_config(num_cores=2, channels=1, sim_instructions=1_500)
+    system = MulticoreSystem(config, ["605.mcf_s-1536B", "602.gcc_s-1850B"])
+    assert [core.branch_predictor._tables for core in system.cores] \
+        == [[], []]
+    system.run()
+    for core in system.cores:
+        assert core.branch_predictor.predictions > 0
+        assert core.branch_predictor._tables == []
+    predictor = HashedPerceptronPredictor(config.branch)
+    assert predictor.predict(0x400)
+    assert len(predictor._tables) == config.branch.num_tables
+
+
 def test_second_build_reuses_the_cached_stream():
     config = scaled_config(num_cores=2, channels=1, sim_instructions=1_000)
     mix = ["605.mcf_s-1536B", "605.mcf_s-1536B"]

@@ -10,17 +10,20 @@ safe to land:
   ``tests/data/cache_keys.json``, so any accidental change to config
   materialisation (field order, defaults, repr of nested values) or a
   spurious ``CACHE_SCHEMA_VERSION`` bump fails here instead of silently
-  invalidating every on-disk sweep cache.  Beyond the five pins, every
-  kind of scheme knob is checked against the ``dataclasses.asdict``
-  encoding the key was first defined by.  A deliberate schema change
-  re-pins the keys with ``python
-  scripts/regenerate_equivalence_goldens.py``.
+  invalidating every on-disk sweep cache.  Beyond the five pins, two
+  specs over every kind of scheme knob share a key exactly when the
+  ``dataclasses.asdict`` encoding the key was first defined by is equal
+  for both, which is exactly when their materialised configs and mixes
+  are equal, and every leaf of a materialised config moves
+  :func:`~repro.experiments.sweep.config_key`.
+  A deliberate key change re-pins the keys with ``python
+  scripts/regenerate_equivalence_goldens.py --additive``.
 """
 
 from __future__ import annotations
 
+import copy
 import dataclasses
-import hashlib
 import json
 
 import pytest
@@ -30,7 +33,8 @@ from equivalence_points import (CACHE_KEY_PIN, KEYED_SPECS, POINTS,
 
 from repro.criticality import predictor_names
 from repro.experiments.sweep import (CACHE_SCHEMA_VERSION, L1_PREFETCHERS,
-                                     L2_PREFETCHERS, RunSpec, Scheme)
+                                     L2_PREFETCHERS, RunSpec, Scheme,
+                                     config_key)
 from repro.sim.stats import SimulationResult
 from repro.throttle import throttler_names
 
@@ -61,19 +65,6 @@ def test_sweep_cache_keys_unchanged(name):
     pinned = json.loads(CACHE_KEY_PIN.read_text())
     assert_unchanged(f"cache key {name!r}", pinned[name],
                      KEYED_SPECS[name].cache_key())
-
-
-def asdict_key(spec: RunSpec) -> str:
-    """The key as first defined: an ``asdict`` copy of the config fed to
-    the same ``json.dumps`` call."""
-    payload = {
-        "schema": CACHE_SCHEMA_VERSION,
-        "config": dataclasses.asdict(spec.config()),
-        "mix": list(spec.mix),
-    }
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"),
-                      default=repr)
-    return hashlib.sha256(blob.encode()).hexdigest()
 
 
 def _key_schemes() -> dict:
@@ -108,15 +99,102 @@ def _key_schemes() -> dict:
 KEY_SCHEMES = _key_schemes()
 
 
+#: The only knobs that build the same config: ``bandit`` and
+#: ``none+bandit`` parse to one scheme.
+SAME_CONFIG = {"bandit": {"none+bandit"}, "none+bandit": {"bandit"}}
+
+
+@pytest.fixture(scope="module")
+def keyed_specs():
+    """(config, mix, ``asdict`` encoding, key) of every knob at 1, 2
+    and 8 channels, by (test id, channels)."""
+    specs = {}
+    for name, scheme in KEY_SCHEMES.items():
+        for channels in (1, 2, 8):
+            spec = RunSpec(scheme=scheme,
+                           mix=("605.mcf_s-1536B",) * (scheme.num_cores or 2),
+                           channels=channels, num_cores=2,
+                           sim_instructions=2_500)
+            config = spec.config()
+            encoding = json.dumps(
+                {"config": dataclasses.asdict(config),
+                 "mix": list(spec.mix)},
+                sort_keys=True, default=repr)
+            specs[name, channels] = (config, spec.mix, encoding,
+                                     spec.cache_key())
+    return specs
+
+
 @pytest.mark.parametrize("name", sorted(KEY_SCHEMES))
-def test_cache_key_matches_asdict_encoding(name):
-    scheme = KEY_SCHEMES[name]
+def test_cache_key_matches_asdict_encoding(name, keyed_specs):
+    """The key was first a hash of the ``asdict`` encoding of the
+    config and mix.  The ``repr`` key shares exactly where that
+    encoding does, against every other knob at every channel count,
+    and that is exactly where the configs and mixes are equal."""
+    shared = set()
     for channels in (1, 2, 8):
-        spec = RunSpec(scheme=scheme,
-                       mix=("605.mcf_s-1536B",) * (scheme.num_cores or 2),
-                       channels=channels, num_cores=2,
-                       sim_instructions=2_500)
-        assert spec.cache_key() == asdict_key(spec), channels
+        config, mix, encoding, key = keyed_specs[name, channels]
+        for other, (other_config, other_mix, other_encoding,
+                    other_key) in keyed_specs.items():
+            same = other_encoding == encoding
+            assert same == (other_config == config and other_mix == mix)
+            assert (other_key == key) == same, other
+            if same and other != (name, channels):
+                assert other[1] == channels, other
+                shared.add(other[0])
+    assert shared == SAME_CONFIG.get(name, set())
+
+
+def _leaves(value, path=()):
+    """(path, value) of every leaf under a config: a path step is a
+    field name, or a key of a map of configs."""
+    if dataclasses.is_dataclass(value):
+        for item in dataclasses.fields(value):
+            yield from _leaves(getattr(value, item.name),
+                               path + (item.name,))
+    elif isinstance(value, dict):
+        for key, nested in value.items():
+            yield from _leaves(nested, path + (key,))
+    else:
+        yield path, value
+
+
+def _other(value):
+    """A value of the same type that differs from ``value``."""
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, (int, float)):
+        return value + 1
+    if isinstance(value, str):
+        return value + "x"
+    if isinstance(value, tuple):
+        return value + ("x",)
+    raise TypeError(f"no key check for a {type(value).__name__} leaf")
+
+
+def test_every_config_leaf_moves_the_key():
+    """The key hashes ``repr(config)``, so a field left out of a
+    dataclass ``repr`` (``repr=False``, a hand-written ``__repr__``)
+    would let two different configs share a cache entry.  Each core's
+    workload moves the key too."""
+    spec = RunSpec(scheme=Scheme.parse("berti+clip", big_cores=1),
+                   mix=("605.mcf_s-1536B",) * 2, channels=1, num_cores=2)
+    config = spec.config()
+    assert list(config.core_overrides) == [1]
+    plain = config_key(config, spec.mix)
+    leaves = list(_leaves(config))
+    assert any(path[0] == "core_overrides" for path, _ in leaves)
+    for path, value in leaves:
+        changed = copy.deepcopy(config)
+        parent = changed
+        for step in path[:-1]:
+            parent = (parent[step] if isinstance(parent, dict)
+                      else getattr(parent, step))
+        setattr(parent, path[-1], _other(value))
+        assert config_key(changed, spec.mix) != plain, path
+    for core in range(len(spec.mix)):
+        mix = spec.mix[:core] + ("602.gcc_s-1850B",) + spec.mix[core + 1:]
+        assert config_key(config, mix) != plain, mix
 
 
 def test_cache_key_ignores_attributes_outside_the_fields(monkeypatch):
@@ -135,4 +213,4 @@ def test_cache_key_ignores_attributes_outside_the_fields(monkeypatch):
         return config
 
     monkeypatch.setattr(RunSpec, "config", with_extras)
-    assert spec.cache_key() == plain == asdict_key(spec)
+    assert spec.cache_key() == plain

@@ -300,6 +300,29 @@ class TestExecutor:
         outcome = run_sweep([spec], store=store)
         assert outcome.simulated == 1
 
+    @pytest.mark.parametrize("content", [b"", b'{"label": "caf\xe9"}'],
+                             ids=["empty", "not-utf-8"])
+    def test_store_reads_unreadable_bytes_as_miss(self, tmp_path, content):
+        """An empty entry and one that is not UTF-8 are misses: the
+        point is re-simulated and its entry overwritten."""
+        store = ResultStore(tmp_path)
+        spec = self.SPECS[0]
+        key = spec.cache_key()
+        path = store.path_for(key)
+        path.parent.mkdir(parents=True)
+        path.write_bytes(content)
+        assert store.load(key) is None
+        outcome = run_sweep([spec], store=store)
+        assert outcome.simulated == 1 and outcome.cache_hits == 0
+        assert (store.load(key).to_dict()
+                == outcome.results[spec].to_dict())
+
+    def test_store_reads_directory_at_entry_path_as_miss(self, tmp_path):
+        store = ResultStore(tmp_path)
+        key = self.SPECS[0].cache_key()
+        store.path_for(key).mkdir(parents=True)
+        assert store.load(key) is None
+
     @pytest.mark.parametrize("shape", sorted(WRONG_SHAPES))
     def test_store_reads_wrong_shape_as_miss(self, tmp_path, shape):
         """Valid JSON of another shape used to raise ``AttributeError``
