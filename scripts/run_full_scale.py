@@ -22,32 +22,14 @@ Usage:
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 import time
 
-from repro.experiments.sweep import (ResultStore, RunSpec, Scheme, Sweep,
-                                     run_sweep)
-from repro.sim.stats import weighted_speedup
+from repro import api
 from repro.trace import homogeneous_mix
 
 #: The figure-9 headline comparison: three points of one sweep.
-SCHEMES = {
-    "no-prefetch": Scheme(),
-    "berti": Scheme(l1="berti"),
-    "berti+clip": Scheme(l1="berti", clip=True),
-}
-
-
-def build_spec(scheme: Scheme, workload: str,
-               instructions: int) -> RunSpec:
-    # Scheme carries the structural knobs, so the point runs Table 3's
-    # 64 cores and 8 channels on the benchmark-scale caches.
-    full = dataclasses.replace(scheme, num_cores=64,
-                               sim_instructions=instructions)
-    return RunSpec(scheme=full, mix=tuple(homogeneous_mix(workload, 64)),
-                   channels=8, num_cores=64,
-                   sim_instructions=instructions)
+SCHEMES = ("none", "berti", "berti+clip")
 
 
 def main() -> int:
@@ -59,23 +41,22 @@ def main() -> int:
     parser.add_argument("--no-cache", action="store_true")
     args = parser.parse_args()
 
-    specs = {label: build_spec(scheme, args.workload, args.instructions)
-             for label, scheme in SCHEMES.items()}
     print(f"Table-3 machine size: {args.workload} x64 cores, 8 channels, "
           f"{args.instructions} instructions/core, jobs={args.jobs}")
-    store = None if args.no_cache else ResultStore()
     started = time.time()
-    outcome = run_sweep(Sweep(specs.values()), jobs=args.jobs,
-                        store=store)
-    print(f"  {outcome.simulated} simulated, {outcome.cache_hits} from "
+    swept = api.sweep(SCHEMES, homogeneous_mix(args.workload, 64),
+                      channels=8, num_cores=64,
+                      sim_instructions=args.instructions, jobs=args.jobs,
+                      cache=not args.no_cache)
+    print(f"  {swept.simulated} simulated, {swept.cache_hits} from "
           f"cache in {time.time() - started:7.1f}s")
-    for label, spec in specs.items():
+    for label in SCHEMES:
         print(f"  {label:<12} aggregate IPC "
-              f"{sum(outcome[spec].ipc_per_core):7.2f}")
-    baseline = outcome[specs["no-prefetch"]]
-    for label in ("berti", "berti+clip"):
+              f"{sum(swept.only(label).ipc_per_core):7.2f}")
+    baseline = swept.only("none")
+    for label in SCHEMES[1:]:
         print(f"{label:<12} weighted speedup "
-              f"{weighted_speedup(outcome[specs[label]], baseline):.3f}")
+              f"{api.weighted_speedup(swept.only(label), baseline):.3f}")
     return 0
 
 

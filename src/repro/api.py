@@ -31,13 +31,12 @@ and ``docs/api.md`` teach, and what deprecation policy covers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import (Dict, Iterable, Iterator, List, Mapping, Optional,
-                    Sequence, Tuple, Union)
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.config import SystemConfig, scaled_config
 from repro.energy import dynamic_energy, package_power_w
-from repro.experiments.sweep import (ResultStore, RunSpec, Scheme, Sweep,
+from repro.experiments.sweep import (ResultStore, RunSpec, Scheme,
+                                     SchemeLike, Sweep, SweepResult,
                                      run_sweep)
 from repro.sim.stats import SimulationResult, weighted_speedup
 from repro.sim.system import run_system
@@ -48,9 +47,6 @@ __all__ = [
     "weighted_speedup", "dynamic_energy", "package_power_w",
 ]
 
-#: A scheme argument: a typed :class:`Scheme` or a legacy-style name
-#: such as ``"berti+clip"`` (parsed with :meth:`Scheme.parse`).
-SchemeLike = Union[str, Scheme]
 #: A workload argument: one mix (sequence of workload names, one per
 #: core) or a sequence of mixes.
 WorkloadsLike = Union[Sequence[str], Sequence[Sequence[str]]]
@@ -64,57 +60,6 @@ def simulate(config: SystemConfig, workloads: Sequence[str],
     :func:`repro.trace.homogeneous_mix` for the common N-copies case).
     """
     return run_system(config, list(workloads), label=label)
-
-
-@dataclass(frozen=True)
-class SweepResult:
-    """What :func:`sweep` ran: every point's result plus cache accounting.
-
-    Iterating yields :class:`SimulationResult` objects in sweep order;
-    ``items()`` pairs them with their :class:`RunSpec` for filtering.
-    """
-
-    specs: Tuple[RunSpec, ...]
-    results: Mapping[RunSpec, SimulationResult]
-    #: Points actually simulated by this call.
-    simulated: int
-    #: Points served from the on-disk cache.
-    cache_hits: int
-
-    def __len__(self) -> int:
-        return len(self.specs)
-
-    def __iter__(self) -> Iterator[SimulationResult]:
-        return (self.results[spec] for spec in self.specs)
-
-    def __getitem__(self, spec: RunSpec) -> SimulationResult:
-        return self.results[spec]
-
-    def items(self) -> Iterator[Tuple[RunSpec, SimulationResult]]:
-        return ((spec, self.results[spec]) for spec in self.specs)
-
-    def find(self, scheme: Optional[SchemeLike] = None,
-             mix: Optional[Sequence[str]] = None,
-             channels: Optional[int] = None) -> List[SimulationResult]:
-        """Results matching every given coordinate, in sweep order."""
-        if isinstance(scheme, str):
-            scheme = Scheme.parse(scheme)
-        return [self.results[spec] for spec in self.specs
-                if (scheme is None or spec.scheme == scheme)
-                and (mix is None or spec.mix == tuple(mix))
-                and (channels is None or spec.channels == channels)]
-
-    def only(self, scheme: Optional[SchemeLike] = None,
-             mix: Optional[Sequence[str]] = None,
-             channels: Optional[int] = None) -> SimulationResult:
-        """The single result matching the coordinates, or ``LookupError``."""
-        matches = self.find(scheme=scheme, mix=mix, channels=channels)
-        if len(matches) != 1:
-            raise LookupError(
-                f"{len(matches)} sweep points match "
-                f"(scheme={scheme!r}, mix={mix!r}, channels={channels!r}); "
-                f"expected exactly one")
-        return matches[0]
 
 
 def _as_schemes(schemes: Union[SchemeLike,
@@ -174,10 +119,7 @@ def sweep(schemes: Union[SchemeLike, Iterable[SchemeLike]],
                          sim_instructions=sim_instructions)
     if baselines:
         grid = grid.with_baselines()
-    outcome = run_sweep(grid, jobs=jobs, store=_store(cache))
-    return SweepResult(specs=tuple(grid), results=outcome.results,
-                       simulated=outcome.simulated,
-                       cache_hits=outcome.cache_hits)
+    return run_sweep(grid, jobs=jobs, store=_store(cache))
 
 
 def power_budget(budget_w: Optional[float] = None, *,

@@ -10,7 +10,6 @@ Commands
                repro.serve HTTP/JSON worker protocol (docs/serving.md)
 ``worker``     pull and simulate jobs from a ``serve`` coordinator
 ``workloads``  list the available workload models
-``storage``    print CLIP's Table-2 storage accounting
 ``characterize``  static characterisation of one workload model
 ``lint``       run the simulator static-analysis passes; its arguments go
                unchanged to ``python -m repro.analysis``
@@ -24,9 +23,7 @@ import sys
 from typing import List, Optional
 
 from repro import experiments
-from repro.config import scaled_config
-from repro.experiments.sweep import Scheme
-from repro.prefetch.base import prefetchers_at
+from repro.experiments.sweep import RunSpec, Scheme
 from repro.sim.stats import weighted_speedup
 from repro.sim.system import run_system
 from repro.trace import homogeneous_mix, workload_names
@@ -111,14 +108,11 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--cores", type=int, default=8)
     run.add_argument("--channels", type=int, default=1)
     run.add_argument("--instructions", type=int, default=10_000)
-    run.add_argument("--prefetcher", default="berti",
-                     choices=["none", *prefetchers_at("L1")])
-    run.add_argument("--l2-prefetcher", default="none",
-                     choices=["none", *prefetchers_at("L2")])
-    run.add_argument("--clip", action="store_true",
-                     help="enable CLIP filtering")
+    run.add_argument("--scheme", default="berti", type=_scheme_name,
+                     help="scheme name, e.g. berti+clip or berti+spp_ppf "
+                          "(default: berti)")
     run.add_argument("--dynamic-clip", action="store_true",
-                     help="enable Dynamic CLIP (section 5.3)")
+                     help="run the scheme with Dynamic CLIP (section 5.3)")
     run.add_argument("--baseline", action="store_true",
                      help="also run no-prefetching and report weighted "
                           "speedup")
@@ -205,7 +199,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="print one line per completed job")
 
     sub.add_parser("workloads", help="list workload models")
-    sub.add_parser("storage", help="print Table 2 (CLIP storage)")
 
     # Listed for --help only: main() hands `lint ARGS` to the lint
     # parser before this one runs.
@@ -220,24 +213,29 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    config = scaled_config(num_cores=args.cores, channels=args.channels,
-                           sim_instructions=args.instructions)
-    config.l1_prefetcher = dataclasses.replace(config.l1_prefetcher,
-                                               name=args.prefetcher)
-    config.l2_prefetcher = dataclasses.replace(config.l2_prefetcher,
-                                               name=args.l2_prefetcher)
-    config.clip = dataclasses.replace(config.clip,
-                                      enabled=args.clip or args.dynamic_clip,
-                                      dynamic=args.dynamic_clip)
+    scheme = Scheme.parse(args.scheme)
+    if args.dynamic_clip:
+        scheme = dataclasses.replace(scheme, clip=True,
+                                     clip_overrides={"dynamic": True})
+    mix = homogeneous_mix(args.workload, args.cores)
+
+    def machine(point: Scheme):
+        """The config of ``point`` on this invocation's machine: the
+        scheme and its baseline share the TLB and the sanitizer."""
+        config = RunSpec(scheme=point, mix=mix, channels=args.channels,
+                         num_cores=args.cores,
+                         sim_instructions=args.instructions).config()
+        if args.tlb:
+            config.tlb.enabled = True
+        if args.sanitize:
+            config.sanitize = True
+        return config
+
+    config = machine(scheme)
     if args.latency_report:
         config.capture_request_trace = 200_000
-    if args.tlb:
-        config.tlb = dataclasses.replace(config.tlb, enabled=True)
-    if args.sanitize:
-        config.sanitize = True
-    mix = homogeneous_mix(args.workload, args.cores)
     from repro.sim.system import MulticoreSystem
-    system = MulticoreSystem(config, mix)
+    system = MulticoreSystem(config, mix, label=scheme.label)
     result = system.run()
     print(f"workload        : {args.workload} x{args.cores} cores, "
           f"{args.channels} channel(s)")
@@ -271,12 +269,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print("\n-- latency report --")
         print(format_latency_report(system.request_trace))
     if args.baseline:
-        config_base = scaled_config(num_cores=args.cores,
-                                    channels=args.channels,
-                                    sim_instructions=args.instructions)
-        config_base.l1_prefetcher = dataclasses.replace(
-            config_base.l1_prefetcher, name="none")
-        baseline = run_system(config_base, mix)
+        baseline = run_system(machine(scheme.baseline()), mix)
         print(f"weighted speedup vs no-prefetching: "
               f"{weighted_speedup(result, baseline):.3f}")
     return 0
@@ -466,9 +459,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.command == "workloads":
         for name in workload_names():
             print(name)
-        return 0
-    if args.command == "storage":
-        experiments.table2()
         return 0
     if args.command == "compare":
         from repro import api

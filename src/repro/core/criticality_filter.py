@@ -132,20 +132,6 @@ class CriticalityFilter:
         if entry.hit_count < self.hit_count_max:
             entry.hit_count += 1
 
-    def allows_prefetch(self, ip: int,
-                        use_accuracy_filter: bool = True) -> bool:
-        """Stage-gate: is prefetching currently enabled for this IP?"""
-        entry = self.get(ip)
-        if entry is None:
-            return False
-        if entry.crit_count < self.effective_threshold:
-            return False
-        if not use_accuracy_filter:
-            return True
-        if entry.is_crit_accurate:
-            return True
-        return entry.exploring and entry.issue_count < self.EXPLORATION_PROBES
-
     # ------------------------------------------------------------------
 
     def end_window(self) -> None:

@@ -14,17 +14,6 @@ prediction").
 from __future__ import annotations
 
 
-def _fold(value: int, bits: int) -> int:
-    """XOR-fold an arbitrary-width value down to ``bits`` bits."""
-    mask = (1 << bits) - 1
-    folded = 0
-    value &= (1 << 64) - 1
-    while value:
-        folded ^= value & mask
-        value >>= bits
-    return folded
-
-
 def _mix(value: int) -> int:
     """Cheap avalanche mix (xorshift-multiply) over 32 bits."""
     value &= 0xFFFFFFFF
@@ -58,10 +47,11 @@ def critical_signature(ip: int, line_address: int,
     signature width matches the predictor's index+tag space (128 sets x
     6-bit tag = 2^13) so every distinct signature is representable.
     """
-    # The reference definition, at any width: the arithmetic is exactly
-    # :func:`_fold` per component followed by :func:`_mix`, inlined.  CLIP
-    # itself runs the closed form below (:func:`history_term` and
-    # :func:`closed_form_signature`), which the tests check against this.
+    # The reference definition, at any width: each component XOR-folds
+    # to ``width`` bits in its own loop, and the folds go through
+    # :func:`_mix`'s arithmetic, inlined.  CLIP itself runs the closed
+    # form below (:func:`history_term` and :func:`closed_form_signature`),
+    # which the tests check against this.
     mask = (1 << width) - 1
     value = (ip >> 2) & 0xFFFFFFFFFFFFFFFF
     signature = 0

@@ -24,7 +24,7 @@ from __future__ import annotations
 from typing import Dict, Hashable, List, Mapping, Optional, Sequence, TypeVar
 
 from repro.analysis.invariants import check
-from repro.config import SystemConfig
+from repro.config import ClipConfig, SystemConfig
 from repro.core.storage import storage_overhead, storage_table
 from repro.criticality import predictor_names
 from repro.energy import dynamic_energy
@@ -519,14 +519,13 @@ def figure18(runner: Optional[ExperimentRunner] = None,
     """
     runner = _runner(runner)
     factors = [0.25, 0.5, 1.0, 2.0, 4.0]
+    sets = {"filter": ClipConfig().filter_sets,
+            "predictor": ClipConfig().predictor_sets}
     scaled = {("reference", 1.0): Scheme.parse("berti+clip")}
     scaled.update({
-        ("filter", factor): Scheme.parse("berti", clip_filter_scale=factor)
-        for factor in factors if factor != 1.0
-    })
-    scaled.update({
-        ("predictor", factor): Scheme.parse("berti",
-                                            clip_predictor_scale=factor)
+        (which, factor): Scheme.parse("berti", clip_overrides={
+            f"{which}_sets": max(1, int(size * factor))})
+        for which, size in sets.items()
         for factor in factors if factor != 1.0
     })
     speedups = _constrained(runner, scaled, _sampled(runner))
@@ -695,18 +694,17 @@ def core_count_sensitivity(runner: Optional[ExperimentRunner] = None,
     one channel per 2-4 cores."""
     runner = _runner(runner)
     workloads = runner.scale.sample_homogeneous()[:4]
-    grid = {(cores, channels): (
-                {label: Scheme.parse(label, num_cores=cores)
-                 for label in ("berti", "berti+clip")},
-                runner.homogeneous(workloads, cores))
+    schemes = {label: Scheme.parse(label)
+               for label in ("berti", "berti+clip")}
+    grid = {(cores, channels): runner.homogeneous(workloads, cores)
             for cores, channels in [(4, 1), (8, 1), (8, 2), (16, 2)]}
     # One batch for the whole grid: cold points fan out across the
     # runner's jobs together instead of per grid entry.
-    runner.run_sweep(spec for (_, channels), (schemes, mixes) in grid.items()
+    runner.run_sweep(spec for (_, channels), mixes in grid.items()
                      for spec in runner.grid(list(schemes.values()), mixes,
                                              [channels]))
     out: Dict[str, Dict[str, float]] = {}
-    for (cores, channels), (schemes, mixes) in grid.items():
+    for (cores, channels), mixes in grid.items():
         series = speedup_series(runner, schemes, mixes, [channels])
         out[f"{cores}c/{channels}ch"] = {
             label: values[0] for label, values in series.items()}

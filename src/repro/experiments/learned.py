@@ -22,7 +22,6 @@ from repro.experiments.report import print_figure
 from repro.experiments.runner import ExperimentRunner
 from repro.experiments.statistics import geometric_mean
 from repro.experiments.sweep import Scheme
-from repro.sim.stats import weighted_speedup
 
 #: The head-to-head contenders: unfiltered Berti as the spend-everything
 #: reference, CLIP's hand-built filter, bandit-learned selection, and
@@ -50,28 +49,25 @@ def learned_study(runner: Optional[ExperimentRunner] = None,
 
     # One batched sweep over every (scheme x mix) plus the shared
     # baselines: jobs>1 fans out, warm reruns are pure cache hits.
+    ratios = runner.speedups(parsed, mixes, [channels])
     results = runner.results(parsed, mixes, [channels])
 
     speedups: Dict[str, Dict[str, float]] = {}
     traffic: Dict[str, Dict[str, float]] = {}
     for name, scheme in zip(schemes, parsed):
-        per_mix: Dict[str, float] = {}
-        issued = dropped = cores = 0
-        for workload, mix in zip(workloads, mixes):
-            result = results[runner.spec(scheme, mix, channels)]
-            ref = results[runner.spec(scheme.baseline(), mix, channels)]
-            per_mix[workload] = weighted_speedup(result, ref)
-            for group, values in result.counters.items():
-                if group.endswith(".chain"):
-                    issued += values["pf_issued"]
-                    dropped += values["pf_dropped_filter"]
-                    cores += 1
+        per_mix = dict(zip(workloads, ratios[scheme, channels]))
         per_mix["geomean"] = geometric_mean(
             [per_mix[workload] for workload in workloads])
         speedups[name] = per_mix
+        runs = [results[runner.spec(scheme, mix, channels)]
+                for mix in mixes]
+        cores = max(1, sum(len(result.cores) for result in runs))
         traffic[name] = {
-            "issued_per_core": issued / max(1, cores),
-            "dropped_per_core": dropped / max(1, cores),
+            "issued_per_core":
+                sum(result.prefetch.issued for result in runs) / cores,
+            "dropped_per_core":
+                sum(result.prefetch.dropped_filter for result in runs)
+                / cores,
         }
 
     if not quiet:

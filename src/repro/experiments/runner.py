@@ -2,8 +2,9 @@
 
 Most figures compare several schemes against the *same* no-prefetching
 baseline on the *same* workload mixes.  The runner builds each figure's
-grid the way the sweep layer does -- ``Sweep.product(...)`` at the
-runner's scale, with every point's baseline -- memoises results per
+grid from :meth:`ExperimentRunner.spec` points -- one core per workload
+of a mix, at the runner's instruction count, with every point's
+baseline -- memoises results per
 :class:`~repro.experiments.sweep.RunSpec` within the process, and --
 when constructed with a :class:`~repro.experiments.sweep.ResultStore` --
 persists them on disk so warm reruns of any figure are free.  Every
@@ -70,9 +71,10 @@ class ExperimentRunner:
 
     def spec(self, scheme: Scheme, mix: Sequence[str],
              channels: int) -> RunSpec:
-        """The :class:`RunSpec` of one point at this scale."""
+        """The :class:`RunSpec` of one point at this scale's instruction
+        count, on one core per workload of ``mix``."""
         return RunSpec(scheme=scheme, mix=tuple(mix), channels=channels,
-                       num_cores=self.scale.num_cores,
+                       num_cores=len(mix),
                        sim_instructions=self.scale.sim_instructions)
 
     def homogeneous(self, workloads: Sequence[str],
@@ -89,11 +91,11 @@ class ExperimentRunner:
     def grid(self, schemes: Sequence[Scheme],
              mixes: Sequence[Sequence[str]],
              channels: Sequence[int]) -> Sweep:
-        """Every scheme on every mix at every channel count, at this
-        scale, plus each point's no-prefetching baseline."""
-        return Sweep.product(
-            schemes, mixes, channels, num_cores=self.scale.num_cores,
-            sim_instructions=self.scale.sim_instructions).with_baselines()
+        """Every scheme on every mix at every channel count, as
+        :meth:`spec` points, plus each point's no-prefetching
+        baseline."""
+        return Sweep(self.spec(scheme, mix, ch) for scheme in schemes
+                     for mix in mixes for ch in channels).with_baselines()
 
     # ------------------------------------------------------------------
     # Execution

@@ -12,11 +12,12 @@ This module gives that grid a first-class representation:
   point: a scheme, a workload mix, and a channel count.  Two specs that
   build the same :class:`~repro.config.SystemConfig` for the same mix
   share one canonical :meth:`RunSpec.cache_key`.
-* :class:`Sweep`    -- an ordered, de-duplicated collection of specs with
-  :meth:`Sweep.product` / :meth:`Sweep.zip` constructors.
+* :class:`Sweep`    -- an ordered, de-duplicated collection of specs;
+  :meth:`Sweep.product` builds a full grid.
 * :func:`run_sweep` -- executes the independent points of a sweep, fanning
   them across a ``ProcessPoolExecutor`` when ``jobs > 1`` and serving warm
-  points from a :class:`ResultStore` under ``.repro-cache/``.
+  points from a :class:`ResultStore` under ``.repro-cache/``; it returns
+  a :class:`SweepResult`.
 
 Results cross process and disk boundaries via the stable
 ``SimulationResult.to_dict`` / ``from_dict`` round trip, so a point
@@ -32,6 +33,7 @@ import hashlib
 import json
 import os
 import tempfile
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -94,18 +96,13 @@ class Scheme:
     #: Learned online policy ("bandit" selector, "perceptron" filter,
     #: or None for the static chain).
     learned: Optional[str] = None
-    #: Scale CLIP's criticality-filter sets (Fig. 18); implies CLIP on.
-    clip_filter_scale: Optional[float] = None
-    #: Scale CLIP's predictor sets (Fig. 18); implies CLIP on.
-    clip_predictor_scale: Optional[float] = None
-    #: Extra ``ClipConfig`` field overrides (ablations); implies CLIP on.
+    #: Extra ``ClipConfig`` field overrides (ablations, Fig. 18's table
+    #: sizes); implies CLIP on.
     #: Stored as a sorted tuple of (field, value) pairs so the scheme
     #: stays hashable and canonical; constructors accept a mapping.
     clip_overrides: Tuple[Tuple[str, object], ...] = ()
     #: Structural knobs (apply to the no-prefetching baseline too).
     llc_kib: Optional[int] = None
-    num_cores: Optional[int] = None
-    sim_instructions: Optional[int] = None
     #: DVFS operating point: re-clock the cores (and the uncore latencies
     #: expressed in core cycles) to this frequency in GHz.  ``None``
     #: keeps the Table-3 4 GHz reference clock.
@@ -204,26 +201,21 @@ class Scheme:
         """The matching no-prefetching reference configuration.
 
         Keeps the structural knobs that must also apply to the baseline
-        (core count, instructions, LLC size) and drops every scheme knob,
-        mirroring the legacy ``_baseline_overrides`` filter.
+        (LLC size, clock, core mix) and drops every scheme knob.
         """
-        return Scheme(llc_kib=self.llc_kib, num_cores=self.num_cores,
-                      sim_instructions=self.sim_instructions,
+        return Scheme(llc_kib=self.llc_kib,
                       frequency_ghz=self.frequency_ghz,
                       big_cores=self.big_cores)
 
     def build_config(self, channels: int, num_cores: int,
                      sim_instructions: int) -> SystemConfig:
-        """Materialise the :class:`SystemConfig` for this scheme.
-
-        ``num_cores`` / ``sim_instructions`` are the sweep-level defaults;
-        the scheme's own structural fields take precedence.  The finished
-        config is validated here, once.
+        """Materialise the :class:`SystemConfig` for this scheme on a
+        machine of ``num_cores`` cores and ``channels`` DRAM channels,
+        each core running ``sim_instructions``.  The finished config is
+        validated here, once.
         """
-        config = scaled_config(
-            num_cores=self.num_cores or num_cores,
-            channels=channels,
-            sim_instructions=self.sim_instructions or sim_instructions)
+        config = scaled_config(num_cores=num_cores, channels=channels,
+                               sim_instructions=sim_instructions)
         # Every group of a fresh ``scaled_config()`` is its own object,
         # so the scheme's knobs are set in place.
         config.l1_prefetcher.name = self.l1
@@ -241,14 +233,6 @@ class Scheme:
         if self.hermes or self.dspatch:
             config.related.hermes = self.hermes
             config.related.dspatch = self.dspatch
-        if self.clip_filter_scale is not None:
-            clip.enabled = True
-            clip.filter_sets = max(1, int(clip.filter_sets
-                                          * self.clip_filter_scale))
-        if self.clip_predictor_scale is not None:
-            clip.enabled = True
-            clip.predictor_sets = max(1, int(clip.predictor_sets
-                                             * self.clip_predictor_scale))
         if self.clip_overrides:
             # ``replace`` rejects a name that is not a ClipConfig field,
             # where an assignment would quietly add an attribute.
@@ -276,23 +260,25 @@ class RunSpec:
     scheme: Scheme
     mix: Tuple[str, ...]
     channels: int
-    #: Sweep-level defaults; ``scheme.num_cores``/``sim_instructions``
-    #: take precedence when set.
+    #: The machine's size: one workload of ``mix`` per core, each
+    #: running ``sim_instructions``.
     num_cores: int = 8
     sim_instructions: int = 10_000
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "mix", tuple(self.mix))
-        if len(self.mix) != self.cores:
+        if len(self.mix) != self.num_cores:
             raise ValueError("mix length does not match core count")
 
     @property
     def cores(self) -> int:
-        return self.scheme.num_cores or self.num_cores
+        """``num_cores``, under the name ``bench/run.py`` reads."""
+        return self.num_cores
 
     @property
     def instructions(self) -> int:
-        return self.scheme.sim_instructions or self.sim_instructions
+        """``sim_instructions``, under the name ``bench/run.py`` reads."""
+        return self.sim_instructions
 
     def config(self) -> SystemConfig:
         return self.scheme.build_config(self.channels, self.num_cores,
@@ -352,23 +338,6 @@ class Sweep:
                    for mix in mixes
                    for ch in channels)
 
-    @classmethod
-    def zip(cls, schemes: Sequence[Scheme],
-            mixes: Sequence[Sequence[str]],
-            channels: Sequence[int], *,
-            num_cores: int = 8,
-            sim_instructions: int = 10_000) -> "Sweep":
-        """Aligned triples (scheme[i], mix[i], channels[i]) — for
-        irregular grids the product constructor over-covers."""
-        if not (len(schemes) == len(mixes) == len(channels)):
-            raise ValueError(
-                f"zip lengths differ: {len(schemes)} schemes, "
-                f"{len(mixes)} mixes, {len(channels)} channel counts")
-        return cls(RunSpec(scheme=scheme, mix=tuple(mix), channels=ch,
-                           num_cores=num_cores,
-                           sim_instructions=sim_instructions)
-                   for scheme, mix, ch in zip(schemes, mixes, channels))
-
     def with_baselines(self) -> "Sweep":
         """This sweep plus the no-prefetching baseline of every point."""
         extra = [dataclasses.replace(spec, scheme=spec.scheme.baseline())
@@ -380,9 +349,6 @@ class Sweep:
 
     def __len__(self) -> int:
         return len(self.specs)
-
-    def __add__(self, other: "Sweep") -> "Sweep":
-        return Sweep(self.specs + tuple(other))
 
 
 # ---------------------------------------------------------------------------
@@ -482,24 +448,67 @@ def execute_spec(spec: RunSpec) -> Dict:
     return result.to_dict()
 
 
-@dataclass
-class SweepOutcome:
-    """What :func:`run_sweep` did: the results plus cache accounting."""
+#: A scheme argument: a typed :class:`Scheme` or a scheme name such as
+#: ``"berti+clip"`` (parsed with :meth:`Scheme.parse`).
+SchemeLike = Union[str, Scheme]
 
-    results: Dict[RunSpec, SimulationResult]
-    #: Points actually simulated this call.
-    simulated: int = 0
-    #: Points served from the disk store.
-    cache_hits: int = 0
+
+@dataclass(frozen=True)
+class SweepResult:
+    """What :func:`run_sweep` ran: every point's result plus cache
+    accounting.
+
+    Iterating yields :class:`SimulationResult` objects in sweep order;
+    ``items()`` pairs them with their :class:`RunSpec` for filtering.
+    """
+
+    specs: Tuple[RunSpec, ...]
+    results: Mapping[RunSpec, SimulationResult]
+    #: Points actually simulated by this call.
+    simulated: int
+    #: Points served from the on-disk cache.
+    cache_hits: int
+
+    def __len__(self) -> int:
+        return len(self.specs)
+
+    def __iter__(self) -> Iterator[SimulationResult]:
+        return (self.results[spec] for spec in self.specs)
 
     def __getitem__(self, spec: RunSpec) -> SimulationResult:
         return self.results[spec]
+
+    def items(self) -> Iterator[Tuple[RunSpec, SimulationResult]]:
+        return ((spec, self.results[spec]) for spec in self.specs)
+
+    def find(self, scheme: Optional[SchemeLike] = None,
+             mix: Optional[Sequence[str]] = None,
+             channels: Optional[int] = None) -> List[SimulationResult]:
+        """Results matching every given coordinate, in sweep order."""
+        if isinstance(scheme, str):
+            scheme = Scheme.parse(scheme)
+        return [self.results[spec] for spec in self.specs
+                if (scheme is None or spec.scheme == scheme)
+                and (mix is None or spec.mix == tuple(mix))
+                and (channels is None or spec.channels == channels)]
+
+    def only(self, scheme: Optional[SchemeLike] = None,
+             mix: Optional[Sequence[str]] = None,
+             channels: Optional[int] = None) -> SimulationResult:
+        """The single result matching the coordinates, or ``LookupError``."""
+        matches = self.find(scheme=scheme, mix=mix, channels=channels)
+        if len(matches) != 1:
+            raise LookupError(
+                f"{len(matches)} sweep points match "
+                f"(scheme={scheme!r}, mix={mix!r}, channels={channels!r}); "
+                f"expected exactly one")
+        return matches[0]
 
 
 def run_sweep(sweep: Iterable[RunSpec], *, jobs: int = 1,
               store: Optional[ResultStore] = None,
               known: Optional[Mapping[RunSpec, SimulationResult]] = None
-              ) -> SweepOutcome:
+              ) -> SweepResult:
     """Execute every point of ``sweep``, in parallel when ``jobs > 1``.
 
     ``known`` points (e.g. an in-process memo) are returned as-is; the
@@ -508,7 +517,8 @@ def run_sweep(sweep: Iterable[RunSpec], *, jobs: int = 1,
     ``ProcessPoolExecutor`` with ``jobs`` workers.  Both paths round-trip
     results through ``to_dict``/``from_dict``, so the executed results
     are identical regardless of ``jobs``.  Fresh results are written back
-    to ``store`` as they arrive.
+    to ``store`` as they arrive; the store is a cache, so an entry that
+    cannot be written costs a ``RuntimeWarning``, never the result.
 
     This is the one in-process fan-out.  A campaign spread over
     processes that share only a URL runs through ``repro serve`` and
@@ -516,29 +526,35 @@ def run_sweep(sweep: Iterable[RunSpec], *, jobs: int = 1,
     same store under the same keys, so a ``run_sweep`` over that store
     reads every finished point as a hit.
     """
-    specs = list(Sweep(sweep))
-    outcome = SweepOutcome(results={})
+    specs = Sweep(sweep).specs
+    results: Dict[RunSpec, SimulationResult] = {}
+    cache_hits = 0
     pending: List[RunSpec] = []
     # Each store-backed point's key, computed once for load and save.
     keys: Dict[RunSpec, str] = {}
     for spec in specs:
         if known is not None and spec in known:
-            outcome.results[spec] = known[spec]
+            results[spec] = known[spec]
             continue
         if store is not None:
             key = keys[spec] = spec.cache_key()
             cached = store.load(key)
             if cached is not None:
-                outcome.results[spec] = cached
-                outcome.cache_hits += 1
+                results[spec] = cached
+                cache_hits += 1
                 continue
         pending.append(spec)
 
     def record(spec: RunSpec, result: SimulationResult) -> None:
-        outcome.results[spec] = result
-        outcome.simulated += 1
-        if store is not None:
+        results[spec] = result
+        if store is None:
+            return
+        try:
             store.save(keys[spec], spec, result)
+        except OSError as exc:
+            warnings.warn(f"result store entry {store.path_for(keys[spec])} "
+                          f"not written: {exc}", RuntimeWarning,
+                          stacklevel=3)
 
     if jobs <= 1 or len(pending) <= 1:
         for spec in pending:
@@ -548,4 +564,5 @@ def run_sweep(sweep: Iterable[RunSpec], *, jobs: int = 1,
         with ProcessPoolExecutor(max_workers=workers) as pool:
             for spec, data in zip(pending, pool.map(execute_spec, pending)):
                 record(spec, SimulationResult.from_dict(data))
-    return outcome
+    return SweepResult(specs=specs, results=results,
+                       simulated=len(pending), cache_hits=cache_hits)

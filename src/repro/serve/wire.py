@@ -32,9 +32,25 @@ def spec_to_dict(spec: RunSpec) -> Dict:
     }
 
 
+#: Scheme fields that older releases wrote and this one removed: a
+#: point's size lives only in the spec, and Fig. 18's table scaling in
+#: ``clip_overrides``.  Unset (null), they described nothing.
+_REMOVED_SCHEME_FIELDS = ("num_cores", "sim_instructions",
+                          "clip_filter_scale", "clip_predictor_scale")
+
+
 def spec_from_dict(payload: Dict) -> RunSpec:
-    """Rebuild a :class:`RunSpec` from :func:`spec_to_dict` output."""
+    """Rebuild a :class:`RunSpec` from :func:`spec_to_dict` output.
+
+    A removed scheme field written by an older release is dropped when
+    null; set, it named a point this release cannot spell, so it is a
+    ``ValueError`` naming the field.
+    """
     fields = dict(payload["scheme"])
+    for name in _REMOVED_SCHEME_FIELDS:
+        if fields.pop(name, None) is not None:
+            raise ValueError(f"scheme field {name!r} was removed; this "
+                             f"point cannot be rebuilt")
     # Back to a mapping so Scheme.__post_init__ re-canonicalises the
     # pairs into its sorted hashable tuple form.
     fields["clip_overrides"] = dict(

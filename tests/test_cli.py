@@ -6,15 +6,17 @@ import asyncio
 
 import pytest
 
+from repro import cli
 from repro.cli import FIGURES, TABLES, build_parser, main
+from repro.sim.system import run_system
 
 
 class TestParser:
     def test_run_defaults(self):
         args = build_parser().parse_args(["run"])
         assert args.workload == "605.mcf_s-1536B"
-        assert args.prefetcher == "berti"
-        assert not args.clip
+        assert args.scheme == "berti"
+        assert not args.dynamic_clip
 
     def test_figure_choices_cover_all_paper_items(self):
         for fig in range(1, 22):
@@ -27,9 +29,11 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["figure", "fig99"])
 
-    def test_rejects_unknown_prefetcher(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["run", "--prefetcher", "oracle"])
+    def test_rejects_unknown_prefetcher(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(["run", "--scheme", "oracle"])
+        assert exit_info.value.code == 2
+        assert "unknown scheme 'oracle'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("verb", ["sweep", "serve", "compare"])
     def test_unknown_scheme_is_a_usage_error(self, verb, capsys):
@@ -47,22 +51,23 @@ class TestCommands:
         out = capsys.readouterr().out.strip().splitlines()
         assert len(out) == 67  # 45 SPEC + 12 GAP + 5 CloudSuite + 5 CVP
 
-    def test_storage_prints_table2(self, capsys):
-        assert main(["storage"]) == 0
+    def test_figure_table2_prints_storage(self, capsys):
+        assert main(["figure", "table2"]) == 0
         out = capsys.readouterr().out
         assert "Criticality filter" in out
         assert "1.564" in out
 
     def test_run_minimal(self, capsys):
         code = main(["run", "--cores", "2", "--channels", "1",
-                     "--instructions", "1000", "--prefetcher", "none"])
+                     "--instructions", "1000", "--scheme", "none"])
         assert code == 0
         out = capsys.readouterr().out
         assert "aggregate IPC" in out
 
     def test_run_with_clip_and_baseline(self, capsys):
         code = main(["run", "--cores", "2", "--channels", "1",
-                     "--instructions", "1200", "--clip", "--baseline"])
+                     "--instructions", "1200", "--scheme", "berti+clip",
+                     "--baseline"])
         assert code == 0
         out = capsys.readouterr().out
         assert "CLIP" in out
@@ -81,7 +86,8 @@ class TestCommands:
     def test_markdown_report_flag(self, tmp_path, capsys):
         path = tmp_path / "report.md"
         assert main(["run", "--cores", "2", "--instructions", "1200",
-                     "--clip", "--markdown-report", str(path)]) == 0
+                     "--scheme", "berti+clip", "--markdown-report",
+                     str(path)]) == 0
         text = path.read_text()
         assert text.startswith("# ")
         assert "## CLIP" in text
@@ -94,8 +100,29 @@ class TestCommands:
 
     def test_run_with_tlb_flag(self, capsys):
         assert main(["run", "--cores", "2", "--instructions", "1000",
-                     "--prefetcher", "none", "--tlb"]) == 0
+                     "--scheme", "none", "--tlb"]) == 0
         assert "aggregate IPC" in capsys.readouterr().out
+
+    def test_run_baseline_keeps_tlb_and_sanitizer(self, monkeypatch,
+                                                  capsys):
+        """``--baseline`` runs the scheme's baseline on the same
+        machine: with the TLB and the sanitizer on, ``none`` against
+        its own baseline reads exactly 1."""
+        configs = []
+
+        def recording(config, workloads, label=""):
+            configs.append(config)
+            return run_system(config, workloads, label=label)
+
+        monkeypatch.setattr(cli, "run_system", recording)
+        assert main(["run", "--cores", "2", "--instructions", "800",
+                     "--scheme", "none", "--tlb", "--sanitize",
+                     "--baseline"]) == 0
+        [baseline] = configs
+        assert baseline.tlb.enabled and baseline.sanitize
+        assert baseline.l1_prefetcher.name == "none"
+        assert "weighted speedup vs no-prefetching: 1.000" in \
+            capsys.readouterr().out
 
 
 class TestSweepCommand:

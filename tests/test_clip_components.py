@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.config import ClipConfig
-from repro.core import (ApcPhaseDetector, CriticalityFilter,
+from repro.core import (ApcPhaseDetector, Clip, CriticalityFilter,
                         CriticalityPredictor, ShiftRegister, UtilityBuffer,
                         critical_signature, storage_overhead, storage_table)
 
@@ -131,6 +131,13 @@ class TestCriticalityFilter:
     def _filter(self, **kw) -> CriticalityFilter:
         return CriticalityFilter(sets=4, ways=2, **kw)
 
+    def _clip(self) -> Clip:
+        """A CLIP instance whose filter is :meth:`_filter`'s; its
+        predictor is untrained, so a candidate that passes both filter
+        stages is dropped by the predictor, and the drop reason tells
+        which stage stopped it."""
+        return Clip(ClipConfig(filter_sets=4, filter_ways=2))
+
     def test_insert_on_critical(self):
         filt = self._filter()
         filt.record_critical(0x400)
@@ -172,7 +179,8 @@ class TestCriticalityFilter:
         assert filt.get(0x400).is_crit_accurate
 
     def test_low_hit_rate_blocks(self):
-        filt = self._filter()
+        clip = self._clip()
+        filt = clip.filter
         for _ in range(3):
             filt.record_critical(0x400)
         for i in range(10):
@@ -182,7 +190,9 @@ class TestCriticalityFilter:
         filt.end_window()
         entry = filt.get(0x400)
         assert not entry.is_crit_accurate
-        assert not filt.allows_prefetch(0x400)
+        assert clip.filter_request(0x400, 0x10000, 0) == (False, False)
+        assert clip.stats.dropped_low_accuracy == 1
+        assert clip.stats.dropped_predictor == 0
 
     def test_blocked_ip_reexplores(self):
         filt = self._filter()
@@ -207,13 +217,18 @@ class TestCriticalityFilter:
         assert entry.hit_count == 4 and entry.issue_count == 4
 
     def test_exploration_probe_budget(self):
-        filt = self._filter()
+        clip = self._clip()
+        filt = clip.filter
         for _ in range(3):
             filt.record_critical(0x400)
-        for _ in range(CriticalityFilter.EXPLORATION_PROBES):
-            assert filt.allows_prefetch(0x400)
+        probes = CriticalityFilter.EXPLORATION_PROBES
+        for probe in range(probes):
+            clip.filter_request(0x400, 0x10000, 0)
+            assert clip.stats.dropped_predictor == probe + 1
             filt.note_issue(0x400)
-        assert not filt.allows_prefetch(0x400)
+        assert clip.filter_request(0x400, 0x10000, 0) == (False, False)
+        assert clip.stats.dropped_low_accuracy == 1
+        assert clip.stats.dropped_predictor == probes
 
     def test_counter_ratio_survives_saturation(self):
         filt = self._filter()

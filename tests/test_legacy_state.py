@@ -1,4 +1,4 @@
-"""State written before the simulation-backend option was removed.
+"""State written by older releases.
 
 Releases with two simulation engines recorded the engine's name as
 provenance: a ``"backend"`` field in every result-store entry and in
@@ -6,6 +6,10 @@ serve campaign manifests.  Results never depended on it (cache keys
 excluded it).  Such a store entry is also a schema-3 entry, which the
 schema-5 store (the counter snapshot grew twice) must treat as a miss;
 the re-simulated result still reproduces every value it pinned.
+
+Releases whose ``Scheme`` also carried a point's size and Fig. 18's
+table scaling wrote those four fields into every manifest's schemes,
+null unless set; they resume unchanged.
 """
 
 from __future__ import annotations
@@ -13,6 +17,8 @@ from __future__ import annotations
 import json
 import shutil
 from pathlib import Path
+
+import pytest
 
 from equivalence_points import leaf_changes
 
@@ -25,6 +31,14 @@ from repro.serve.wire import spec_to_dict
 #: A store holding one entry written by the two-engine release (under
 #: the batch engine), verbatim.
 OLD_STORE = Path(__file__).parent / "data" / "store_with_backend_field"
+
+#: A finished ``repro serve`` campaign's manifest, written by the release
+#: before ``Scheme`` lost ``num_cores``, ``sim_instructions``,
+#: ``clip_filter_scale`` and ``clip_predictor_scale`` (every scheme
+#: carries them as null), verbatim: berti, berti+clip and their
+#: baseline on one 605.mcf core, 500 instructions, one channel.
+OLD_MANIFEST = (Path(__file__).parent / "data"
+                / "manifest_with_scheme_size_fields.json")
 
 SPEC = RunSpec(scheme=Scheme(l1="berti"), mix=("605.mcf_s-1536B",),
                channels=1, num_cores=1, sim_instructions=500)
@@ -93,3 +107,26 @@ def test_serve_resume_ignores_manifest_backend_field(tmp_path, capsys):
     assert code == 0, out
     assert "simulated 0 point(s); 1 of 1 served from the disk cache" in out
     assert "backend" not in json.loads(manifest.read_text())
+
+
+def test_serve_resumes_manifest_with_removed_scheme_fields(tmp_path,
+                                                           capsys):
+    manifest = tmp_path / "manifest.json"
+    shutil.copy(OLD_MANIFEST, manifest)
+    specs = load_manifest(manifest)["specs"]
+    assert specs == [RunSpec(scheme=Scheme.parse(name),
+                             mix=("605.mcf_s-1536B",), channels=1,
+                             num_cores=1, sim_instructions=500)
+                     for name in ("berti", "berti+clip", "none")]
+    run_sweep(specs, store=ResultStore(tmp_path / "cache"))
+    code = main(["serve", "--resume", "--manifest", str(manifest),
+                 "--cache-dir", str(tmp_path / "cache"), "--workers", "0"])
+    out = capsys.readouterr().out
+    assert code == 0, out
+    assert "simulated 0 point(s); 3 of 3 served from the disk cache" in out
+    # Set, a removed field named a point no scheme can spell now.
+    payload = json.loads(OLD_MANIFEST.read_text())
+    payload["jobs"][0]["spec"]["scheme"]["clip_filter_scale"] = 0.5
+    manifest.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match="'clip_filter_scale'"):
+        load_manifest(manifest)

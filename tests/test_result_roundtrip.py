@@ -78,25 +78,31 @@ def _key_schemes() -> dict:
     schemes["berti+fvp-measure"] = Scheme.parse("berti+fvp",
                                                 crit_gate=False)
     schemes["llc_kib"] = Scheme.parse("berti+clip", llc_kib=256)
-    # 12 cores: the little-core overrides run to two-digit ids.
-    schemes["big_cores"] = Scheme.parse("berti", num_cores=12, big_cores=2)
+    schemes["big_cores"] = Scheme.parse("berti", big_cores=2)
     schemes["big_cores-frequency"] = Scheme.parse(
-        "berti+clip", num_cores=12, big_cores=5, frequency_ghz=2.5)
+        "berti+clip", big_cores=5, frequency_ghz=2.5)
     schemes["frequency"] = Scheme.parse("berti+clip", frequency_ghz=3.2)
-    schemes["clip_filter_scale"] = Scheme.parse("berti",
-                                                clip_filter_scale=0.25)
+    # Fig. 18's table sizes: a quarter of the filter, twice the
+    # predictor.
+    schemes["clip_filter_scale"] = Scheme.parse(
+        "berti", clip_overrides={"filter_sets": 8})
     schemes["clip_predictor_scale"] = Scheme.parse(
-        "berti", clip_predictor_scale=2.0)
+        "berti", clip_overrides={"predictor_sets": 256})
     schemes["clip_overrides"] = Scheme.parse(
         "berti", clip_overrides={"use_accuracy_filter": False,
                                  "criticality_count_threshold": 6,
                                  "accuracy_threshold": 0.75})
-    schemes["num_cores-sim_instructions"] = Scheme.parse(
-        "ipcp+clip", num_cores=3, sim_instructions=3_000)
+    schemes["num_cores-sim_instructions"] = Scheme.parse("ipcp+clip")
     return schemes
 
 
 KEY_SCHEMES = _key_schemes()
+
+#: (cores, instructions) of the knobs that size the machine; every
+#: other knob runs 2 cores x 2,500 instructions.  12 cores: the
+#: little-core overrides run to two-digit ids.
+KEY_SIZES = {"big_cores": (12, 2_500), "big_cores-frequency": (12, 2_500),
+             "num_cores-sim_instructions": (3, 3_000)}
 
 
 #: The only knobs that build the same config: ``bandit`` and
@@ -110,11 +116,12 @@ def keyed_specs():
     and 8 channels, by (test id, channels)."""
     specs = {}
     for name, scheme in KEY_SCHEMES.items():
+        cores, instructions = KEY_SIZES.get(name, (2, 2_500))
         for channels in (1, 2, 8):
             spec = RunSpec(scheme=scheme,
-                           mix=("605.mcf_s-1536B",) * (scheme.num_cores or 2),
-                           channels=channels, num_cores=2,
-                           sim_instructions=2_500)
+                           mix=("605.mcf_s-1536B",) * cores,
+                           channels=channels, num_cores=cores,
+                           sim_instructions=instructions)
             config = spec.config()
             encoding = json.dumps(
                 {"config": dataclasses.asdict(config),

@@ -163,8 +163,9 @@ class TestConfig:
         assert config.dram.trp_cycles == 50
 
     def test_clip_scaled(self):
-        """Fig. 18's table scaling doubles both CLIP tables and keeps
-        every other CLIP knob."""
+        """Fig. 18 scales CLIP's tables through ``clip_overrides``: the
+        overrides turn CLIP on, double both tables and keep every other
+        CLIP knob."""
         def clip(scheme):
             return scheme.build_config(channels=1, num_cores=2,
                                        sim_instructions=500).clip
@@ -173,8 +174,9 @@ class TestConfig:
         doubled = dataclasses.replace(plain,
                                       filter_sets=2 * plain.filter_sets,
                                       predictor_sets=2 * plain.predictor_sets)
-        assert clip(Scheme.parse("berti", clip_filter_scale=2.0,
-                                 clip_predictor_scale=2.0)) == doubled
+        assert clip(Scheme.parse("berti", clip_overrides={
+            "filter_sets": 2 * plain.filter_sets,
+            "predictor_sets": 2 * plain.predictor_sets})) == doubled
 
     def test_replace_returns_new(self):
         config = SystemConfig()

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import collections
 import json
+import re
 
 import pytest
 
@@ -113,16 +114,18 @@ class TestScheme:
 
     def test_baseline_keeps_structural_knobs_only(self):
         scheme = Scheme(l1="berti", clip=True, criticality="fvp",
-                        llc_kib=64, num_cores=4, sim_instructions=500)
+                        llc_kib=64, frequency_ghz=3.2, big_cores=1)
         base = scheme.baseline()
-        assert base == Scheme(llc_kib=64, num_cores=4,
-                              sim_instructions=500)
+        assert base == Scheme(llc_kib=64, frequency_ghz=3.2, big_cores=1)
 
-    def test_build_config_structural_precedence(self):
-        scheme = Scheme(l1="berti", num_cores=4, llc_kib=64)
-        config = scheme.build_config(channels=1, num_cores=2,
+    def test_build_config_applies_structural_knobs(self):
+        """The machine's size comes from the arguments, the structural
+        knobs from the scheme."""
+        scheme = Scheme(l1="berti", llc_kib=64)
+        config = scheme.build_config(channels=1, num_cores=4,
                                      sim_instructions=1_000)
         assert config.num_cores == 4
+        assert config.sim_instructions == 1_000
         assert config.llc_slice.size_kib == 64
         assert config.l1_prefetcher.name == "berti"
 
@@ -163,11 +166,7 @@ class TestSweep:
         schemes = [Scheme(), Scheme(l1="berti")]
         sweep = Sweep.product(schemes, [MIX], [1, 2], **TINY)
         assert len(sweep) == 4
-        assert len(sweep + sweep) == 4  # de-duplicated
-
-    def test_zip_requires_aligned_lengths(self):
-        with pytest.raises(ValueError, match="zip lengths"):
-            Sweep.zip([Scheme()], [MIX, MIX], [1, 2], **TINY)
+        assert Sweep(list(sweep) * 2).specs == sweep.specs  # de-duplicated
 
     def test_with_baselines_adds_reference_points(self):
         sweep = Sweep.product([Scheme(l1="berti")], [MIX], [1], **TINY)
@@ -199,6 +198,38 @@ class TestExecutor:
         assert serial.simulated == parallel.simulated == len(self.SPECS)
         assert ({s: r.to_dict() for s, r in serial.results.items()}
                 == {s: r.to_dict() for s, r in parallel.results.items()})
+
+    def test_result_keeps_sweep_order(self):
+        """``run_sweep`` returns the points in sweep order, without
+        repeats, and finds a point by its coordinates."""
+        specs = [self.SPECS[2], self.SPECS[0], self.SPECS[3]]
+        swept = run_sweep(specs + [specs[0]])
+        assert swept.specs == tuple(specs)
+        assert swept.simulated == 3 and swept.cache_hits == 0
+        assert list(swept) == [swept[spec] for spec in specs]
+        assert swept.only("berti+clip") is swept[specs[0]]
+        assert swept.find(channels=1) == [swept[specs[0]], swept[specs[1]]]
+        with pytest.raises(LookupError, match="0 sweep points match"):
+            swept.only("berti")
+        with pytest.raises(LookupError, match="2 sweep points match"):
+            swept.only(Scheme())
+
+    def test_unwritable_entry_keeps_the_result(self, tmp_path):
+        """The store is a cache: a point whose entry cannot be written
+        still returns its result, with a warning naming the entry, and
+        the next sweep over the store simulates it again."""
+        store = ResultStore(tmp_path)
+        spec = self.SPECS[0]
+        path = store.path_for(spec.cache_key())
+        path.mkdir(parents=True)
+        with pytest.warns(RuntimeWarning, match=re.escape(str(path))):
+            first = run_sweep([spec], store=store)
+        assert first.simulated == 1
+        with pytest.warns(RuntimeWarning, match="not written"):
+            again = run_sweep([spec], store=store)
+        assert again.simulated == 1 and again.cache_hits == 0
+        assert again[spec].to_dict() == first[spec].to_dict()
+        assert path.is_dir()
 
     def test_store_round_trip(self, tmp_path):
         store = ResultStore(tmp_path)
