@@ -44,6 +44,13 @@ WALLCLOCK_TIME_FUNCS = frozenset({
     "time", "monotonic", "perf_counter", "process_time", "monotonic_ns",
     "time_ns", "perf_counter_ns"})
 
+#: The ``random`` module's functions that draw from the process-global
+#: (unseeded) state (SIM001, SIM010).
+GLOBAL_RNG_FUNCS = frozenset({
+    "random", "randrange", "randint", "choice", "choices", "sample",
+    "shuffle", "uniform", "gauss", "normalvariate", "expovariate",
+    "betavariate", "triangular", "randbytes", "getrandbits", "seed"})
+
 #: AST nodes that open a new naming scope.
 _SCOPE_NODES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 

@@ -30,15 +30,9 @@ import ast
 import re
 from typing import Iterator, List, Optional, Sequence
 
-from repro.analysis.framework import (WALLCLOCK_TIME_FUNCS, LintContext,
+from repro.analysis.framework import (GLOBAL_RNG_FUNCS,
+                                      WALLCLOCK_TIME_FUNCS, LintContext,
                                       Rule, Violation)
-
-#: ``random`` module functions that consume the *global* (unseeded) state.
-_GLOBAL_RNG_FUNCS = {
-    "random", "randrange", "randint", "choice", "choices", "sample",
-    "shuffle", "uniform", "gauss", "normalvariate", "expovariate",
-    "betavariate", "triangular", "randbytes", "getrandbits", "seed",
-}
 
 #: Identifiers that denote simulated-time quantities (cycle counters).
 _CYCLE_NAME_RE = re.compile(
@@ -95,7 +89,7 @@ class UnseededRandomRule(Rule):
         base = func.value
         # random.<func>(...) on the module itself.
         if isinstance(base, ast.Name) and base.id in ctx.random_modules:
-            if func.attr in _GLOBAL_RNG_FUNCS:
+            if func.attr in GLOBAL_RNG_FUNCS:
                 yield self.violation(
                     ctx, node,
                     f"module-level random.{func.attr}() uses the "

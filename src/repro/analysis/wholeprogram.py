@@ -37,7 +37,8 @@ from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 from repro.analysis.callgraph import function_ref
 from repro.analysis.dataflow import (TaintAnalysis, TaintResult, TaintSpec,
                                      walk_excluding_nested)
-from repro.analysis.framework import (WALLCLOCK_TIME_FUNCS, LintContext,
+from repro.analysis.framework import (GLOBAL_RNG_FUNCS,
+                                      WALLCLOCK_TIME_FUNCS, LintContext,
                                       Rule, Violation)
 
 #: The simulator's hot layers: the engine, the caches, the hierarchy,
@@ -53,14 +54,6 @@ COMPILE_HOT_SET = (
 
 #: Path fragment marking the sanctioned home of randomness.
 _TRACE_PATH_RE = re.compile(r"(^|/)trace/")
-
-#: ``random`` module functions drawing from the process-global state
-#: (kept in sync with SIM001's list).
-_GLOBAL_RNG_FUNCS = {
-    "random", "randrange", "randint", "choice", "choices", "sample",
-    "shuffle", "uniform", "gauss", "normalvariate", "expovariate",
-    "betavariate", "triangular", "randbytes", "getrandbits", "seed",
-}
 
 _LISTDIR_ATTRS = {"listdir", "scandir", "iterdir", "glob", "rglob"}
 _LISTDIR_NAMES = {"listdir", "scandir", "glob", "iglob"}
@@ -253,7 +246,7 @@ class RngOutsideTraceRule(Rule):
         if isinstance(base, ast.Name) and base.id in ctx.random_modules:
             if func.attr in ("Random", "SystemRandom"):
                 return f"RNG construction random.{func.attr}(...)"
-            if func.attr in _GLOBAL_RNG_FUNCS:
+            if func.attr in GLOBAL_RNG_FUNCS:
                 return f"module-global RNG call random.{func.attr}()"
             return None
         if (isinstance(base, ast.Attribute) and base.attr == "random"

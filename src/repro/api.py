@@ -91,7 +91,7 @@ def _store(cache: Union[bool, str, ResultStore]) -> Optional[ResultStore]:
 def sweep(schemes: Union[SchemeLike, Iterable[SchemeLike]],
           workloads: WorkloadsLike, *,
           channels: Union[int, Sequence[int]] = 1,
-          num_cores: int = 8,
+          num_cores: Optional[int] = None,
           sim_instructions: int = 10_000,
           baselines: bool = False,
           jobs: int = 1,
@@ -100,11 +100,13 @@ def sweep(schemes: Union[SchemeLike, Iterable[SchemeLike]],
 
     ``schemes`` accepts typed :class:`Scheme` objects or legacy-style
     names ("berti+clip"); ``workloads`` accepts one mix or a list of
-    mixes; ``channels`` one count or several.  ``baselines=True`` adds
-    the matching no-prefetching reference point for every point (for
-    :func:`weighted_speedup` denominators).  Completed points are served
-    from the on-disk cache (``cache`` may be ``False``, a directory, or
-    a :class:`ResultStore`); fresh points fan out across ``jobs``
+    mixes; ``channels`` one count or several.  A point runs one core per
+    workload of its mix; ``num_cores``, when given, must agree with
+    every mix.  ``baselines=True`` adds the matching no-prefetching
+    reference point for every point (for :func:`weighted_speedup`
+    denominators).  Completed points are served from the on-disk cache
+    (``cache`` may be ``False``, a directory, or a
+    :class:`ResultStore`); fresh points fan out across ``jobs``
     processes.
 
     A campaign run with ``repro serve`` and ``repro worker`` writes the

@@ -45,8 +45,6 @@ class MshrFile:
     """
 
     def __init__(self, capacity: int) -> None:
-        if capacity < 1:
-            raise ValueError("MSHR capacity must be positive")
         self.capacity = capacity
         self.entries: Dict[int, Mshr] = {}
         self.pending: Deque[Tuple] = deque()

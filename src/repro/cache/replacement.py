@@ -1,10 +1,11 @@
 """Cache replacement policies.
 
-The baseline system (Table 3) uses LRU-class policies at L1, SRRIP at L2,
-and Mockingjay at the LLC.  Mockingjay proper samples reuse intervals and
-mimics Belady's MIN; ``MockingjayLite`` here keeps its essence -- a PC-
-indexed reuse-interval predictor steering eviction toward the line whose
-next use is farthest in the future -- without the full sampled-cache
+The baseline system (Table 3) uses LRU at the L1D, SRRIP at L2 and
+Mockingjay at the LLC, one policy per level; those three are the ones
+offered.  Mockingjay proper samples reuse intervals and mimics Belady's
+MIN; ``MockingjayLite`` here keeps its essence -- a PC-indexed
+reuse-interval predictor steering eviction toward the line whose next
+use is farthest in the future -- without the full sampled-cache
 machinery (see DESIGN.md section 2).
 """
 
@@ -59,36 +60,6 @@ class LruPolicy(ReplacementPolicy):
                 best_stamp = stamps[way]
                 best_way = way
         return best_way
-
-
-class NruPolicy(ReplacementPolicy):
-    """Not-recently-used (single reference bit per line)."""
-
-    def __init__(self, num_sets: int, ways: int) -> None:
-        super().__init__(num_sets, ways)
-        self._referenced = [[False] * ways for _ in range(num_sets)]
-
-    def _mark(self, set_index: int, way: int) -> None:
-        bits = self._referenced[set_index]
-        bits[way] = True
-        if all(bits):
-            for other in range(self.ways):
-                if other != way:
-                    bits[other] = False
-
-    def on_hit(self, set_index: int, way: int, now: int, pc: int) -> None:
-        self._mark(set_index, way)
-
-    def on_fill(self, set_index: int, way: int, now: int, pc: int,
-                prefetch: bool = False) -> None:
-        self._mark(set_index, way)
-
-    def victim(self, set_index: int, now: int, valid: List[bool]) -> int:
-        bits = self._referenced[set_index]
-        for way in range(self.ways):
-            if not bits[way]:
-                return way
-        return 0
 
 
 class SrripPolicy(ReplacementPolicy):
@@ -179,34 +150,8 @@ class MockingjayLitePolicy(ReplacementPolicy):
         return best_way
 
 
-class LfuPolicy(ReplacementPolicy):
-    """Least frequently used (the victim-selection rule CLIP's criticality
-    filter applies to its entries; offered for caches too)."""
-
-    def __init__(self, num_sets: int, ways: int) -> None:
-        super().__init__(num_sets, ways)
-        self._count = [[0] * ways for _ in range(num_sets)]
-
-    def on_hit(self, set_index: int, way: int, now: int, pc: int) -> None:
-        self._count[set_index][way] += 1
-
-    def on_fill(self, set_index: int, way: int, now: int, pc: int,
-                prefetch: bool = False) -> None:
-        self._count[set_index][way] = 1
-
-    def victim(self, set_index: int, now: int, valid: List[bool]) -> int:
-        counts = self._count[set_index]
-        best_way = 0
-        for way in range(1, self.ways):
-            if counts[way] < counts[best_way]:
-                best_way = way
-        return best_way
-
-
 _POLICIES = {
     "lru": LruPolicy,
-    "nru": NruPolicy,
-    "lfu": LfuPolicy,
     "srrip": SrripPolicy,
     "mockingjay": MockingjayLitePolicy,
 }

@@ -223,7 +223,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         """The config of ``point`` on this invocation's machine: the
         scheme and its baseline share the TLB and the sanitizer."""
         config = RunSpec(scheme=point, mix=mix, channels=args.channels,
-                         num_cores=args.cores,
                          sim_instructions=args.instructions).config()
         if args.tlb:
             config.tlb.enabled = True
@@ -465,7 +464,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         from repro.experiments.report import comparison_report
         swept = api.sweep(args.schemes,
                           homogeneous_mix(args.workload, args.cores),
-                          channels=args.channels, num_cores=args.cores,
+                          channels=args.channels,
                           sim_instructions=args.instructions, cache=False)
         results = {scheme: swept.only(scheme=scheme)
                    for scheme in args.schemes}

@@ -216,8 +216,6 @@ class DramConfig:
     write_watermark: float = 7.0 / 8.0
     #: Number of writes drained per drain episode.
     write_drain_batch: int = 16
-    #: PADC-style prefetch-aware scheduling (demand-first).
-    prefetch_aware: bool = True
 
 
 @dataclass
@@ -343,17 +341,14 @@ class LearnedConfig:
     arms: tuple[str, ...] = ("none", "berti", "stride", "streamer")
     #: Epsilon-greedy exploration rate, in permille.
     epsilon_permille: int = 125
-    #: Use the UCB rule instead of epsilon-greedy exploration.
-    ucb: bool = False
     #: Perceptron geometry (branch.py-style lanes).
     tables: Positive = 4
     table_entries: Positive = 256
     #: A sign bit and at least one magnitude bit.
     weight_bits: Annotated[int, at_least(2)] = 6
-    #: Base admission threshold (idle bus).
+    #: Base admission threshold (idle bus); the bar rises with DRAM bus
+    #: pressure.
     threshold: int = 0
-    #: Raise the admission bar with DRAM bus pressure.
-    adaptive_threshold: bool = True
     #: Admit every Nth below-threshold candidate as an exploration
     #: probe, so the filter keeps a training signal even when the
     #: adaptive bar exceeds the cold-start weights (CLIP's
@@ -501,6 +496,10 @@ class SystemConfig:
         simulate something else (a negative warm-up), so it raises
         ``ValueError`` here, naming the field.  The rules that tie
         fields together follow the bounds, as code.
+
+        This is the only place a config rule is checked.
+        ``MulticoreSystem`` calls it before it builds anything, and the
+        components it builds trust their config.
         """
         # A disabled CLIP, TLB or learner is never built, so its fields
         # are not read.
@@ -586,8 +585,6 @@ class SystemConfig:
         cycles when the cores run slower.  Latencies never drop below
         one cycle.
         """
-        if frequency_ghz <= 0:
-            raise ValueError("frequency must be positive")
         ratio = frequency_ghz / self.core.frequency_ghz
 
         def cycles(value: int) -> int:
@@ -634,8 +631,8 @@ def scaled_config(num_cores: int = 16,
     paper's rule (window just above the number of L1D lines).
 
     The config comes back unvalidated: a caller edits it further, and
-    validates the finished config (``Scheme.build_config()`` does, and
-    so does ``MulticoreSystem`` before it builds anything).
+    ``MulticoreSystem`` validates the finished config before it builds
+    anything.
     """
     config = SystemConfig(num_cores=num_cores,
                           sim_instructions=sim_instructions,

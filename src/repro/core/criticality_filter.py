@@ -61,8 +61,6 @@ class CriticalityFilter:
                  issue_count_bits: int = 6,
                  crit_threshold: int = 4,
                  accuracy_threshold: float = 0.90) -> None:
-        if sets < 1 or ways < 1:
-            raise ValueError("filter geometry must be positive")
         self.num_sets = sets
         self.ways = ways
         self.tag_mask = (1 << tag_bits) - 1

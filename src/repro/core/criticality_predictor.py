@@ -26,10 +26,6 @@ class CriticalityPredictor:
 
     def __init__(self, sets: int = 128, ways: int = 4, tag_bits: int = 6,
                  counter_bits: int = 3) -> None:
-        if sets < 1 or ways < 1:
-            raise ValueError("predictor geometry must be positive")
-        if counter_bits < 1:
-            raise ValueError("counter needs at least one bit")
         self.num_sets = sets
         self.ways = ways
         self.tag_mask = (1 << tag_bits) - 1

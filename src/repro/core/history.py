@@ -14,8 +14,6 @@ class ShiftRegister:
     __slots__ = ("bits", "_mask", "value")
 
     def __init__(self, bits: int) -> None:
-        if bits < 1:
-            raise ValueError("history must be at least one bit wide")
         self.bits = bits
         self._mask = (1 << bits) - 1
         self.value = 0

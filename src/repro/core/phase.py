@@ -19,10 +19,6 @@ class ApcPhaseDetector:
 
     def __init__(self, history_windows: int = 16,
                  threshold: float = 0.15) -> None:
-        if history_windows < 1:
-            raise ValueError("need at least one history window")
-        if not 0 < threshold < 1:
-            raise ValueError("threshold must be a fraction in (0, 1)")
         self.threshold = threshold
         self._history: Deque[float] = deque(maxlen=history_windows)
         self._accesses = 0

@@ -18,8 +18,6 @@ class UtilityBuffer:
     """Circular content-addressable prefetch-address buffer."""
 
     def __init__(self, entries: int = 64) -> None:
-        if entries < 1:
-            raise ValueError("utility buffer needs at least one entry")
         self.capacity = entries
         self._cam: "OrderedDict[int, int]" = OrderedDict()
 

@@ -28,8 +28,6 @@ class AddressMapping:
     def __init__(self, config: DramConfig) -> None:
         self.config = config
         self.lines_per_row = config.row_buffer_bytes >> LINE_SHIFT
-        if self.lines_per_row < 1:
-            raise ValueError("row buffer smaller than a cache line")
         # Geometry is fixed at construction; locate() reads locals, not
         # two levels of attribute indirection.
         self.channels = config.channels

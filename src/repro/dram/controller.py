@@ -6,8 +6,8 @@ timing) and a shared data bus whose burst occupancy caps bandwidth at one
 about.  The scheduler is FR-FCFS within a priority class:
 
 * class 0: demand reads and criticality-flagged prefetches (CLIP);
-* class 1: ordinary prefetch reads (only when ``prefetch_aware``, which is
-  the baseline PADC behaviour from Table 3);
+* class 1: ordinary prefetch reads, served only when no class-0 read is
+  ready (the demand-first PADC behaviour of Table 3);
 * writes drain in batches once the write queue passes its watermark
   (7/8ths full, reads prioritised over writes).
 
@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from typing import Callable, List, Optional
 
-from repro.analysis.invariants import SimulationInvariantError
 from repro.config import DramConfig
 from repro.dram.address_mapping import AddressMapping
 
@@ -83,16 +82,6 @@ class DramChannel:
     MAX_IN_FLIGHT = 16
 
     def __init__(self, channel_id: int, config: DramConfig, engine) -> None:
-        # Timing sanity once at construction: negative array timings or a
-        # zero-cycle burst would silently break the tRP/tRCD/tCAS spacing
-        # and bus-serialisation invariants the sanitizer checks per event.
-        if config.burst_cycles < 1:
-            raise SimulationInvariantError(
-                f"burst_cycles must be >= 1, got {config.burst_cycles}")
-        if min(config.trp_cycles, config.trcd_cycles,
-               config.cas_cycles) < 0:
-            raise SimulationInvariantError(
-                "tRP/tRCD/tCAS timings must be non-negative")
         self.channel_id = channel_id
         self.config = config
         self.engine = engine
@@ -165,10 +154,9 @@ class DramChannel:
         return request
 
     def _pop_read(self, now: int) -> Optional[DramRequest]:
-        if self.config.prefetch_aware:
-            request = self._pop_best(self.read_queue, True, now)
-            if request is not None:
-                return request
+        request = self._pop_best(self.read_queue, True, now)
+        if request is not None:
+            return request
         return self._pop_best(self.read_queue, None, now)
 
     def _pop_best(self, queue: List[DramRequest],

@@ -74,7 +74,6 @@ class ExperimentRunner:
         """The :class:`RunSpec` of one point at this scale's instruction
         count, on one core per workload of ``mix``."""
         return RunSpec(scheme=scheme, mix=tuple(mix), channels=channels,
-                       num_cores=len(mix),
                        sim_instructions=self.scale.sim_instructions)
 
     def homogeneous(self, workloads: Sequence[str],

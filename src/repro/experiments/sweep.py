@@ -49,7 +49,7 @@ from repro.sim.system import run_system
 #: any change that alters simulation outcomes or the ``to_dict`` layout;
 #: every existing cache entry becomes unreachable (keys embed the version)
 #: and is re-simulated on demand.
-CACHE_SCHEMA_VERSION = 5
+CACHE_SCHEMA_VERSION = 6
 
 #: Default location of the persistent result store, relative to the
 #: working directory; override with the ``REPRO_CACHE_DIR`` environment
@@ -211,8 +211,13 @@ class Scheme:
                      sim_instructions: int) -> SystemConfig:
         """Materialise the :class:`SystemConfig` for this scheme on a
         machine of ``num_cores`` cores and ``channels`` DRAM channels,
-        each core running ``sim_instructions``.  The finished config is
-        validated here, once.
+        each core running ``sim_instructions``.
+
+        The config comes back unvalidated.  ``MulticoreSystem``
+        validates it before it builds anything, so a point the gate
+        rejects fails when it is simulated; a key (:meth:`RunSpec.
+        cache_key`) hashes it without a check, because a stored result
+        exists only for a config that passed the gate.
         """
         config = scaled_config(num_cores=num_cores, channels=channels,
                                sim_instructions=sim_instructions)
@@ -245,7 +250,6 @@ class Scheme:
                 config.num_cores, self.big_cores)
         if self.frequency_ghz is not None:
             config = config.at_frequency(self.frequency_ghz)
-        config.validate()
         return config
 
 
@@ -261,13 +265,15 @@ class RunSpec:
     mix: Tuple[str, ...]
     channels: int
     #: The machine's size: one workload of ``mix`` per core, each
-    #: running ``sim_instructions``.
-    num_cores: int = 8
+    #: running ``sim_instructions``.  ``None`` takes it from the mix.
+    num_cores: Optional[int] = None
     sim_instructions: int = 10_000
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "mix", tuple(self.mix))
-        if len(self.mix) != self.num_cores:
+        if self.num_cores is None:
+            object.__setattr__(self, "num_cores", len(self.mix))
+        elif len(self.mix) != self.num_cores:
             raise ValueError("mix length does not match core count")
 
     @property
@@ -327,10 +333,12 @@ class Sweep:
     def product(cls, schemes: Sequence[Scheme],
                 mixes: Sequence[Sequence[str]],
                 channels: Sequence[int], *,
-                num_cores: int = 8,
+                num_cores: Optional[int] = None,
                 sim_instructions: int = 10_000) -> "Sweep":
         """Full cross product: every scheme on every mix at every channel
-        count — the shape of Figs. 6, 9-10 and 19-21."""
+        count — the shape of Figs. 6, 9-10 and 19-21.  Each point runs
+        one core per workload of its mix; ``num_cores``, when given,
+        must agree with every mix."""
         return cls(RunSpec(scheme=scheme, mix=tuple(mix), channels=ch,
                            num_cores=num_cores,
                            sim_instructions=sim_instructions)

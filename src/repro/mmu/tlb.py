@@ -40,8 +40,6 @@ class Tlb:
 
     def __init__(self, entries: int, ways: int,
                  page_shift: int = 12) -> None:
-        if entries < 1 or ways < 1 or entries % ways:
-            raise ValueError("entries must be a positive multiple of ways")
         self.num_sets = entries // ways
         self.ways = ways
         self.page_shift = page_shift

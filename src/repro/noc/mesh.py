@@ -47,8 +47,6 @@ class MeshNoc:
     """An N x N mesh; nodes are numbered row-major."""
 
     def __init__(self, dim: int, config: NocConfig | None = None) -> None:
-        if dim < 1:
-            raise ValueError("mesh dimension must be positive")
         self.dim = dim
         self.config = config or NocConfig()
         # (from_node, to_node) -> [high-priority reserved-until,

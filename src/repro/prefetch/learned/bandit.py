@@ -13,7 +13,6 @@ bits); exploration draws come from the per-core seeded xorshift stream.
 
 from __future__ import annotations
 
-from math import isqrt
 from typing import Dict, List, Sequence, TYPE_CHECKING
 
 from repro.prefetch.base import Prefetcher, PrefetchRequest, make_prefetcher
@@ -27,8 +26,6 @@ if TYPE_CHECKING:
 REWARD_SHIFT = 8
 #: Exponential-window shift of the Q update (weight 1/2**EW_SHIFT).
 EW_SHIFT = 2
-#: UCB exploration-bonus multiplier (in REWARD_SHIFT fixed point terms).
-UCB_SCALE = 3
 
 
 class SelectedPrefetcher(Prefetcher):
@@ -79,7 +76,7 @@ class SelectedPrefetcher(Prefetcher):
 
 
 class BanditSelector(OnlinePolicy):
-    """Epsilon-greedy / UCB bandit over the prefetcher arms.
+    """Epsilon-greedy bandit over the prefetcher arms.
 
     Every epoch the selector settles the reward of the arm that just
     ran, updates that arm's exponentially-windowed Q estimate, and
@@ -90,9 +87,9 @@ class BanditSelector(OnlinePolicy):
 
     name = "bandit"
 
-    __slots__ = ("arms", "counts", "q", "active", "ucb",
-                 "epsilon_permille", "rng", "_base", "epochs", "switches",
-                 "explorations", "updates", "feedback")
+    __slots__ = ("arms", "counts", "q", "active", "epsilon_permille",
+                 "rng", "_base", "epochs", "switches", "explorations",
+                 "updates", "feedback")
 
     def __init__(self, config: "LearnedConfig", core_id: int) -> None:
         self.arms = tuple(config.arms)
@@ -102,7 +99,6 @@ class BanditSelector(OnlinePolicy):
         #: Fixed-point (<< REWARD_SHIFT) reward estimates.
         self.q = [0] * n
         self.active = 0
-        self.ucb = config.ucb
         self.epsilon_permille = config.epsilon_permille
         self.rng = XorShift(core_seed(config.seed, core_id))
         self._base: PolicyFeatures | None = None
@@ -174,23 +170,10 @@ class BanditSelector(OnlinePolicy):
         for arm in range(n):
             if counts[arm] == 0:
                 return arm
-        if self.ucb:
-            return self._choose_ucb()
         if self.rng.below(1000) < self.epsilon_permille:
             self.explorations += 1
             return self.rng.below(n)
         return self._argmax(self.q)
-
-    def _choose_ucb(self) -> int:
-        total = sum(self.counts)
-        # bit_length() is an integer stand-in for log2(total); the
-        # bonus is UCB_SCALE * sqrt(log2(total) / count) in the same
-        # fixed point as q (isqrt of a << 2*REWARD_SHIFT quantity).
-        log2 = total.bit_length()
-        scores = [
-            q + UCB_SCALE * isqrt((log2 << (2 * REWARD_SHIFT)) // count)
-            for q, count in zip(self.q, self.counts)]
-        return self._argmax(scores)
 
     @staticmethod
     def _argmax(values: List[int]) -> int:
@@ -205,4 +188,4 @@ class BanditSelector(OnlinePolicy):
 
 
 __all__ = ["BanditSelector", "SelectedPrefetcher", "EW_SHIFT",
-           "REWARD_SHIFT", "UCB_SCALE"]
+           "REWARD_SHIFT"]

@@ -39,7 +39,7 @@ class PerceptronFilter(OnlinePolicy):
     name = "perceptron"
 
     __slots__ = ("_lanes", "_entries", "_weight_max", "_weight_min",
-                 "_base_threshold", "_adaptive", "threshold", "_pending",
+                 "_base_threshold", "threshold", "_pending",
                  "_pending_cap", "_probe_interval", "_since_probe",
                  "epochs", "decisions", "admits", "drops", "trainings",
                  "weight_updates", "feedback", "probes",
@@ -57,7 +57,6 @@ class PerceptronFilter(OnlinePolicy):
         self._weight_max = (1 << (config.weight_bits - 1)) - 1
         self._weight_min = -(1 << (config.weight_bits - 1))
         self._base_threshold = config.threshold
-        self._adaptive = config.adaptive_threshold
         #: Current admission threshold (re-derived each epoch).
         self.threshold = config.threshold
         #: line -> (table indices, perceptron sum) of in-flight
@@ -84,12 +83,11 @@ class PerceptronFilter(OnlinePolicy):
 
     def observe(self, features: PolicyFeatures) -> int:
         self.epochs += 1
-        if self._adaptive:
-            # Bandwidth-adaptive admission bar: 0 extra on an idle bus,
-            # PRESSURE_GAIN extra at full saturation.
-            self.threshold = (self._base_threshold
-                              + (features.dram_busy_permille
-                                 * PRESSURE_GAIN) // 1000)
+        # Bandwidth-adaptive admission bar: 0 extra on an idle bus,
+        # PRESSURE_GAIN extra at full saturation.
+        self.threshold = (self._base_threshold
+                          + (features.dram_busy_permille
+                             * PRESSURE_GAIN) // 1000)
         return ACTION_KEEP
 
     def decide(self, trigger_ip: int, line: int, cycle: int) -> bool:

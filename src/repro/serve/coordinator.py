@@ -13,8 +13,10 @@ locks.  Protocol (all bodies JSON, ``Connection: close``):
     ``{"job": null, "done": bool, "retry_in": seconds}``
 ``POST /complete``   ``{"worker", "key", "result": <to_dict>}`` ->
     ``{"accepted": bool, "done": bool}`` -- ``accepted`` is false when
-    the worker's lease was lost (the job was reassigned); the first
-    accepted completion wins and later ones are ignored.
+    the worker's lease was lost (the job was reassigned) or the result
+    store entry could not be written (the job fails with the entry's
+    path and the error, and retries); the first accepted completion
+    wins and later ones are ignored.
 ``POST /fail``       ``{"worker", "key", "error": text}`` ->
     ``{"state": "pending" | "quarantined" | ..., "done": bool}``
 ``POST /heartbeat``  ``{"worker", "key"}`` -> ``{"ok": bool}`` --
@@ -25,12 +27,13 @@ locks.  Protocol (all bodies JSON, ``Connection: close``):
 Fault tolerance: claims carry a lease that workers renew by heartbeat;
 an expired lease re-queues the job with exponential backoff, and after
 ``max_attempts`` total failures the job is quarantined with its last
-error kept for ``/status``.  Completed results are written to the
-:class:`ResultStore` *immediately*, so a coordinator killed mid-campaign
-has durably persisted everything it finished; the manifest written on
-shutdown (see :mod:`repro.serve.manifest`) records the campaign itself,
-and a resumed coordinator serves every previously completed point as a
-cache hit.
+error kept for ``/status``.  A result is written to the
+:class:`ResultStore` *before* its job completes, so a coordinator
+killed mid-campaign has durably persisted everything it finished, and
+a job whose entry cannot be written is never done; the manifest written
+on shutdown (see :mod:`repro.serve.manifest`) records the campaign
+itself, and a resumed coordinator serves every previously completed
+point as a cache hit.
 
 This module legitimately reads the wall clock -- lease deadlines are
 host time, not simulated time -- through one clock binding, which
@@ -291,16 +294,29 @@ class Coordinator:
         }}
 
     def _handle_complete(self, body: Dict) -> Dict:
+        """Store the leaseholder's result, then complete its job.  The
+        store holds a campaign's only copy of its results, so an entry
+        that cannot be written fails the job instead."""
         worker, key = body["worker"], body["key"]
         record = self._note_worker(worker)
-        accepted = self.queue.complete(worker, key)
-        if accepted:
-            record["completed"] += 1
-            result = SimulationResult.from_dict(body["result"])
-            self.simulated += 1
+        if not self.queue.holds(worker, key):
+            return {"accepted": False, "done": self.queue.finished}
+        result = SimulationResult.from_dict(body["result"])
+        try:
             self.store.save(key, self.specs_by_key[key], result)
-            self._check_finished()
-            self._emit_progress()
+        except OSError as exc:
+            record["failed"] += 1
+            self.queue.fail(worker, key,
+                            f"{type(exc).__name__}: result store entry "
+                            f"{self.store.path_for(key)} not written: "
+                            f"{exc}", self._clock())
+            accepted = False
+        else:
+            accepted = self.queue.complete(worker, key)
+            record["completed"] += 1
+            self.simulated += 1
+        self._check_finished()
+        self._emit_progress()
         return {"accepted": accepted, "done": self.queue.finished}
 
     def _handle_fail(self, body: Dict) -> Dict:

@@ -27,7 +27,7 @@ I/O.  The coordinator owns the wall clock; tests drive simulated time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 PENDING = "pending"
@@ -167,24 +167,27 @@ class JobQueue:
                 return job
         return None
 
+    def holds(self, worker: str, key: str) -> bool:
+        """Whether ``worker`` holds the current lease on job ``key``."""
+        job = self._jobs.get(key)
+        return (job is not None and job.state == LEASED
+                and job.lease_worker == worker)
+
     def heartbeat(self, worker: str, key: str, now: float) -> bool:
         """Renew ``worker``'s lease; ``False`` means the lease is gone
         (expired/reassigned) and the worker must abandon the job."""
-        job = self._jobs.get(key)
-        if (job is None or job.state != LEASED
-                or job.lease_worker != worker):
+        if not self.holds(worker, key):
             return False
-        job.lease_expiry = now + self.policy.lease_timeout
+        self._jobs[key].lease_expiry = now + self.policy.lease_timeout
         return True
 
     def complete(self, worker: str, key: str) -> bool:
         """Transition ``leased -> done``; at most one completion ever
         succeeds per job.  Stale completions (lost lease, already done)
         return ``False`` and change nothing."""
-        job = self._jobs.get(key)
-        if (job is None or job.state != LEASED
-                or job.lease_worker != worker):
+        if not self.holds(worker, key):
             return False
+        job = self._jobs[key]
         job.state = DONE
         job.producer = worker
         job.lease_worker = None
@@ -198,9 +201,8 @@ class JobQueue:
         job = self._jobs.get(key)
         if job is None:
             return "unknown"
-        if job.state != LEASED or job.lease_worker != worker:
-            return job.state
-        self._retry(job, error, now)
+        if self.holds(worker, key):
+            self._retry(job, error, now)
         return job.state
 
     def expire(self, now: float) -> List[str]:

@@ -314,6 +314,7 @@ class L1Node:
                                   dirty=mshr.dirty, prefetch=prefetch_fill,
                                   trigger_ip=mshr.trigger_ip)
         if evicted is not None and evicted.dirty:
+            self.cache.stats.writebacks += 1
             self.downstream.accept_writeback(evicted.line, t)
         if self.prefetcher is not None and not mshr.is_prefetch:
             more = self.prefetcher.on_fill(mshr.address, t, prefetch=False,

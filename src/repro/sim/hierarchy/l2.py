@@ -127,6 +127,7 @@ class L2Node:
             self.port.replay()
 
     def _writeback(self, line: int, t: int) -> None:
+        self.cache.stats.writebacks += 1
         slice_id = line % self.num_slices
         # Fire-and-forget data packet occupying NoC links (low priority).
         self.link.data(self.node.core_id, slice_id, t, high_priority=False)

@@ -115,6 +115,7 @@ class LlcSlice:
         evicted = self.cache.fill(line // self.num_slices, pc, t,
                                   dirty=dirty, prefetch=prefetch)
         if evicted is not None and evicted.dirty:
+            self.cache.stats.writebacks += 1
             # Reconstruct the global line address from the slice-local one.
             victim_line = evicted.line * self.num_slices + self.slice_id
             self.dram.write(victim_line, t)

@@ -36,8 +36,6 @@ class RequestTrace:
     """Bounded collector of demand-load records."""
 
     def __init__(self, capacity: int = 100_000) -> None:
-        if capacity < 1:
-            raise ValueError("capacity must be positive")
         self.capacity = capacity
         self.records: List[RequestRecord] = []
         self.dropped = 0

@@ -24,8 +24,7 @@ from equivalence_points import (POINTS, SANITIZED_POINTS, SANITIZER_PIN,
                                 sanitizer_check_counts)
 
 from repro.analysis.invariants import SimulationInvariantError, check
-from repro.analysis.sanitizer import (Sanitizer, install_sanitizer,
-                                      sanitize_enabled)
+from repro.analysis.sanitizer import Sanitizer, sanitize_enabled
 from repro.cache.cache import Cache
 from repro.cache.mshr import MshrFile
 from repro.config import CacheConfig, scaled_config

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from repro.config import DramConfig
-from repro.dram.controller import DramChannel, DramRequest, DramSystem
+from repro.dram.controller import DramChannel, DramSystem
 from repro.prefetch.berti import BertiPrefetcher
 from repro.sim.engine import Engine
 

@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import MulticoreSystem, scaled_config
 from repro.cache import Cache, MshrFile, make_policy
 from repro.cache.replacement import (LruPolicy, MockingjayLitePolicy,
-                                     NruPolicy, SrripPolicy, policy_names)
+                                     SrripPolicy, policy_names)
 from repro.config import CacheConfig
 
 
@@ -119,20 +120,6 @@ class TestReplacementPolicies:
         policy.on_hit(0, 0, now=10, pc=0)
         assert policy.victim(0, now=11, valid=[True] * 4) == 1
 
-    def test_nru_prefers_unreferenced(self):
-        policy = NruPolicy(1, 4)
-        policy.on_fill(0, 0, now=0, pc=0)
-        policy.on_fill(0, 2, now=1, pc=0)
-        victim = policy.victim(0, now=2, valid=[True] * 4)
-        assert victim in (1, 3)
-
-    def test_nru_resets_when_all_referenced(self):
-        policy = NruPolicy(1, 2)
-        policy.on_fill(0, 0, now=0, pc=0)
-        policy.on_fill(0, 1, now=1, pc=0)
-        # All referenced; last touch was way 1 so way 0 got cleared.
-        assert policy.victim(0, now=2, valid=[True] * 2) == 0
-
     def test_srrip_hit_promotes(self):
         policy = SrripPolicy(1, 2)
         policy.on_fill(0, 0, now=0, pc=0)
@@ -213,33 +200,10 @@ class TestMshr:
         assert mshrs.peak_occupancy == 3
 
     def test_rejects_zero_capacity(self):
-        with pytest.raises(ValueError):
-            MshrFile(0)
-
-
-class TestLfuPolicy:
-    def test_victim_is_least_frequent(self):
-        from repro.cache.replacement import LfuPolicy
-        policy = LfuPolicy(1, 3)
-        for way in range(3):
-            policy.on_fill(0, way, now=0, pc=0)
-        policy.on_hit(0, 0, now=1, pc=0)
-        policy.on_hit(0, 0, now=2, pc=0)
-        policy.on_hit(0, 2, now=3, pc=0)
-        assert policy.victim(0, now=4, valid=[True] * 3) == 1
-
-    def test_fill_resets_count(self):
-        from repro.cache.replacement import LfuPolicy
-        policy = LfuPolicy(1, 2)
-        policy.on_fill(0, 0, now=0, pc=0)
-        for _ in range(5):
-            policy.on_hit(0, 0, now=1, pc=0)
-        policy.on_fill(0, 0, now=2, pc=0)  # replaced: frequency restarts
-        policy.on_fill(0, 1, now=3, pc=0)
-        policy.on_hit(0, 1, now=4, pc=0)
-        assert policy.victim(0, now=5, valid=[True] * 2) == 0
-
-    def test_usable_in_cache(self):
-        cache = _small_cache("lfu")
-        cache.fill(0x1, pc=1, now=0)
-        assert cache.access(0x1, pc=1, now=1)
+        """The config gate, not the MSHR file, rejects an empty one,
+        naming the field, before anything is built."""
+        config = scaled_config(num_cores=1, channels=1, sim_instructions=500)
+        config.l2.mshr_entries = 0
+        with pytest.raises(ValueError,
+                           match="l2.mshr_entries must be positive, got 0"):
+            MulticoreSystem(config, ["605.mcf_s-1536B"])

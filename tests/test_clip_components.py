@@ -8,10 +8,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import MulticoreSystem, scaled_config
 from repro.config import ClipConfig
 from repro.core import (ApcPhaseDetector, Clip, CriticalityFilter,
                         CriticalityPredictor, ShiftRegister, UtilityBuffer,
                         critical_signature, storage_overhead, storage_table)
+
+
+def _clip_gate_error(**fields) -> str:
+    """The message with which the config gate (``MulticoreSystem``)
+    rejects a 1-core CLIP point whose ``ClipConfig`` has ``fields``."""
+    config = scaled_config(num_cores=1, channels=1, sim_instructions=500)
+    config.clip = dataclasses.replace(config.clip, enabled=True, **fields)
+    with pytest.raises(ValueError) as error:
+        MulticoreSystem(config, ["605.mcf_s-1536B"])
+    return str(error.value)
 
 
 class TestShiftRegister:
@@ -30,8 +41,9 @@ class TestShiftRegister:
         assert int(register) == 0
 
     def test_rejects_zero_width(self):
-        with pytest.raises(ValueError):
-            ShiftRegister(0)
+        """The config gate, not the register, rejects a zero width."""
+        assert _clip_gate_error(branch_history_bits=0) == \
+            "clip.branch_history_bits must be positive, got 0"
 
     @given(st.lists(st.booleans(), max_size=64))
     @settings(max_examples=30, deadline=None)
@@ -114,8 +126,9 @@ class TestUtilityBuffer:
         assert len(buffer) == 0
 
     def test_rejects_zero_entries(self):
-        with pytest.raises(ValueError):
-            UtilityBuffer(0)
+        """The config gate, not the buffer, rejects an empty buffer."""
+        assert _clip_gate_error(utility_buffer_entries=0) == \
+            "clip.utility_buffer_entries must be positive, got 0"
 
     @given(st.lists(st.tuples(st.integers(0, 50), st.integers(1, 10)),
                     max_size=200))
@@ -325,10 +338,12 @@ class TestApcPhaseDetector:
             assert not detector.end_window((window + 1) * 1000)
 
     def test_invalid_parameters(self):
-        with pytest.raises(ValueError):
-            ApcPhaseDetector(history_windows=0)
-        with pytest.raises(ValueError):
-            ApcPhaseDetector(threshold=0)
+        """The config gate, not the detector, rejects an empty history
+        and a threshold outside (0, 1)."""
+        assert _clip_gate_error(apc_history_windows=0) == \
+            "clip.apc_history_windows must be positive, got 0"
+        assert _clip_gate_error(phase_change_threshold=0) == \
+            "clip.phase_change_threshold must be a fraction in (0, 1), got 0"
 
 
 class TestStorageOverhead:

@@ -6,10 +6,11 @@ test tries the value one step outside the bound and the value at it, on
 a 2-core, 500-instruction point with IPCP at L1, whose candidates start
 within 500 instructions, and with the field's group enabled: CLIP, the
 TLB or the perceptron learner (CLIP alongside would drop every
-candidate before the learner sees it).  Outside, ``validate()`` must
-raise ``ValueError`` naming the field.  Inside, a cross-field rule may
-reject the config; otherwise the point must finish within a cycle
-bound.  A float's step is 0.001.
+candidate before the learner sees it).  Outside, building the point
+with ``MulticoreSystem``, the one gate, must raise ``ValueError``
+naming the field.  Inside, a cross-field rule may reject the config;
+otherwise the point must finish within a cycle bound.  A float's step
+is 0.001.
 """
 
 from __future__ import annotations
@@ -89,7 +90,7 @@ def test_bound_edge(case):
     if not inside:
         with pytest.raises(ValueError,
                            match=re.escape(f"{path} {bound.rule}, got")):
-            config.validate()
+            MulticoreSystem(config, [WORKLOAD] * 2)
         return
     try:
         config.validate()

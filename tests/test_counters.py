@@ -266,6 +266,8 @@ def _identity_failures(counters: Dict[str, Dict[str, int]]) -> List[str]:
           "all cores", "L2 demand accesses <= L1D demand misses")
     check(totals["llc"]["demand_accesses"] <= totals["l2"]["demand_misses"],
           "all slices", "LLC demand accesses <= L2 demand misses")
+    check(totals["llc"]["writebacks"] == totals["dram"]["writes"],
+          "all slices", "LLC writebacks = DRAM writes")
     return failures
 
 
@@ -297,10 +299,6 @@ def test_pin_dram_demand_reads_are_llc_demand_misses(pin):
     assert _dram_demand_gap(load_pin(pin)["result"]["counters"]) == 0
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "CacheStats.writebacks is never incremented: dirty evictions are "
-    "written back down the hierarchy, but every result reports 0, and "
-    "counting them would move pinned result leaves"))
 def test_l1d_writebacks_are_counted():
     """The ``bandit_selector`` point evicts dirty L1D lines, so its L1D
     writeback counters cannot all read 0."""

@@ -5,6 +5,7 @@ validation, DVFS scaling, and result round-trips.
 from __future__ import annotations
 
 import dataclasses
+import re
 
 import pytest
 
@@ -12,7 +13,7 @@ from repro.config import (CoreConfig, SystemConfig, big_little_overrides,
                           little_core, scaled_config)
 from repro.experiments.sweep import RunSpec, Scheme
 from repro.sim.stats import SimulationResult
-from repro.sim.system import run_system
+from repro.sim.system import MulticoreSystem, run_system
 
 MIX4 = ["605.mcf_s-1536B", "bfs-14", "619.lbm_s-2676B", "cloud9"]
 
@@ -93,8 +94,12 @@ class TestAtFrequency:
         assert scaled.core_overrides[3].issue_width == 3
 
     def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            SystemConfig().at_frequency(0.0)
+        """``at_frequency`` does not check its argument; the gate
+        rejects the config it returns, naming the field."""
+        config = scaled_config(num_cores=2, channels=1).at_frequency(0.0)
+        with pytest.raises(ValueError, match=re.escape(
+                "core.frequency_ghz must be positive, got 0.0")):
+            MulticoreSystem(config, MIX4[:2])
 
 
 class TestHeterogeneousSimulation:

@@ -146,12 +146,6 @@ class TestBanditSelector:
         assert BanditSelector._argmax([5, 5, 3]) == 0
         assert BanditSelector._argmax([0, 7, 7]) == 1
 
-    def test_ucb_bonus_prefers_the_less_tried_arm(self):
-        selector = self._selector(ucb=True)
-        selector.counts = [5, 1, 5, 5]
-        selector.q = [0, 0, 0, 0]
-        assert selector._choose() == 1
-
     def test_exploration_stream_is_seeded_per_core(self):
         def draws(seed, core_id):
             selector = BanditSelector(

@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import dataclasses
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import run_system, scaled_config
+from repro import MulticoreSystem, run_system, scaled_config
 from repro.mmu import Mmu, Tlb
 from repro.trace import homogeneous_mix
 
@@ -35,8 +36,15 @@ class TestTlb:
         assert not tlb.lookup(1 << 12)
 
     def test_geometry_validation(self):
-        with pytest.raises(ValueError):
-            Tlb(entries=10, ways=4)
+        """The config gate, not the TLB, rejects entries that are not a
+        multiple of the ways."""
+        config = scaled_config(num_cores=1, channels=1, sim_instructions=500)
+        config.tlb = dataclasses.replace(config.tlb, enabled=True,
+                                         dtlb_entries=10, dtlb_ways=4)
+        with pytest.raises(ValueError, match=re.escape(
+                "tlb.dtlb_entries must be a positive multiple of "
+                "tlb.dtlb_ways (4), got 10")):
+            MulticoreSystem(config, ["605.mcf_s-1536B"])
 
     def test_hit_rate_statistic(self):
         tlb = Tlb(entries=8, ways=2)

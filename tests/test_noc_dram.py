@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.config import DramConfig, NocConfig
+from repro import MulticoreSystem, scaled_config
+from repro.config import DramConfig
 from repro.dram import AddressMapping, DramSystem
 from repro.noc import MeshNoc
 from repro.sim.engine import Engine
@@ -107,8 +110,14 @@ class TestAddressMapping:
         assert len(banks) > 4
 
     def test_rejects_tiny_row_buffer(self):
-        with pytest.raises(ValueError):
-            AddressMapping(DramConfig(row_buffer_bytes=32))
+        """The config gate, not the mapping, rejects a row buffer
+        smaller than a line."""
+        config = scaled_config(num_cores=1, channels=1, sim_instructions=500)
+        config.dram.row_buffer_bytes = 32
+        with pytest.raises(ValueError, match=re.escape(
+                "dram.row_buffer_bytes must be at least the line size "
+                "(64), got 32")):
+            MulticoreSystem(config, ["605.mcf_s-1536B"])
 
     @given(st.integers(min_value=0, max_value=1 << 45))
     @settings(max_examples=100, deadline=None)

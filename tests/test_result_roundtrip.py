@@ -53,11 +53,12 @@ def test_cache_schema_version_matches_learned_release():
     joined the materialised config); versions 4 and 5 changed the
     ``to_dict`` layout additively (4: the counter groups gained the sums
     every result view is derived from; 5: the ``core{N}.cpu`` groups and
-    CLIP's drop reasons joined the snapshot), so every older entry must
-    be re-simulated (stale entries read as misses, never as load
-    errors).  Bump this pin only together with a deliberate schema
-    change."""
-    assert CACHE_SCHEMA_VERSION == 5
+    CLIP's drop reasons joined the snapshot); version 6 counts the
+    caches' ``writebacks``, which every older entry holds as 0.  So
+    every older entry must be re-simulated (stale entries read as
+    misses, never as load errors).  Bump this pin only together with a
+    deliberate schema change."""
+    assert CACHE_SCHEMA_VERSION == 6
 
 
 @pytest.mark.parametrize("name", KEYED_SPECS)

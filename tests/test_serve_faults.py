@@ -11,6 +11,10 @@ Three failure modes, each exercised with real processes:
   manifest, exits 130, and a ``--resume`` run completes the campaign
   with every already-finished point served from the cache (zero
   recomputation).
+
+Two more run in process, through the coordinator's protocol handlers:
+a result whose store entry cannot be written, and a spec the config
+gate rejects.
 """
 
 from __future__ import annotations
@@ -28,9 +32,10 @@ from pathlib import Path
 
 import pytest
 
-from repro.experiments.sweep import ResultStore, RunSpec, Scheme
+from repro.experiments.sweep import (ResultStore, RunSpec, Scheme,
+                                     execute_spec)
 from repro.serve.coordinator import Coordinator, ServeSettings
-from repro.serve.queue import QueuePolicy
+from repro.serve.queue import PENDING, QUARANTINED, QueuePolicy
 from repro.serve.worker import fetch_status, spawn_worker
 from repro.trace.mixes import homogeneous_mix
 
@@ -240,6 +245,64 @@ class TestPoisonJob:
                 if process.poll() is None:
                     process.kill()
                     process.wait(timeout=10.0)
+
+
+class TestInProcessCoordinator:
+    @staticmethod
+    def post(coordinator, path, body):
+        status, reply = coordinator._dispatch("POST", path, body)
+        assert status == 200
+        return reply
+
+    def test_unwritable_store_entry_fails_the_job(self, tmp_path):
+        """The store holds a campaign's only copy of a result, so a
+        result whose entry cannot be written is not accepted: the job
+        fails naming the entry, retries, and then quarantines instead
+        of reading done with the point missing from the store."""
+        spec = RunSpec(scheme=Scheme(l1="berti"), mix=MIX[:1], channels=1,
+                       num_cores=1, sim_instructions=300)
+        store = ResultStore(tmp_path / "cache")
+        coordinator = Coordinator(
+            [spec], store=store, settings=ServeSettings(
+                policy=QueuePolicy(max_attempts=2, backoff_base=0.0)))
+        key = spec.cache_key()
+        entry = store.path_for(key)
+        entry.mkdir(parents=True)  # a directory where the entry goes
+        result = execute_spec(spec)
+        for state in (PENDING, QUARANTINED):
+            claim = self.post(coordinator, "/claim", {"worker": "w"})
+            assert claim["job"]["key"] == key
+            reply = self.post(coordinator, "/complete",
+                              {"worker": "w", "key": key,
+                               "result": result})
+            assert reply["accepted"] is False
+            [job] = coordinator.queue.jobs()
+            assert job.state == state
+            assert str(entry) in job.error
+        assert reply["done"] is True
+        status = coordinator.status()
+        assert (status["done"], status["simulated"]) == (0, 0)
+        assert str(entry) in status["quarantine"][0]["error"]
+        assert store.load(key) is None
+
+    def test_campaign_of_a_rejected_spec_starts(self, tmp_path):
+        """Keys do not validate: a campaign over a spec the config gate
+        rejects starts, and the spec fails where it is simulated, with
+        the field-named error a worker reports."""
+        spec = RunSpec(scheme=Scheme.parse("berti"), mix=MIX, channels=0,
+                       num_cores=2, sim_instructions=800)
+        coordinator = Coordinator([spec],
+                                  store=ResultStore(tmp_path / "cache"))
+
+        async def start_and_stop():
+            await coordinator.start()
+            await coordinator.stop()
+
+        asyncio.run(start_and_stop())
+        assert [job.state for job in coordinator.queue.jobs()] == [PENDING]
+        with pytest.raises(ValueError,
+                           match="dram.channels must be positive, got 0"):
+            execute_spec(spec)
 
 
 class TestCoordinatorSigterm:

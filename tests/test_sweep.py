@@ -9,6 +9,7 @@ import re
 
 import pytest
 
+from repro import api
 from repro.config import SystemConfig
 from repro.experiments import BenchScale, ExperimentRunner
 from repro.experiments.sweep import (CACHE_SCHEMA_VERSION, L1_PREFETCHERS,
@@ -134,6 +135,20 @@ class TestRunSpec:
     def test_mix_length_validated(self):
         with pytest.raises(ValueError, match="mix length"):
             RunSpec(scheme=Scheme(), mix=("a",), channels=1, **TINY)
+
+    def test_core_count_defaults_to_the_mix(self):
+        """A point runs one core per workload of its mix unless told
+        otherwise, so neither a bare spec nor ``api.sweep`` needs the
+        count, and the key is the one the explicit count gives."""
+        mix4 = ("605.mcf_s-1536B",) * 4
+        bare = RunSpec(Scheme.parse("berti"), mix4, 1)
+        assert bare.num_cores == bare.cores == 4
+        assert bare.cache_key() == RunSpec(Scheme.parse("berti"), mix4, 1,
+                                           num_cores=4).cache_key()
+        [result] = api.sweep(["berti"], list(mix4), sim_instructions=300,
+                             cache=False)
+        assert len(result.cores) == 4
+        assert result.total_instructions == 4 * 300
 
     def test_cache_key_ignores_override_order(self):
         # Regression: the legacy runner keyed on repr(overrides), so two
@@ -261,8 +276,8 @@ class TestExecutor:
 
     def test_config_work_per_point(self, tmp_path, monkeypatch):
         """A cold point builds its config twice (the key, the run) and
-        validates it three times (each build, then ``MulticoreSystem``);
-        a warm point builds and validates it once, for its key."""
+        validates it once, in ``MulticoreSystem``; a warm point builds
+        it once, for its key, and never validates it."""
         calls = collections.Counter()
 
         def count(owner, name):
@@ -279,11 +294,11 @@ class TestExecutor:
         store = ResultStore(tmp_path)
         cold = run_sweep(self.SPECS[:1], store=store)
         assert cold.simulated == 1
-        assert calls == {"build_config": 2, "validate": 3}
+        assert calls == {"build_config": 2, "validate": 1}
         calls.clear()
         warm = run_sweep(self.SPECS[:1], store=store)
         assert warm.cache_hits == 1
-        assert calls == {"build_config": 1, "validate": 1}
+        assert calls == {"build_config": 1}
 
     def test_store_rejects_other_schema_version(self, tmp_path,
                                                 monkeypatch):

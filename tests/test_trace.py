@@ -14,7 +14,7 @@ from repro.trace import (CLOUDSUITE_WORKLOADS, CVP_WORKLOADS, GAP_WORKLOADS,
                          SyntheticWorkload, TraceRecord, WorkloadSpec,
                          get_workload, heterogeneous_mixes, homogeneous_mix,
                          workload_names)
-from repro.trace.record import NO_REG, validate_trace
+from repro.trace.record import validate_trace
 
 
 class TestTraceRecord:

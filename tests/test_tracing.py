@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
-
 import pytest
 
 from repro import MulticoreSystem, scaled_config
@@ -70,8 +68,15 @@ class TestRequestTrace:
         assert RequestTrace().percentile(0.9) == 0.0
 
     def test_rejects_zero_capacity(self):
-        with pytest.raises(ValueError):
-            RequestTrace(0)
+        """A trace is built only for a positive capacity, and the config
+        gate, not the trace, rejects a negative one."""
+        config = scaled_config(num_cores=1, channels=1, sim_instructions=500)
+        mix = ["605.mcf_s-1536B"]
+        assert MulticoreSystem(config, mix).request_trace is None
+        config.capture_request_trace = -1
+        with pytest.raises(ValueError, match="capture_request_trace must "
+                                             "not be negative, got -1"):
+            MulticoreSystem(config, mix)
 
 
 class TestTracingIntegration:
